@@ -22,8 +22,7 @@ deliberately cannot conclude [X] = [Y].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import (
     CircularRuleError,
@@ -183,20 +182,18 @@ class MotivicClass:
         return cls({(str(s), int(p)): int(c) for s, p, c in doc["terms"]})
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(
+    NamedTuple("RewriteRule", [("lhs", str), ("rhs", MotivicClass), ("justification", str)])
+):
     """Substitution [lhs] -> rhs.  The lhs symbol may not reappear on the
     right, so each application eliminates it."""
 
-    lhs: str
-    rhs: MotivicClass
-    justification: str = ""
-
-    def __post_init__(self) -> None:
-        if self.lhs == PURE:
+    def __new__(cls, lhs: str, rhs: MotivicClass, justification: str = "") -> "RewriteRule":
+        if lhs == PURE:
             raise ValueError("the pure symbol cannot head a rewrite rule")
-        if self.lhs in self.rhs.symbols():
-            raise ValueError(f"rule right side mentions its own symbol [{self.lhs}]")
+        if lhs in rhs.symbols():
+            raise ValueError(f"rule right side mentions its own symbol [{lhs}]")
+        return super().__new__(cls, lhs, rhs, justification)
 
     @property
     def name(self) -> str:
@@ -254,8 +251,7 @@ def blowup_rule(
     )
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     before: MotivicClass
     rule: RewriteRule
     after: MotivicClass
@@ -276,8 +272,7 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """Chain of single-substitution steps from ``start``."""
 
     start: MotivicClass
@@ -360,8 +355,7 @@ def normal_form(
             return cur, Derivation(start=cls, steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class IdentityCertificate:
+class IdentityCertificate(NamedTuple):
     """Two rewrite chains from the same symbol, plus their difference.
 
     Both chains start at [D]; every step preserves the class, so the two

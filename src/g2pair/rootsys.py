@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CapExceededError, UnknownTypeError
 
@@ -51,31 +51,29 @@ def matvec(m: Matrix, v: Root) -> Root:
     return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
     """Square integer matrix with diagonal 2, nonpositive off-diagonal
     entries, and zeros placed symmetrically."""
 
-    entries: Matrix
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
+    def __new__(cls, entries: Matrix) -> "CartanMatrix":
+        n = len(entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError("Cartan entries must be integers")
         for i in range(n):
-            if self.entries[i][i] != 2:
+            if entries[i][i] != 2:
                 raise ValueError("Cartan diagonal entries must equal 2")
             for j in range(n):
-                if i != j and self.entries[i][j] > 0:
+                if i != j and entries[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
+                if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise ValueError("Cartan zeros must be symmetric")
+        return super().__new__(cls, entries)
 
     @property
     def rank(self) -> int:
@@ -214,12 +212,10 @@ def parse_cartan(name: str) -> CartanMatrix:
     )
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(
+    NamedTuple("RootSystem", [("cartan", CartanMatrix), ("positive_roots", tuple[Root, ...])])
+):
     """Positive roots of a finite type, sorted by (height, coordinates)."""
-
-    cartan: CartanMatrix
-    positive_roots: tuple[Root, ...]
 
     @property
     def rank(self) -> int:

@@ -22,25 +22,22 @@ zeta^2 - p*(c1).zeta + p*(c2) = 0 exactly, term by term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .errors import ConventionError, PicardError
 from .weyl import WeylElement, WeylGroup
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
     """Integral divisor class sum_i weights[i-1] * omega_i in fundamental
     weight coordinates."""
 
-    weights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.weights):
+    def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
+        weights = tuple(weights)
+        if not all(isinstance(c, int) for c in weights):
             raise ValueError("divisor weights must be integers")
-        object.__setattr__(self, "weights", tuple(self.weights))
+        return super().__new__(cls, weights)
 
     def pairing(self, coroot_coords: tuple[int, ...]) -> int:
         # <lambda, beta_check> in the fundamental weight basis
@@ -145,17 +142,12 @@ class SchubertRing:
         self.group = group
         self.parabolic = group.normalize_parabolic(parabolic)
         self.basis: tuple[WeylElement, ...] = group.min_coset_reps(self.parabolic)
-        self._index = {w.matrix: k for k, w in enumerate(self.basis)}
+        self._index = {w: k for k, w in enumerate(self.basis)}
         self.dimension = self.basis[-1].length
         tops = [k for k, w in enumerate(self.basis) if w.length == self.dimension]
         if len(tops) != 1:
             raise ConventionError("quotient has no unique top class")
         self._top = tops[0]
-        rs = group.root_system
-        refl = group.reflections()
-        self._divisor_steps = tuple(
-            (refl[beta], rs.coroot_coordinates(beta)) for beta in rs.positive_roots
-        )
 
     @property
     def rank(self) -> int:
@@ -165,7 +157,7 @@ class SchubertRing:
         return len(self.basis)
 
     def basis_index(self, w: WeylElement) -> Optional[int]:
-        return self._index.get(w.matrix)
+        return self._index.get(w)
 
     def zero(self) -> CohomologyElement:
         return CohomologyElement(self, {})
@@ -225,17 +217,17 @@ class SchubertRing:
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
         self.check_divisor(d)
+        steps = [
+            (r, m) for r in self.group.reflection_data if (m := d.pairing(r.coroot))
+        ]
         out: dict[int, int] = {}
         for k, c in x.coefficients().items():
             w = self.basis[k]
-            for s_beta, coroot in self._divisor_steps:
-                m = d.pairing(coroot)
-                if m == 0:
-                    continue
-                u = w * s_beta
+            for r, m in steps:
+                u = w.times_reflection(r)
                 if u.length != w.length + 1:
                     continue
-                j = self._index.get(u.matrix)
+                j = self._index.get(u)
                 if j is None:
                     continue
                 out[j] = out.get(j, 0) + c * m
@@ -295,9 +287,9 @@ def pushforward(
     s_i = ring.group.generator(fiber_node)
     out: dict[int, int] = {}
     for w, c in x.terms():
-        u = w * s_i
-        if u.length != w.length - 1:
+        if not w.has_right_descent(fiber_node):
             continue
+        u = w * s_i
         k = target.basis_index(u)
         if k is None:
             raise ConventionError(f"{u.name} missing from the target basis")

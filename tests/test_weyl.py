@@ -269,3 +269,12 @@ def test_lookup_errors():
     a2 = make_group("A2")
     with pytest.raises(ValueError):
         g.generator(1) * a2.generator(1)
+
+
+def test_cap_error_reports_progress():
+    # A3 layers by length: 1, 3, 5, 6, ...; the cap of 10 first breaks at
+    # length 3, when 1 + 3 + 5 + 6 = 15 elements are known.
+    with pytest.raises(CapExceededError, match=r"cap 10 \(15 elements through length 3\)"):
+        make_group("A3", cap=10)
+    with pytest.raises(CapExceededError, match=r"cap 4 \(9 elements through length 2\)"):
+        make_group("A3", cap=4)

@@ -1,0 +1,112 @@
+"""Weyl elements as rho-orbit points, cross-checked against matrices.
+
+The library identifies an element by w(rho) and w^-1(rho) in weight
+coordinates and multiplies by folding words onto those points.  Here every
+derived operation is recomputed through integer matrices on the root
+lattice, built as products of simple-reflection matrices along the word:
+descents are read off matrix columns, products and reflections are matrix
+products looked up by matrix.  Every named type with |W| <= 1920 is
+covered, plus the reducible literal A1 x A1.
+"""
+
+import math
+import random
+
+import pytest
+
+from g2pair.motive import poincare_polynomial
+from g2pair.rootsys import identity_matrix, matmul, root_system
+from g2pair.weyl import WeylGroup
+
+ORDERS = {
+    "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720,
+    "B2": 8, "B3": 48, "B4": 384,
+    "C2": 8, "C3": 48, "C4": 384,
+    "D4": 192, "D5": 1920, "F4": 1152, "G2": 12,
+    "[[2,0],[0,2]]": 4,
+}
+
+
+@pytest.fixture(scope="module", params=tuple(ORDERS))
+def named_group(request):
+    return request.param, WeylGroup(root_system(request.param))
+
+
+@pytest.fixture
+def group(named_group):
+    return named_group[1]
+
+
+def word_matrix(rs, word):
+    m = identity_matrix(rs.rank)
+    for i in word:
+        m = matmul(m, rs.simple_reflection_matrix(i))
+    return m
+
+
+def test_order_and_matrices(named_group):
+    name, group = named_group
+    rs = group.root_system
+    assert group.order == ORDERS[name]
+    seen = set()
+    for w in group:
+        assert w.matrix == word_matrix(rs, w.word)
+        assert group.element_by_matrix(w.matrix) is w
+        seen.add(w.matrix)
+    assert len(seen) == group.order
+
+
+def test_right_descents_match_matrix_columns(group):
+    rank = group.rank
+    for w in group:
+        for i in range(1, rank + 1):
+            column_negative = all(row[i - 1] <= 0 for row in w.matrix)
+            assert w.has_right_descent(i) == column_negative
+
+
+def test_inverse_is_identity_product(group):
+    ident = identity_matrix(group.rank)
+    for w in group:
+        inv = w.inverse()
+        assert inv.length == w.length
+        assert w * inv == group.identity
+        assert inv * w == group.identity
+        assert matmul(w.matrix, inv.matrix) == ident
+
+
+def test_times_reflection_matches_matmul(group):
+    rs = group.root_system
+    data = group.reflection_data
+    assert [r.root for r in data] == list(rs.positive_roots)
+    matrices = [rs.reflection_matrix(r.root) for r in data]
+    for r, m in zip(data, matrices):
+        assert r.element.matrix == m
+    for w in group:
+        for r, m in zip(data, matrices):
+            expected = group.element_by_matrix(matmul(w.matrix, m))
+            assert w.times_reflection(r) is expected
+            assert w * r.element is expected
+
+
+def test_random_products_match_matmul(group):
+    rng = random.Random(f"orbit-products:{group.order}:{group.rank}")
+    elements = group.elements
+    for _ in range(300):
+        u, v = rng.choice(elements), rng.choice(elements)
+        assert u * v is group.element_by_matrix(matmul(u.matrix, v.matrix))
+
+
+def test_reflections_are_fresh_dicts(group):
+    first = group.reflections()
+    first.clear()
+    assert len(group.reflections()) == len(group.root_system.positive_roots)
+
+
+def test_e6_order_and_cayley_plane_cells():
+    g = WeylGroup(root_system("E6"))
+    degrees = (2, 5, 6, 8, 9, 12)
+    assert g.order == math.prod(degrees) == 51840
+    reps = g.min_coset_reps(range(2, 7))
+    assert len(reps) == 27
+    assert reps[-1].length == 16
+    assert poincare_polynomial(g, range(2, 7)).is_palindromic()
