@@ -44,10 +44,8 @@ from .schubert import (
     DivisorClass,
     SchubertRing,
     chern_of_pushforward_bundle,
-    chevalley_multiply,
     degree_of_zero_locus,
     divisor_from_degree_one,
-    integrate,
     pullback,
     pushforward,
 )
@@ -84,10 +82,8 @@ __all__ = [
     "check_derivation",
     "check_step",
     "chern_of_pushforward_bundle",
-    "chevalley_multiply",
     "degree_of_zero_locus",
     "divisor_from_degree_one",
-    "integrate",
     "normal_form",
     "parse_cartan",
     "poincare_polynomial",

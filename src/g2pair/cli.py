@@ -14,12 +14,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import ConventionError, DomainError
+from .errors import DomainError
 from .grothring import IdentityCertificate
-from .motive import poincare_polynomial
+from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
 from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system
-from .schubert import degree_of_zero_locus
+from .schubert import check_rank2_pair, degree_of_zero_locus
 from .weyl import DEFAULT_GROUP_CAP, WeylGroup
 from . import grothring
 
@@ -170,21 +170,20 @@ def _cmd_poincare(ns: argparse.Namespace) -> str:
     return str(poly)
 
 
-def _identity_pipeline(group: WeylGroup) -> tuple[IdentityCertificate, int]:
-    if group.rank != 2:
-        raise ConventionError(
-            f"the identity pipeline needs a rank-2 type, rank is {group.rank}"
-        )
+def _identity_pipeline(
+    group: WeylGroup,
+) -> tuple[LPolynomial, LPolynomial, IdentityCertificate, int]:
+    check_rank2_pair(group)
     f1 = poincare_polynomial(group, (1,))
     f2 = poincare_polynomial(group, (2,))
     cert = grothring.verify_g2_identity(f1, f2)
     check_certificate(cert)
-    return cert, len(cert.left.steps) + len(cert.right.steps)
+    return f1, f2, cert, len(cert.left.steps) + len(cert.right.steps)
 
 
 def _cmd_verify_identity(ns: argparse.Namespace) -> str:
     group = _group(ns)
-    cert, steps = _identity_pipeline(group)
+    _, _, cert, steps = _identity_pipeline(group)
     if ns.format == "json":
         return _json(
             {
@@ -207,17 +206,11 @@ def _cmd_degree(ns: argparse.Namespace) -> str:
 
 def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
-    if group.rank != 2:
-        raise ConventionError(
-            f"the certificate report needs a rank-2 type, rank is {group.rank}"
-        )
+    f1, f2, cert, steps = _identity_pipeline(group)
     reps1 = group.min_coset_reps((1,))
     reps2 = group.min_coset_reps((2,))
     bij = group.length_bijection((1,), (2,))
-    f1 = poincare_polynomial(group, (1,))
-    f2 = poincare_polynomial(group, (2,))
     flag_poly = poincare_polynomial(group, ())
-    cert, steps = _identity_pipeline(group)
     deg1 = degree_of_zero_locus(group, 1)
     deg2 = degree_of_zero_locus(group, 2)
 

@@ -2,9 +2,10 @@
 
 A MotivicClass is a finite integer combination of atoms L^k*[S], where S
 is an opaque variety symbol and the reserved symbol "1" marks pure
-L-polynomial terms.  The only products defined are by pure classes:
-multiplying two classes that both carry opaque symbols is rejected,
-because nothing here knows the geometry of such a product.
+L-polynomial terms; its linear arithmetic is the Combination base it
+shares with LPolynomial (motive.py).  The only products defined are by
+pure classes: multiplying two classes that both carry opaque symbols is
+rejected, because nothing here knows the geometry of such a product.
 
 Rewrite rules substitute a symbol by a class (scissor relations, cell
 decompositions).  normal_form applies rules deterministically - rule
@@ -22,38 +23,34 @@ deliberately cannot conclude [X] = [Y].
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     CircularRuleError,
     PoincareMismatchError,
     SymbolProductError,
 )
-from .motive import LPolynomial
+from .motive import Combination, LPolynomial, l_power
 
 PURE = "1"
 
 TermKey = tuple[str, int]
 
 
-class MotivicClass:
+class MotivicClass(Combination):
     """Finitely supported map (symbol, L-power) -> integer coefficient."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, data: Union[Mapping[TermKey, int], Iterable[tuple[TermKey, int]], None] = None):
-        acc: dict[TermKey, int] = {}
-        items = data.items() if isinstance(data, Mapping) else (data or ())
-        for (sym, power), c in items:
-            if not isinstance(sym, str) or not sym:
-                raise ValueError("symbol must be a nonempty string")
-            if not isinstance(power, int) or power < 0:
-                raise ValueError("L-power must be a nonnegative integer")
-            if not isinstance(c, int):
-                raise ValueError("coefficients must be integers")
-            key = (sym, power)
-            acc[key] = acc.get(key, 0) + c
-        self._terms = {k: c for k, c in sorted(acc.items()) if c != 0}
+    def _key(self, key, c) -> TermKey:
+        sym, power = key
+        if not isinstance(sym, str) or not sym:
+            raise ValueError("symbol must be a nonempty string")
+        if not isinstance(power, int) or power < 0:
+            raise ValueError("L-power must be a nonnegative integer")
+        if not isinstance(c, int):
+            raise ValueError("coefficients must be integers")
+        return (sym, power)
 
     @classmethod
     def zero(cls) -> "MotivicClass":
@@ -77,39 +74,16 @@ class MotivicClass:
         return {s for (s, _) in self._terms if s != PURE}
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def is_pure(self) -> bool:
         return all(s == PURE for (s, _) in self._terms)
 
     def pure_part(self) -> LPolynomial:
         return LPolynomial({p: c for (s, p), c in self._terms.items() if s == PURE})
 
-    def __add__(self, other: "MotivicClass") -> "MotivicClass":
-        if not isinstance(other, MotivicClass):
-            return NotImplemented
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0) + c
-        return MotivicClass(out)
-
-    def __neg__(self) -> "MotivicClass":
-        return MotivicClass({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "MotivicClass") -> "MotivicClass":
-        if not isinstance(other, MotivicClass):
-            return NotImplemented
-        return self + (-other)
-
     def times_L(self, power: int) -> "MotivicClass":
         if not isinstance(power, int) or power < 0:
             raise ValueError("L-power must be a nonnegative integer")
-        return MotivicClass({(s, p + power): c for (s, p), c in self._terms.items()})
-
-    def times_int(self, n: int) -> "MotivicClass":
-        return MotivicClass({k: n * c for k, c in self._terms.items()})
+        return self._with({(s, p + power): c for (s, p), c in self._terms.items()})
 
     def times_lpoly(self, p: LPolynomial) -> "MotivicClass":
         out: dict[TermKey, int] = {}
@@ -117,7 +91,7 @@ class MotivicClass:
             for d, cd in p.coefficients().items():
                 key = (s, k + d)
                 out[key] = out.get(key, 0) + c * cd
-        return MotivicClass(out)
+        return self._with(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -136,40 +110,13 @@ class MotivicClass:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MotivicClass):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for (s, p), c in self._terms.items():
-            mag = abs(c)
-            if s == PURE:
-                if p == 0:
-                    body = str(mag)
-                elif p == 1:
-                    body = "L" if mag == 1 else f"{mag}*L"
-                else:
-                    body = f"L^{p}" if mag == 1 else f"{mag}*L^{p}"
-            else:
-                lead = "" if mag == 1 else f"{mag}*"
-                if p == 0:
-                    body = f"{lead}[{s}]"
-                elif p == 1:
-                    body = f"{lead}L*[{s}]"
-                else:
-                    body = f"{lead}L^{p}*[{s}]"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+    def _body(self, key: TermKey, mag: int) -> str:
+        s, p = key
+        if s == PURE:
+            return l_power(p, mag)
+        if p == 0:
+            return f"[{s}]" if mag == 1 else f"{mag}*[{s}]"
+        return f"{l_power(p, mag)}*[{s}]"
 
     def __repr__(self) -> str:
         return f"MotivicClass({self._terms})"

@@ -1,6 +1,9 @@
 """Integer polynomials in the Lefschetz class L, plus the cell-count
 polynomials of flag varieties.
 
+Combination is the sparse integer-combination base shared by
+LPolynomial, MotivicClass (grothring) and CohomologyElement (schubert).
+
 A variety with an affine paving has motivic class sum(L^(dim of cell));
 for G/P the cells are indexed by minimal coset representatives and the
 dimension of a cell is the length of its word, so the class is the
@@ -9,29 +12,115 @@ length generating polynomial of W^P.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .weyl import WeylGroup
 
 PairList = list[list[int]]
 
 
-class LPolynomial:
+def l_power(d: int, mag: int) -> str:
+    """Render mag*L^d, leaving out a unit magnitude and the exponents 0 and 1."""
+    if d == 0:
+        return str(mag)
+    body = "L" if d == 1 else f"L^{d}"
+    return body if mag == 1 else f"{mag}*{body}"
+
+
+class Combination:
+    """Finite integer combination of sortable keys, kept as a sorted dict
+    without zero coefficients.
+
+    The linear structure lives here once: sums, negation, differences,
+    integer multiples, equality, hashing, the coefficient dict and the
+    sign-joined text form.  A subclass validates keys (_key), says which
+    other operands it absorbs (_coerce), renders one term (_body) and
+    defines its own products.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, data=None):
+        acc: dict = {}
+        items = data.items() if isinstance(data, Mapping) else (data or ())
+        for key, c in items:
+            key = self._key(key, c)
+            acc[key] = acc.get(key, 0) + c
+        self._terms = {k: c for k, c in sorted(acc.items()) if c != 0}
+
+    def _key(self, key, c):
+        return key
+
+    def _with(self, terms: dict):
+        return type(self)(terms)
+
+    def _coerce(self, other):
+        return other if isinstance(other, type(self)) else None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficients(self) -> dict:
+        return dict(self._terms)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for k, c in o._terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._with(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def times_int(self, n: int):
+        if not isinstance(n, int):
+            raise ValueError("coefficients must be integers")
+        return self._with({k: n * c for k, c in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._terms == o._terms
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._terms.items()))
+
+    def __str__(self) -> str:
+        out = ""
+        for k, c in self._terms.items():
+            sign = (" + " if c > 0 else " - ") if out else ("" if c > 0 else "-")
+            out += sign + self._body(k, abs(c))
+        return out or "0"
+
+
+class LPolynomial(Combination):
     """Sparse polynomial in L with integer coefficients; zero coefficients
     are never stored."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, data: Union[Mapping[int, int], Iterable[tuple[int, int]], None] = None):
-        acc: dict[int, int] = {}
-        items = data.items() if isinstance(data, Mapping) else (data or ())
-        for deg, c in items:
-            if not isinstance(deg, int) or not isinstance(c, int):
-                raise ValueError("degrees and coefficients must be integers")
-            if deg < 0:
-                raise ValueError("negative degree")
-            acc[deg] = acc.get(deg, 0) + c
-        self._coeffs = {d: c for d, c in sorted(acc.items()) if c != 0}
+    def _key(self, deg, c):
+        if not isinstance(deg, int) or not isinstance(c, int):
+            raise ValueError("degrees and coefficients must be integers")
+        if deg < 0:
+            raise ValueError("negative degree")
+        return deg
 
     @classmethod
     def zero(cls) -> "LPolynomial":
@@ -50,22 +139,15 @@ class LPolynomial:
         return cls((int(d), int(c)) for d, c in pairs)
 
     def to_pairs(self) -> PairList:
-        return [[d, c] for d, c in self._coeffs.items()]
+        return [[d, c] for d, c in self._terms.items()]
 
     def coefficient(self, deg: int) -> int:
-        return self._coeffs.get(deg, 0)
-
-    def coefficients(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return self._terms.get(deg, 0)
 
     def degree(self) -> int | None:
-        if not self._coeffs:
+        if not self._terms:
             return None
-        return max(self._coeffs)
+        return max(self._terms)
 
     def is_palindromic(self) -> bool:
         d = self.degree()
@@ -76,50 +158,23 @@ class LPolynomial:
     def evaluate(self, q: int) -> int:
         if not isinstance(q, int):
             raise ValueError("evaluation point must be an integer")
-        return sum(c * q**d for d, c in self._coeffs.items())
+        return sum(c * q**d for d, c in self._terms.items())
 
     def _coerce(self, other) -> "LPolynomial | None":
-        if isinstance(other, LPolynomial):
-            return other
-        if isinstance(other, int):
-            return LPolynomial({0: other})
-        return None
+        return LPolynomial({0: other}) if isinstance(other, int) else super()._coerce(other)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for d, c in o._coeffs.items():
-            out[d] = out.get(d, 0) + c
-        return LPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LPolynomial({d: -c for d, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    def _body(self, deg: int, mag: int) -> str:
+        return l_power(deg, mag)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out: dict[int, int] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in o._coeffs.items():
+        for d1, c1 in self._terms.items():
+            for d2, c2 in o._terms.items():
                 out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return LPolynomial(out)
+        return self._with(out)
 
     __rmul__ = __mul__
 
@@ -131,35 +186,8 @@ class LPolynomial:
             out = out * self
         return out
 
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._coeffs == o._coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._coeffs.items()))
-
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d, c in self._coeffs.items():
-            mag = abs(c)
-            if d == 0:
-                body = str(mag)
-            elif d == 1:
-                body = "L" if mag == 1 else f"{mag}*L"
-            else:
-                body = f"L^{d}" if mag == 1 else f"{mag}*L^{d}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return bool(self._terms)
 
     def __repr__(self) -> str:
         return f"LPolynomial({self.to_pairs()})"

@@ -46,6 +46,12 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _reflect(a: Matrix, i: int, v: Root) -> Root:
+    """s_i(v) = v - <v, alpha_i_check> alpha_i for the 0-based node i."""
+    c = sum(x * y for x, y in zip(a[i], v))
+    return v[:i] + (v[i] - c,) + v[i + 1:]
+
+
 def matvec(m: Matrix, v: Root) -> Root:
     n = len(v)
     return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
@@ -242,8 +248,7 @@ class RootSystem(
         self._check_node(i)
         if len(v) != self.rank:
             raise ValueError("vector length does not match the rank")
-        c = sum(self.cartan.entries[i - 1][j] * v[j] for j in range(self.rank))
-        return tuple(v[k] - c if k == i - 1 else v[k] for k in range(self.rank))
+        return _reflect(self.cartan.entries, i - 1, tuple(v))
 
     def simple_reflection_matrix(self, i: int) -> Matrix:
         self._check_node(i)
@@ -318,8 +323,7 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     while queue:
         v = queue.pop()
         for i in range(n):
-            c = sum(a[i][j] * v[j] for j in range(n))
-            w = tuple(v[k] - c if k == i else v[k] for k in range(n))
+            w = _reflect(a, i, v)
             if w not in seen and all(x >= 0 for x in w):
                 seen.add(w)
                 if len(seen) > cap:

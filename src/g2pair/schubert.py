@@ -18,14 +18,19 @@ anticanonical zero locus of a section of V.
 The bundle conventions are self-checked: zeta (the tautological divisor
 upstairs) must push to 1, and c1, c2 must satisfy the rank-2 relation
 zeta^2 - p*(c1).zeta + p*(c2) = 0 exactly, term by term.
+
+A CohomologyElement is a Combination (motive.py) keyed by basis index:
+sums, multiples and rendering are the ones L-polynomials and motivic
+classes use, while equality and sums also require the same ring.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
+from .motive import Combination
 from .weyl import WeylElement, WeylGroup
 
 
@@ -48,88 +53,60 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
         return " + ".join(parts) if parts else "0"
 
 
-class CohomologyElement:
+class CohomologyElement(Combination):
     """Integer combination of Schubert classes of one fixed ring."""
 
-    __slots__ = ("ring", "_coeffs")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: "SchubertRing", coeffs: Mapping[int, int]):
         self.ring = ring
-        self._coeffs = {k: c for k, c in sorted(coeffs.items()) if c != 0}
+        super().__init__(coeffs)
 
-    def coefficients(self) -> dict[int, int]:
-        return dict(self._coeffs)
+    def _with(self, terms: dict) -> "CohomologyElement":
+        return CohomologyElement(self.ring, terms)
+
+    def _coerce(self, other) -> "CohomologyElement | None":
+        if not isinstance(other, CohomologyElement):
+            return None
+        if self.ring is not other.ring:
+            raise ValueError("elements live in different rings")
+        return other
 
     def terms(self) -> tuple[tuple[WeylElement, int], ...]:
-        return tuple((self.ring.basis[k], c) for k, c in self._coeffs.items())
+        return tuple((self.ring.basis[k], c) for k, c in self._terms.items())
 
     def coefficient(self, w: WeylElement) -> int:
         k = self.ring.basis_index(w)
-        return 0 if k is None else self._coeffs.get(k, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
+        return 0 if k is None else self._terms.get(k, 0)
 
     def degree(self) -> Optional[int]:
         """Common cohomological degree (half, i.e. the Weyl length), or
         None for zero.  Mixed-degree elements are rejected."""
-        lengths = {self.ring.basis[k].length for k in self._coeffs}
+        lengths = {self.ring.basis[k].length for k in self._terms}
         if not lengths:
             return None
         if len(lengths) > 1:
             raise ValueError("element is not homogeneous")
         return lengths.pop()
 
-    def _same_ring(self, other: "CohomologyElement") -> None:
-        if self.ring is not other.ring:
-            raise ValueError("elements live in different rings")
-
-    def __add__(self, other: "CohomologyElement") -> "CohomologyElement":
-        if not isinstance(other, CohomologyElement):
-            return NotImplemented
-        self._same_ring(other)
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return CohomologyElement(self.ring, out)
-
-    def __neg__(self) -> "CohomologyElement":
-        return CohomologyElement(self.ring, {k: -c for k, c in self._coeffs.items()})
-
-    def __sub__(self, other: "CohomologyElement") -> "CohomologyElement":
-        if not isinstance(other, CohomologyElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, n: int) -> "CohomologyElement":
         if not isinstance(n, int):
             return NotImplemented
-        return CohomologyElement(self.ring, {k: n * c for k, c in self._coeffs.items()})
+        return self.times_int(n)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomologyElement):
             return NotImplemented
-        return self.ring is other.ring and self._coeffs == other._coeffs
+        return self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), tuple(self._coeffs.items())))
+        return hash((id(self.ring), tuple(self._terms.items())))
 
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in self._coeffs.items():
-            body = f"sigma[{self.ring.basis[k].name}]"
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+    def _body(self, k: int, mag: int) -> str:
+        body = f"sigma[{self.ring.basis[k].name}]"
+        return body if mag == 1 else f"{mag}*{body}"
 
     def __repr__(self) -> str:
         return f"CohomologyElement({self})"
@@ -239,14 +216,6 @@ class SchubertRing:
         return x.coefficients().get(self._top, 0)
 
 
-def chevalley_multiply(d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
-    return x.ring.chevalley(d, x)
-
-
-def integrate(x: CohomologyElement) -> int:
-    return x.ring.integrate(x)
-
-
 def divisor_from_degree_one(x: CohomologyElement) -> DivisorClass:
     """Read a degree-1 element as a divisor in weight coordinates."""
     weights = [0] * x.ring.rank
@@ -275,15 +244,13 @@ def pullback(x: CohomologyElement, to_ring: SchubertRing) -> CohomologyElement:
 def pushforward(
     x: CohomologyElement,
     fiber_node: int,
-    target: Optional[SchubertRing] = None,
+    target: SchubertRing,
 ) -> CohomologyElement:
     """Along the line fibration collapsing one node: sigma[w] goes to
     sigma[w*s_i] when that shortens w, to zero otherwise."""
     ring = x.ring
     if fiber_node in ring.parabolic:
         raise ValueError(f"node {fiber_node} is already collapsed")
-    if target is None:
-        target = SchubertRing(ring.group, ring.parabolic + (fiber_node,))
     s_i = ring.group.generator(fiber_node)
     out: dict[int, int] = {}
     for w, c in x.terms():
@@ -330,6 +297,20 @@ def chern_of_pushforward_bundle(
     return c1, c2
 
 
+def check_rank2_pair(group: WeylGroup) -> None:
+    """The pair needs rank 2 and a connected diagram: on A1xA1 each
+    quotient is a line, c2 vanishes and the degrees would read 0."""
+    cartan = group.root_system.cartan
+    if cartan.rank != 2:
+        raise ConventionError(
+            f"the rank-2 pair needs a rank-2 type, rank is {cartan.rank}"
+        )
+    if cartan.entry(1, 2) == 0:
+        raise ConventionError(
+            "the rank-2 pair needs a connected diagram, got the reducible type A1xA1"
+        )
+
+
 def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
     """Degree of the 3-fold cut out of the 5-dimensional quotient on the
     given side of the rank-2 pair, in its minimal ample polarization.
@@ -339,10 +320,7 @@ def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
     node.  The degree is the integral of h^(dim-2).c2(V) where h is the
     ample generator.
     """
-    if group.rank != 2:
-        raise ConventionError(
-            f"zero-locus degrees are defined for rank-2 groups, rank is {group.rank}"
-        )
+    check_rank2_pair(group)
     if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side}")
     fiber_node = 3 - side

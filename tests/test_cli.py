@@ -220,6 +220,9 @@ def test_domain_errors_exit_1(capsys):
         ["degree", "A3", "--side", "1"],
         ["verify-identity", "A3"],
         ["certificate", "A1"],
+        ["certificate", "[[2,0],[0,2]]"],
+        ["verify-identity", "[[2,0],[0,2]]"],
+        ["degree", "[[2,0],[0,2]]", "--side", "1"],
         ["cosets", "G2", "--parabolic", "7"],
         ["poincare", "G2", "--parabolic", "0"],
     ]

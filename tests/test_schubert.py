@@ -24,11 +24,10 @@ from g2pair.schubert import (
     CohomologyElement,
     DivisorClass,
     SchubertRing,
+    check_rank2_pair,
     chern_of_pushforward_bundle,
-    chevalley_multiply,
     degree_of_zero_locus,
     divisor_from_degree_one,
-    integrate,
     pullback,
     pushforward,
 )
@@ -255,7 +254,7 @@ def test_g2_zeta_powers_frozen():
     flag = SchubertRing(g, ())
     zeta = DivisorClass((1, 1))
     z1 = flag.from_divisor(zeta)
-    z2 = chevalley_multiply(zeta, z1)
+    z2 = flag.chevalley(zeta, z1)
     assert str(z2) == "3*sigma[s1*s2] + 5*sigma[s2*s1]"
     z3 = flag.chevalley(zeta, z2)
     assert str(z3) == "18*sigma[s1*s2*s1] + 20*sigma[s2*s1*s2]"
@@ -424,6 +423,19 @@ def test_degree_errors():
         degree_of_zero_locus(make_group("G2"), 3)
 
 
+def test_rank2_gate():
+    for name in ("G2", "B2", "A2", "[[2,-3],[-1,2]]"):
+        check_rank2_pair(make_group(name))
+    # A1xA1 still has Chern classes, but no pair: its degrees would read 0
+    reducible = make_group("[[2,0],[0,2]]")
+    assert chern_of_pushforward_bundle(reducible, 1)[1].is_zero
+    for g in (reducible, make_group("A1"), make_group("A3")):
+        with pytest.raises(ConventionError):
+            check_rank2_pair(g)
+        with pytest.raises(ConventionError):
+            degree_of_zero_locus(g, 1)
+
+
 def test_poincare_pairing_nondegenerate():
     # one basis class per degree on G2/P_i; each pairs nontrivially with
     # the complementary power of the ample class
@@ -443,7 +455,7 @@ def test_integrate_degree_sensitivity():
     ring = SchubertRing(g, (1,))
     assert ring.integrate(ring.point_class()) == 1
     assert ring.integrate(ring.one()) == 0
-    assert integrate(ring.zero()) == 0
+    assert ring.integrate(ring.zero()) == 0
 
 
 def test_divisor_round_trip():
@@ -497,7 +509,7 @@ def test_pushforward_collapsed_node_rejected():
     g = make_group("G2")
     base = SchubertRing(g, (1,))
     with pytest.raises(ValueError):
-        pushforward(base.one(), 1)
+        pushforward(base.one(), 1, base)
 
 
 def test_cohomology_element_api():
