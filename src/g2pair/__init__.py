@@ -19,6 +19,7 @@ from .errors import (
     CircularRuleError,
     ConventionError,
     DomainError,
+    NotFiniteTypeError,
     PicardError,
     PoincareMismatchError,
     ReplayError,
@@ -66,6 +67,7 @@ __all__ = [
     "L",
     "LPolynomial",
     "MotivicClass",
+    "NotFiniteTypeError",
     "PicardError",
     "PoincareMismatchError",
     "ReplayError",

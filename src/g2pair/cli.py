@@ -20,7 +20,7 @@ from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
 from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, word_name
 from . import grothring
 
 
@@ -135,20 +135,20 @@ def _cmd_weyl_order(ns: argparse.Namespace) -> str:
 
 def _cmd_cosets(ns: argparse.Namespace) -> str:
     group = _group(ns)
-    reps = group.min_coset_reps(ns.parabolic)
+    words = group.coset_words(ns.parabolic)
     if ns.format == "json":
         return _json(
             {
                 "type": ns.type,
                 "parabolic": list(group.normalize_parabolic(ns.parabolic)),
-                "count": len(reps),
+                "count": len(words),
                 "representatives": [
-                    {"name": w.name, "word": list(w.word), "length": w.length}
-                    for w in reps
+                    {"name": word_name(w), "word": list(w), "length": len(w)}
+                    for w in words
                 ],
             }
         )
-    return "\n".join(w.name for w in reps)
+    return "\n".join(map(word_name, words))
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> str:
@@ -207,8 +207,8 @@ def _cmd_degree(ns: argparse.Namespace) -> str:
 def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
     f1, f2, cert, steps = _identity_pipeline(group)
-    reps1 = group.min_coset_reps((1,))
-    reps2 = group.min_coset_reps((2,))
+    names1 = [word_name(w) for w in group.coset_words((1,))]
+    names2 = [word_name(w) for w in group.coset_words((2,))]
     bij = group.length_bijection((1,), (2,))
     flag_poly = poincare_polynomial(group, ())
     deg1 = degree_of_zero_locus(group, 1)
@@ -220,8 +220,8 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
                 "type": ns.type,
                 "weyl_order": group.order,
                 "cosets": {
-                    "side1": [w.name for w in reps1],
-                    "side2": [w.name for w in reps2],
+                    "side1": names1,
+                    "side2": names2,
                     "length_bijection_ok": bij.ok,
                     "lengths": list(bij.lengths_left),
                 },
@@ -242,9 +242,9 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
         f"weyl group order: {group.order}",
         "minimal coset representatives, side 1:",
     ]
-    lines += [f"  {w.name}" for w in reps1]
+    lines += [f"  {name}" for name in names1]
     lines.append("minimal coset representatives, side 2:")
-    lines += [f"  {w.name}" for w in reps2]
+    lines += [f"  {name}" for name in names2]
     lines.append(
         "length bijection: j-th member pairs with j-th member, lengths "
         + " ".join(str(k) for k in bij.lengths_left)

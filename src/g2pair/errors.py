@@ -19,6 +19,11 @@ class CapExceededError(DomainError):
     """An enumeration grew past the configured cap."""
 
 
+class NotFiniteTypeError(CapExceededError):
+    """A Cartan matrix of infinite type: its enumerations never end, so no
+    cap is large enough."""
+
+
 class CircularRuleError(DomainError):
     """Rewrite rules whose symbols form a cycle; substitution would not halt."""
 

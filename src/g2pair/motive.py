@@ -12,6 +12,7 @@ length generating polynomial of W^P.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .weyl import WeylGroup
@@ -189,6 +190,12 @@ class LPolynomial(Combination):
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __hash__(self) -> int:
+        # A constant polynomial equals its int, so it hashes as that int.
+        if self.degree() in (None, 0):
+            return hash(self.coefficient(0))
+        return super().__hash__()
+
     def __repr__(self) -> str:
         return f"LPolynomial({self.to_pairs()})"
 
@@ -199,7 +206,7 @@ L = LPolynomial.lefschetz()
 def poincare_polynomial(group: WeylGroup, parabolic: Iterable[int] = ()) -> LPolynomial:
     """Class of G/P as a polynomial in L: one cell per element of W^P,
     of dimension the element's length."""
-    return LPolynomial((w.length, 1) for w in group.min_coset_reps(parabolic))
+    return LPolynomial(Counter(map(len, group.coset_words(parabolic))))
 
 
 def subgroup_length_poly(group: WeylGroup, parabolic: Iterable[int]) -> LPolynomial:

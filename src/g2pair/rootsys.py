@@ -12,7 +12,7 @@ labels and reduced words elsewhere in the package); tuple storage is
 
 Roots are plain integer tuples holding coordinates in the simple-root
 basis.  All derived data (symmetrizer, bilinear form, coroots) stays in
-integers or exact fractions; nothing here floats.
+integers; nothing here floats.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import CapExceededError, UnknownTypeError
+from .errors import CapExceededError, NotFiniteTypeError, UnknownTypeError
 
 Matrix = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
@@ -96,27 +95,24 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
         named families always are, arbitrary literals may not be."""
         n = self.rank
         a = self.entries
-        d: list[Fraction | None] = [None] * n
+        # Every component starts from the product of all off-diagonal
+        # entries; a tree path divides by distinct ones of them, so each
+        # step d_j = d_i a[i][j] / a[j][i] is an exact integer division.
+        top = math.prod(-x for i, row in enumerate(a) for j, x in enumerate(row) if i != j and x)
+        d = [0] * n
         for start in range(n):
-            if d[start] is not None:
+            if d[start]:
                 continue
-            d[start] = Fraction(1)
+            d[start] = top
             stack = [start]
             while stack:
                 i = stack.pop()
                 for j in range(n):
-                    if i == j or a[i][j] == 0:
-                        continue
-                    val = d[i] * Fraction(a[i][j], a[j][i])
-                    if d[j] is None:
-                        d[j] = val
+                    if i != j and a[i][j] and not d[j]:
+                        d[j] = d[i] * a[i][j] // a[j][i]
                         stack.append(j)
-                    elif d[j] != val:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-        scale = math.lcm(*(f.denominator for f in d))
-        ints = [int(f * scale) for f in d]
-        g = math.gcd(*ints)
-        out = tuple(x // g for x in ints)
+        g = math.gcd(*d)
+        out = tuple(x // g for x in d)
         for i in range(n):
             for j in range(n):
                 if out[i] * a[i][j] != out[j] * a[j][i]:
@@ -309,12 +305,42 @@ class RootSystem(
         )
 
 
+def _check_finite_type(cartan: CartanMatrix) -> None:
+    """Raise NotFiniteTypeError unless the symmetrized matrix (d_i a[i][j])
+    is positive definite (Sylvester's criterion).  The leading principal
+    minors come out of fraction-free (Bareiss) elimination: after step k
+    the pivot m[k][k] is the minor of order k+1, and every division is
+    exact."""
+    try:
+        d = cartan.symmetrizer
+    except ValueError:
+        raise NotFiniteTypeError(
+            "Cartan matrix is not symmetrizable, so it is not of finite type"
+        ) from None
+    n = cartan.rank
+    m = [[d[i] * x for x in row] for i, row in enumerate(cartan.entries)]
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            raise NotFiniteTypeError(
+                f"Cartan matrix is not of finite type: leading principal minor "
+                f"{k + 1} of the symmetrized matrix is {pivot}"
+            )
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+
+
 def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
     """Close the simple roots under simple reflections, keeping the positive
-    chamber.  Raises CapExceededError when more than ``cap`` positive roots
-    appear (non-finite literals never terminate otherwise)."""
+    chamber.  Raises NotFiniteTypeError before any work for a matrix of
+    infinite type, and CapExceededError when more than ``cap`` positive
+    roots appear."""
     if cap < 1:
         raise ValueError("cap must be positive")
+    _check_finite_type(cartan)
     n = cartan.rank
     simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     seen: set[Root] = set(simples)

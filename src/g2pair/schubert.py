@@ -197,11 +197,18 @@ class SchubertRing:
         steps = [
             (r, m) for r in self.group.reflection_data if (m := d.pairing(r.coroot))
         ]
+        by_x = self.group._by_x
         out: dict[int, int] = {}
         for k, c in x.coefficients().items():
             w = self.basis[k]
+            wx = w.x
             for r, m in steps:
-                u = w.times_reflection(r)
+                # w * s_beta has x-point x - p beta, and is shorter than w
+                # exactly when p = <x, beta_check> < 0 (p is never 0).
+                p = sum(a * b for a, b in zip(wx, r.coroot))
+                if p <= 0:
+                    continue
+                u = by_x[tuple(a - p * b for a, b in zip(wx, r.weight))]
                 if u.length != w.length + 1:
                     continue
                 j = self._index.get(u)

@@ -1,31 +1,48 @@
-"""Weyl groups as orbits of rho in fundamental-weight coordinates.
+"""Weyl groups as orbits of dominant weights in fundamental-weight
+coordinates.
 
-An element w is identified by the point y = w(rho), where rho is the sum
-of the fundamental weights; the orbit of rho is free, so w -> w(rho) is a
-bijection (Stembridge, "Computational aspects of root systems, Coxeter
-groups, and Weyl characters", 2001).  Each element also carries
-x = w^-1(rho), which holds its right-hand data.  In weight coordinates a
-simple reflection is s_i(v) = v - v_i * (column i of the Cartan matrix),
-so every step costs O(rank).
+One walk does all enumeration.  For a set P of simple nodes let
+omega_P be the sum of the fundamental weights omega_i with i not in P.
+Its orbit W.omega_P is in bijection with W/W_P (Stembridge,
+"Computational aspects of root systems, Coxeter groups, and Weyl
+characters", 2001), and the walk visits it breadth first, one layer per
+length.  In weight coordinates a simple reflection is
+s_i(v) = v - v_i * (column i of the Cartan matrix), so every step costs
+O(rank).  s_i mu lies one layer up exactly when mu_i > 0, and the left
+descents of a point are its negative coordinates.
 
-Read off the two points:
+Elements carry a canonical reduced word: the lexicographically smallest
+one, obtained by greedy extraction of the smallest left descent.  The
+edges into a new point are exactly its left descents, so the smallest
+letter i among them gives its word (i,) + word(s_i mu), which is already
+known.  A minimal coset representative keeps the right factor of every
+reduced product, so the walk of omega_P yields exactly the elements of
+W^P, with the group's own words, in (length, word) order.  Beside each
+point the walk carries y = w(rho) of its representative.
+
+The whole group is the walk of rho = omega_{}: the orbit of rho is free,
+so w -> y = w(rho) is a bijection.  Each element also carries
+x = w^-1(rho), which holds its right-hand data.  Read off the two points:
 
   * left descents: l(s_i w) < l(w) exactly when y_i < 0;
   * right descents: l(w s_i) < l(w) exactly when x_i < 0;
   * w * s_beta has x-point s_beta(x), the inverse has y-point x.
 
-Elements carry a canonical reduced word: the lexicographically smallest
-one, obtained by greedy extraction of the smallest left descent.  The
-group is enumerated breadth first over the orbit, one layer per length:
-s_i y is one layer up exactly when y_i > 0, and the edges into a new
-point are exactly its left descents, so the smallest letter i among them
-gives its word (i,) + word(s_i y), which is already known.  Matrices on
-the root lattice are derived from the word on demand; they serve as an
-independent cross-check and are never used to multiply.
+|W| is the product of the degrees d_i of W, which are one more than the
+parts of the partition dual to the numbers of positive roots of each
+height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
+3.20).  The length generating function prod [d_i]_t gives the size of
+every layer, so the cap is checked before anything is enumerated and the
+order needs no enumeration.  The group's elements are built on first
+use; coset words and cell counts read only the walk of omega_P.
+Matrices on the root lattice are derived from the word on demand; they
+serve as an independent cross-check and are never used to multiply.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -171,12 +188,50 @@ class LengthBijection(NamedTuple):
         return self.pairs is not None
 
 
-class WeylGroup:
-    """Finite Weyl group of a root system, fully enumerated.
+def _degrees(root_system: RootSystem) -> tuple[int, ...]:
+    """Degrees of W: the exponents are the partition dual to the numbers
+    of positive roots of each height, and d_i = m_i + 1."""
+    per_height: dict[int, int] = {}
+    for beta in root_system.positive_roots:
+        h = sum(beta)
+        per_height[h] = per_height.get(h, 0) + 1
+    return tuple(
+        1 + sum(1 for c in per_height.values() if c >= j)
+        for j in range(1, root_system.rank + 1)
+    )
 
-    Elements are sorted by (length, word); enumeration stops with
-    CapExceededError if more than ``cap`` elements appear.
+
+def _cap_error(degrees: tuple[int, ...], cap: int) -> CapExceededError:
+    """For an order above the cap: the error a breadth-first enumeration
+    would meet at the end of the first layer whose running total passes
+    the cap, with the layer sizes read off prod [d_i]_t."""
+    layers = [1]
+    for d in degrees:
+        out = [0] * (len(layers) + d - 1)
+        for k, c in enumerate(layers):
+            for j in range(k, k + d):
+                out[j] += c
+        layers = out
+    length, total = next(
+        (k, t) for k, t in enumerate(itertools.accumulate(layers)) if t > cap
+    )
+    return CapExceededError(
+        f"Weyl group enumeration exceeded cap {cap} "
+        f"({total} elements through length {length})"
+    )
+
+
+class WeylGroup:
+    """Finite Weyl group of a root system.
+
+    The order comes from the degrees, and CapExceededError is raised at
+    once when it passes ``cap``.  The elements, sorted by (length, word),
+    are enumerated on first use of ``elements``, ``identity`` or any
+    lookup.  Coset words come from the walk of omega_P, which is kept
+    per parabolic: one request asks for the same quotients many times.
     """
+
+    _LAZY = frozenset(("elements", "identity", "_by_y", "_by_x"))
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         if cap < 1:
@@ -184,62 +239,95 @@ class WeylGroup:
         self.root_system = root_system
         rank = root_system.rank
         a = root_system.cartan.entries
-        cols = tuple(
+        self._columns = tuple(
             tuple((j, a[j][i]) for j in range(rank) if a[j][i]) for i in range(rank)
         )
-        self._columns = cols
-        rho = (1,) * rank
-        identity = WeylElement((), rho, rho, self)
-        by_word = {(): identity}
-        elements = [identity]
-        layer = [identity]
-        length = 0
+        degrees = _degrees(root_system)
+        self.order = math.prod(degrees)
+        if self.order > cap:
+            raise _cap_error(degrees, cap)
+        self._walks: dict[tuple[int, ...], tuple[tuple[Word, ...], tuple[Point, ...]]] = {}
+
+    def __getattr__(self, name: str):
+        # Only reached while the attribute is missing: enumerate once, after
+        # which the four attributes are plain instance attributes.
+        if name not in WeylGroup._LAZY:
+            raise AttributeError(name)
+        self._enumerate()
+        return self.__dict__[name]
+
+    def _walk(self, nodes: tuple[int, ...]) -> tuple[tuple[Word, ...], tuple[Point, ...]]:
+        """Words and rho-points y of W^P, P = ``nodes`` (normalized), in
+        (length, word) order: the breadth-first orbit of omega_P."""
+        walk = self._walks.get(nodes)
+        if walk is not None:
+            return walk
+        cols = self._columns
+        rho = (1,) * self.rank
+        weight = tuple(0 if i in nodes else 1 for i in range(1, self.rank + 1))
+        full = not nodes  # omega_{} = rho: the orbit point is y itself
+        words: list[Word] = [()]
+        ys: list[Point] = [rho]
+        layer = [(weight, (), rho)]
         while layer:
-            length += 1
-            # y_i > 0 means s_i is not a left descent of w: s_i w lies one
-            # layer up, and has s_i as a left descent.  The smallest such i
-            # over all edges into a point is its canonical first letter.
-            first: dict[Point, tuple[int, Word]] = {}
-            for e in layer:
-                y = e.y
-                for i, c in enumerate(y):
+            # mu_i > 0 means s_i is not a left descent: s_i w lies one layer
+            # up, with s_i as a left descent.  The smallest such i over all
+            # edges into a point is its canonical first letter.
+            first: dict[Point, tuple[int, Word, Point]] = {}
+            for mu, word, y in layer:
+                for i, c in enumerate(mu):
                     if c > 0:
-                        t = _reflect(y, i, cols[i])
+                        t = _reflect(mu, i, cols[i])
                         seen = first.get(t)
                         if seen is None or i < seen[0]:
-                            first[t] = (i, e.word)
-            total = len(elements) + len(first)
-            if total > cap:
-                raise CapExceededError(
-                    f"Weyl group enumeration exceeded cap {cap} "
-                    f"({total} elements through length {length})"
-                )
+                            first[t] = (i, word, y)
             layer = []
-            for y, (i, shorter) in sorted(first.items(), key=lambda item: item[1]):
-                word = (i + 1,) + shorter
+            # (i, word) determines the new point, so sorting never reaches y.
+            for t, (i, word, y) in sorted(first.items(), key=lambda item: item[1]):
+                word = (i + 1,) + word
+                y = t if full else _reflect(y, i, cols[i])
+                layer.append((t, word, y))
+                words.append(word)
+                ys.append(y)
+        by_y = self.__dict__.get("_by_y")
+        if by_y is not None:  # keep the group's own tuples, not copies
+            reps = [by_y[y] for y in ys]
+            words, ys = [e.word for e in reps], [e.y for e in reps]
+        walk = self._walks[nodes] = (tuple(words), tuple(ys))
+        return walk
+
+    def _enumerate(self) -> None:
+        """Build every element from the walk of rho."""
+        words, ys = self._walk(())
+        cols = self._columns
+        identity = WeylElement((), ys[0], ys[0], self)
+        by_word = {(): identity}
+        for word, y in zip(words, ys):
+            if word:
                 # x(w) = s_j(x(w')) for w = w' s_j: the prefix w' of a
                 # canonical word is canonical and one layer down.
                 j = word[-1] - 1
-                e = WeylElement(word, y, _reflect(by_word[word[:-1]].x, j, cols[j]), self)
-                by_word[word] = e
-                layer.append(e)
-            elements += layer
-        self.elements: tuple[WeylElement, ...] = tuple(elements)
-        self._by_y = {e.y: e for e in self.elements}
-        for e in self.elements:
-            e.x = self._by_y[e.x].y  # x(w) = y(w^-1): keep one copy of each point
-        self._by_x = {e.x: e for e in self.elements}
-        self.identity = identity
-        if len(self.elements) > 1 and self.elements[-2].length == self.elements[-1].length:
+                by_word[word] = WeylElement(
+                    word, y, _reflect(by_word[word[:-1]].x, j, cols[j]), self
+                )
+        elements = tuple(by_word.values())
+        if len(elements) != self.order:
+            raise AssertionError(
+                f"orbit of rho has {len(elements)} points, the degrees give {self.order}"
+            )
+        if len(elements) > 1 and elements[-2].length == elements[-1].length:
             raise AssertionError("longest element is not unique; group is not finite Weyl")
+        by_y = {e.y: e for e in elements}
+        for e in elements:
+            e.x = by_y[e.x].y  # x(w) = y(w^-1): keep one copy of each point
+        self.elements: tuple[WeylElement, ...] = elements
+        self.identity = identity
+        self._by_y = by_y
+        self._by_x = {e.x: e for e in elements}
 
     @property
     def rank(self) -> int:
         return self.root_system.rank
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __iter__(self) -> Iterator[WeylElement]:
         return iter(self.elements)
@@ -294,12 +382,18 @@ class WeylGroup:
                 raise ValueError(f"parabolic node {i} out of range 1..{self.rank}")
         return tuple(out)
 
+    def coset_words(self, nodes: Iterable[int]) -> tuple[Word, ...]:
+        """Canonical words of the minimal representatives of the cosets
+        w W_P, P generated by ``nodes``, sorted by (length, word), without
+        building the group."""
+        return self._walk(self.normalize_parabolic(nodes))[0]
+
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by
-        ``nodes``: exactly the elements with no right descent in P.
-        Sorted by (length, word) like everything else."""
-        p = [i - 1 for i in self.normalize_parabolic(nodes)]
-        return tuple(w for w in self.elements if all(w.x[k] > 0 for k in p))
+        ``nodes``, as elements of this group: the walk of omega_P looked
+        up by y.  Sorted by (length, word) like everything else."""
+        by_y = self._by_y
+        return tuple(by_y[y] for y in self._walk(self.normalize_parabolic(nodes))[1])
 
     def parabolic_elements(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Elements of the standard parabolic subgroup W_P.  Canonical words

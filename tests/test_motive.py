@@ -40,6 +40,15 @@ def test_arithmetic():
     assert -(1 - L) == L - 1
 
 
+def test_equal_values_hash_equal():
+    # a constant polynomial equals its int, so sets and dicts must agree
+    assert len({1, LPolynomial.one()}) == 1
+    assert {LPolynomial.one(): "x"}.get(1) == "x"
+    assert {0: "z"}.get(LPolynomial.zero()) == "z"
+    assert hash(LPolynomial({0: -7})) == hash(-7)
+    assert len({L, LPolynomial.lefschetz(), 1 + L, L + 1}) == 2
+
+
 def test_pow_and_degree():
     assert (L**3).degree() == 3
     assert LPolynomial.zero().degree() is None
