@@ -10,8 +10,8 @@ convention).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from .errors import DomainError
@@ -20,12 +20,49 @@ from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
 from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, word_name
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, word_names
 from . import grothring
 
 
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written
+    without json's pure-Python indenting encoder.  Takes exactly dict (str
+    keys), list, tuple, str, int, bool and None, with one join per
+    container; anything else, floats included, raises TypeError."""
+    return _write(doc, "\n")
+
+
+_INT = {int}
+
+
+def _write(v, nl: str) -> str:
+    # nl is a newline plus the indent of the line that holds v.
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return int.__repr__(v)
+    inner = nl + "  "
+    sep = "," + inner
+    if t is dict:
+        if not v:
+            return "{}"
+        # _quote raises TypeError for a key that is not a str.
+        items = [_quote(k) + ": " + _write(x, inner) for k, x in sorted(v.items())]
+        return "{" + inner + sep.join(items) + nl + "}"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        if {*map(type, v)} == _INT:
+            return "[" + inner + sep.join(map(int.__repr__, v)) + nl + "]"
+        return "[" + inner + sep.join([_write(x, inner) for x in v]) + nl + "]"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
@@ -120,7 +157,7 @@ def _cmd_roots(ns: argparse.Namespace) -> str:
                 "type": ns.type,
                 "rank": rs.rank,
                 "count": len(rs.positive_roots),
-                "positive_roots": [list(r) for r in rs.positive_roots],
+                "positive_roots": rs.positive_roots,
             }
         )
     return "\n".join(" ".join(str(x) for x in r) for r in rs.positive_roots)
@@ -140,15 +177,15 @@ def _cmd_cosets(ns: argparse.Namespace) -> str:
         return _json(
             {
                 "type": ns.type,
-                "parabolic": list(group.normalize_parabolic(ns.parabolic)),
+                "parabolic": group.normalize_parabolic(ns.parabolic),
                 "count": len(words),
                 "representatives": [
-                    {"name": word_name(w), "word": list(w), "length": len(w)}
-                    for w in words
+                    {"name": name, "word": w, "length": len(w)}
+                    for name, w in zip(word_names(words), words)
                 ],
             }
         )
-    return "\n".join(map(word_name, words))
+    return "\n".join(word_names(words))
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> str:
@@ -157,7 +194,7 @@ def _cmd_poincare(ns: argparse.Namespace) -> str:
     if ns.format == "json":
         doc = {
             "type": ns.type,
-            "parabolic": list(group.normalize_parabolic(ns.parabolic)),
+            "parabolic": group.normalize_parabolic(ns.parabolic),
             "pairs": poly.to_pairs(),
             "text": str(poly),
         }
@@ -207,8 +244,8 @@ def _cmd_degree(ns: argparse.Namespace) -> str:
 def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
     f1, f2, cert, steps = _identity_pipeline(group)
-    names1 = [word_name(w) for w in group.coset_words((1,))]
-    names2 = [word_name(w) for w in group.coset_words((2,))]
+    names1 = word_names(group.coset_words((1,)))
+    names2 = word_names(group.coset_words((2,)))
     bij = group.length_bijection((1,), (2,))
     flag_poly = poincare_polynomial(group, ())
     deg1 = degree_of_zero_locus(group, 1)
@@ -223,7 +260,7 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
                     "side1": names1,
                     "side2": names2,
                     "length_bijection_ok": bij.ok,
-                    "lengths": list(bij.lengths_left),
+                    "lengths": bij.lengths_left,
                 },
                 "poincare": {
                     "side1": f1.to_pairs(),

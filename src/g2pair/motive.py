@@ -7,15 +7,18 @@ LPolynomial, MotivicClass (grothring) and CohomologyElement (schubert).
 A variety with an affine paving has motivic class sum(L^(dim of cell));
 for G/P the cells are indexed by minimal coset representatives and the
 dimension of a cell is the length of its word, so the class is the
-length generating polynomial of W^P.
+length generating polynomial of W^P.  That polynomial is counted, not
+enumerated: W(L) = W^P(L) W_P(L) and W(L) = prod [d_i]_L over the degrees
+of W (Humphreys, "Reflection Groups and Coxeter Groups", 1.11 and 3.15),
+so the cells of G/P cost one exact division per degree of W_P.  The walk
+of omega_P in weyl gives the same counts cell by cell.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
-from .weyl import WeylGroup
+from .weyl import WeylGroup, q_product
 
 PairList = list[list[int]]
 
@@ -203,10 +206,29 @@ class LPolynomial(Combination):
 L = LPolynomial.lefschetz()
 
 
+def _divide_q_integer(p: list[int], d: int) -> list[int]:
+    """Exact quotient of the coefficient list p by [d]_L = (1 - L^d) / (1 - L):
+    multiply by 1 - L, then divide by 1 - L^d through q_k = r_k + q_(k-d)."""
+    r = [c - p[k - 1] if k else c for k, c in enumerate(p)] + [-p[-1]]
+    q: list[int] = []
+    for k in range(len(r)):
+        c = r[k] + q[k - d] if k >= d else r[k]
+        if k < len(r) - d:
+            q.append(c)
+        elif c:
+            raise ArithmeticError(f"[{d}]_L does not divide the cell counts")
+    return q
+
+
 def poincare_polynomial(group: WeylGroup, parabolic: Iterable[int] = ()) -> LPolynomial:
     """Class of G/P as a polynomial in L: one cell per element of W^P,
-    of dimension the element's length."""
-    return LPolynomial(Counter(map(len, group.coset_words(parabolic))))
+    of dimension the element's length.  Computed as prod [d_i]_L over the
+    degrees of W divided by the same product over the degrees of W_P,
+    without visiting a cell."""
+    counts = q_product(group.degrees)
+    for d in group.parabolic_degrees(parabolic):
+        counts = _divide_q_integer(counts, d)
+    return LPolynomial(dict(enumerate(counts)))
 
 
 def subgroup_length_poly(group: WeylGroup, parabolic: Iterable[int]) -> LPolynomial:

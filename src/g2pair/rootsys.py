@@ -33,24 +33,6 @@ DEFAULT_ROOT_CAP = 100_000
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _reflect(a: Matrix, i: int, v: Root) -> Root:
-    """s_i(v) = v - <v, alpha_i_check> alpha_i for the 0-based node i."""
-    c = sum(x * y for x, y in zip(a[i], v))
-    return v[:i] + (v[i] - c,) + v[i + 1:]
-
-
 def matvec(m: Matrix, v: Root) -> Root:
     n = len(v)
     return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
@@ -244,16 +226,9 @@ class RootSystem(
         self._check_node(i)
         if len(v) != self.rank:
             raise ValueError("vector length does not match the rank")
-        return _reflect(self.cartan.entries, i - 1, tuple(v))
-
-    def simple_reflection_matrix(self, i: int) -> Matrix:
-        self._check_node(i)
-        n = self.rank
-        a = self.cartan.entries
-        return tuple(
-            tuple((1 if r == c else 0) - (a[i - 1][c] if r == i - 1 else 0) for c in range(n))
-            for r in range(n)
-        )
+        v = tuple(v)
+        c = sum(x * y for x, y in zip(self.cartan.entries[i - 1], v))
+        return v[:i - 1] + (v[i - 1] - c,) + v[i:]
 
     def norm2(self, beta: Root) -> int:
         return self.cartan.bilinear(beta, beta)
@@ -291,19 +266,6 @@ class RootSystem(
         a = self.cartan.entries
         return sum(v[j] * sum(cc[i] * a[i][j] for i in range(self.rank)) for j in range(self.rank))
 
-    def reflection_matrix(self, beta: Root) -> Matrix:
-        """Matrix of s_beta on the root lattice, columns are images of the
-        simple roots: alpha_j - <alpha_j, beta_check> beta."""
-        beta = tuple(beta)
-        if not self.is_root(beta):
-            raise ValueError(f"{beta} is not a root of this system")
-        n = self.rank
-        pair = [self.coroot_pairing(self.simple_root(j + 1), beta) for j in range(n)]
-        return tuple(
-            tuple((1 if r == c else 0) - pair[c] * beta[r] for c in range(n))
-            for r in range(n)
-        )
-
 
 def _check_finite_type(cartan: CartanMatrix) -> None:
     """Raise NotFiniteTypeError unless the symmetrized matrix (d_i a[i][j])
@@ -334,31 +296,36 @@ def _check_finite_type(cartan: CartanMatrix) -> None:
 
 
 def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
-    """Close the simple roots under simple reflections, keeping the positive
-    chamber.  Raises NotFiniteTypeError before any work for a matrix of
-    infinite type, and CapExceededError when more than ``cap`` positive
-    roots appear."""
+    """Close the simple roots under simple reflections, one height at a
+    time.  Every positive root of height above 1 is s_i of a lower one, so
+    once the heights below h are done the layer of height h is complete.
+    Raises NotFiniteTypeError before any work for a matrix of infinite
+    type, and CapExceededError at the end of the first layer whose running
+    total passes ``cap``."""
     if cap < 1:
         raise ValueError("cap must be positive")
     _check_finite_type(cartan)
     n = cartan.rank
-    simples = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen: set[Root] = set(simples)
-    queue: list[Root] = list(simples)
     a = cartan.entries
-    while queue:
-        v = queue.pop()
-        for i in range(n):
-            w = _reflect(a, i, v)
-            if w not in seen and all(x >= 0 for x in w):
-                seen.add(w)
-                if len(seen) > cap:
-                    raise CapExceededError(
-                        f"positive root generation exceeded cap {cap}"
-                    )
-                queue.append(w)
-    ordered = sorted(seen, key=lambda r: (sum(r), r))
-    return RootSystem(cartan, tuple(ordered))
+    layers: dict[int, set[Root]] = {1: {tuple(1 if k == i else 0 for k in range(n)) for i in range(n)}}
+    found: list[Root] = []
+    h = 1
+    while h in layers:
+        layer = sorted(layers.pop(h))
+        found += layer
+        if len(found) > cap:
+            raise CapExceededError(
+                f"positive root generation exceeded cap {cap} "
+                f"({len(found)} roots through height {h})"
+            )
+        for v in layer:
+            for i, row in enumerate(a):
+                # s_i(v) = v - c alpha_i lies higher exactly when c < 0.
+                c = sum(x * y for x, y in zip(row, v))
+                if c < 0:
+                    layers.setdefault(h - c, set()).add(v[:i] + (v[i] - c,) + v[i + 1:])
+        h += 1
+    return RootSystem(cartan, tuple(found))
 
 
 def root_system(name: str, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:

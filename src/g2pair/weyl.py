@@ -33,8 +33,12 @@ parts of the partition dual to the numbers of positive roots of each
 height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
 3.20).  The length generating function prod [d_i]_t gives the size of
 every layer, so the cap is checked before anything is enumerated and the
-order needs no enumeration.  The group's elements are built on first
-use; coset words and cell counts read only the walk of omega_P.
+order needs no enumeration.  The same rule, applied to the roots
+supported on P, gives the degrees of W_P, from which motive counts the
+cells of G/P without a walk.  The group's elements are built on first
+use; coset words read only the walk of omega_P.  Each word of W^P is a
+letter followed by a shorter word of W^P, so a whole list is named in
+one pass, each name from the name of its suffix.
 Matrices on the root lattice are derived from the word on demand; they
 serve as an independent cross-check and are never used to multiply.
 """
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
@@ -60,6 +65,20 @@ def word_name(word: Word) -> str:
     if not word:
         return "e"
     return "*".join(f"s{i}" for i in word)
+
+
+def word_names(words: Iterable[Word]) -> list[str]:
+    """word_name of each word, in one pass over words that each come after
+    their suffix word[1:], as W^P does in walk order: each name is
+    "s<i>*" plus the name of the suffix, already made."""
+    names: dict[Word, str] = {(): "e"}
+    out = []
+    for word in words:
+        if word not in names:
+            rest = names[word[1:]]
+            names[word] = f"s{word[0]}*{rest}" if len(word) > 1 else f"s{word[0]}"
+        out.append(names[word])
+    return out
 
 
 def _reflect(v: Point, i: int, column: tuple[tuple[int, int], ...]) -> Point:
@@ -188,32 +207,36 @@ class LengthBijection(NamedTuple):
         return self.pairs is not None
 
 
-def _degrees(root_system: RootSystem) -> tuple[int, ...]:
-    """Degrees of W: the exponents are the partition dual to the numbers
-    of positive roots of each height, and d_i = m_i + 1."""
-    per_height: dict[int, int] = {}
-    for beta in root_system.positive_roots:
-        h = sum(beta)
-        per_height[h] = per_height.get(h, 0) + 1
+def _degrees(roots: Iterable[Root], rank: int) -> tuple[int, ...]:
+    """Degrees of the Weyl group of a root system of rank ``rank`` with
+    positive roots ``roots``: the exponents are the partition dual to the
+    numbers of roots of each height, and d_i = m_i + 1.  Heights add over
+    the components of a reducible system and the dual partition of a sum
+    is the union of the duals, so the rule holds there too."""
+    per_height = Counter(map(sum, roots))
     return tuple(
-        1 + sum(1 for c in per_height.values() if c >= j)
-        for j in range(1, root_system.rank + 1)
+        1 + sum(1 for c in per_height.values() if c >= j) for j in range(1, rank + 1)
     )
+
+
+def q_product(degrees: Iterable[int]) -> list[int]:
+    """Coefficients of prod [d]_t over ``degrees``, [d]_t = 1 + t + ... + t^(d-1):
+    for the degrees of W, the number of elements of each length."""
+    out = [1]
+    for d in degrees:
+        # Multiply by [d]_t = (1 - t^d) / (1 - t): divide by 1 - t as a
+        # running sum, then multiply by 1 - t^d.
+        sums = list(itertools.accumulate(out + [0] * (d - 1)))
+        out = [c - (sums[k - d] if k >= d else 0) for k, c in enumerate(sums)]
+    return out
 
 
 def _cap_error(degrees: tuple[int, ...], cap: int) -> CapExceededError:
     """For an order above the cap: the error a breadth-first enumeration
     would meet at the end of the first layer whose running total passes
     the cap, with the layer sizes read off prod [d_i]_t."""
-    layers = [1]
-    for d in degrees:
-        out = [0] * (len(layers) + d - 1)
-        for k, c in enumerate(layers):
-            for j in range(k, k + d):
-                out[j] += c
-        layers = out
     length, total = next(
-        (k, t) for k, t in enumerate(itertools.accumulate(layers)) if t > cap
+        (k, t) for k, t in enumerate(itertools.accumulate(q_product(degrees))) if t > cap
     )
     return CapExceededError(
         f"Weyl group enumeration exceeded cap {cap} "
@@ -242,10 +265,10 @@ class WeylGroup:
         self._columns = tuple(
             tuple((j, a[j][i]) for j in range(rank) if a[j][i]) for i in range(rank)
         )
-        degrees = _degrees(root_system)
-        self.order = math.prod(degrees)
+        self.degrees = _degrees(root_system.positive_roots, rank)
+        self.order = math.prod(self.degrees)
         if self.order > cap:
-            raise _cap_error(degrees, cap)
+            raise _cap_error(self.degrees, cap)
         self._walks: dict[tuple[int, ...], tuple[tuple[Word, ...], tuple[Point, ...]]] = {}
 
     def __getattr__(self, name: str):
@@ -381,6 +404,14 @@ class WeylGroup:
             if not isinstance(i, int) or not 1 <= i <= self.rank:
                 raise ValueError(f"parabolic node {i} out of range 1..{self.rank}")
         return tuple(out)
+
+    def parabolic_degrees(self, nodes: Iterable[int]) -> tuple[int, ...]:
+        """Degrees of W_P, P generated by ``nodes``: read off the positive
+        roots supported on P, whose heights are their heights in the Levi."""
+        p = self.normalize_parabolic(nodes)
+        outside = [i - 1 for i in range(1, self.rank + 1) if i not in p]
+        roots = (b for b in self.root_system.positive_roots if not any(b[i] for i in outside))
+        return _degrees(roots, len(p))
 
     def coset_words(self, nodes: Iterable[int]) -> tuple[Word, ...]:
         """Canonical words of the minimal representatives of the cosets

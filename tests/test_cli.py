@@ -233,6 +233,17 @@ def test_domain_errors_exit_1(capsys):
         assert err.startswith("error: ")
 
 
+def test_root_cap_error_reports_progress(capsys):
+    # E8 has 8, 7, 7, 7, 7, 7, 6, ... positive roots of heights 1, 2, 3, ...;
+    # the running total first passes 100 at height 18, with 103 roots.
+    code, out, err = invoke(capsys, "roots", "E8", "--cap", "100")
+    assert (code, out) == (1, "")
+    assert err == "error: positive root generation exceeded cap 100 (103 roots through height 18)\n"
+    code, out, err = invoke(capsys, "roots", "G2", "--cap", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: positive root generation exceeded cap 5 (6 roots through height 5)\n"
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "degree", "--help")[0] == 0

@@ -6,6 +6,13 @@ refactor that keeps every row passing keeps the command line
 byte-identical on the rank-2 pipeline verbs (G2, B2, C2, A2 and both
 G2 matrix literals) and on the enumeration verbs at rank 4-5 (B4, F4,
 D5), in both output formats.
+
+GOLDEN_CELLS, recorded the same way one change later, adds ``roots`` on
+G2, B4 and F4, ``poincare`` with multi-node (also reducible) parabolics
+with and without ``--at`` on D5, F4, A5 and C4, ``cosets --format json``
+for a middle node of A5 and D5, and ``poincare E6 --at 2``: the paths
+that cell counts from the degrees, coset names by suffix and the JSON
+writer replaced.
 """
 
 import hashlib
@@ -111,14 +118,52 @@ GOLDEN = [
     (['poincare', 'D5', '--parabolic', '1,3', '--at', '3', '--format', 'json'], 0, "e37b99463ff2b3a31d577fc982acf8aaa3ecd217d6dc414d8a27fc1dca3b2217"),
 ]
 
+GOLDEN_CELLS = [
+    (['roots', 'G2', '--format', 'text'], 0, "58957fb31e23dda4c0a8ce83a67ea39930070acfefc30a76e7a8249d380f0b9e"),
+    (['roots', 'G2', '--format', 'json'], 0, "6564efa268a2c5c8e84330b0f17011fc13b1340afc4e356f2ee645e6cee93618"),
+    (['roots', 'B4', '--format', 'text'], 0, "bdad2fd086131822defb05a946c38121e71b1880d77d29dc5fb0765c268cfd36"),
+    (['roots', 'B4', '--format', 'json'], 0, "8a696bf07a17881aee233d2d2ced61efc4d25ce68965ddc6b7bdd376f378c7a3"),
+    (['roots', 'F4', '--format', 'text'], 0, "1f23f58abf7b1966eca50695d2fe249e1f453d97bab4913a0e589381d5428275"),
+    (['roots', 'F4', '--format', 'json'], 0, "fa7f4ff716ba8db6b6fd6649d29fb8c3469ab7903c522aa1242fb30317aa4dc4"),
+    (['poincare', 'D5', '--parabolic', '1,3,4', '--format', 'text'], 0, "efed9e7b4513f3ab6c87f0f025691d59f829bb06f330e733784906e4fa868935"),
+    (['poincare', 'D5', '--parabolic', '1,3,4', '--format', 'json'], 0, "c82bfae07d52fa80c835c46112883dae2b44c76071f9ae28c20ebcbc07303eca"),
+    (['poincare', 'D5', '--parabolic', '1,3,4', '--at', '2', '--format', 'text'], 0, "8de0c3f18b8486ff7a0c6cc31b7e84741acf0f6c2d7955f70c20e72ddb443c96"),
+    (['poincare', 'D5', '--parabolic', '1,3,4', '--at', '2', '--format', 'json'], 0, "62f5c26a315e93dff7c0f512dd2f97f0c4db8a1184c3d35c7e5b279fb5515c7c"),
+    (['poincare', 'F4', '--parabolic', '2,3', '--format', 'text'], 0, "61acce9263294f7788bec6637a31e343f371f6abb22279add898a8b320eae6b8"),
+    (['poincare', 'F4', '--parabolic', '2,3', '--format', 'json'], 0, "80f217ca231cd7d53d1a3f8fb6da1edb39989423dc27d33f318d26790d06d807"),
+    (['poincare', 'F4', '--parabolic', '2,3', '--at', '2', '--format', 'text'], 0, "3efe7c2fab39720e2d72dec0b1b00f7434bd21500f45d44b6319e45080a7f9bd"),
+    (['poincare', 'F4', '--parabolic', '2,3', '--at', '2', '--format', 'json'], 0, "30fe6e1dd6634d1f434a25cadb15329277d06c36400b4ac61801d62aa3d3a8ac"),
+    (['poincare', 'A5', '--parabolic', '1,2,4,5', '--format', 'text'], 0, "ddb395becc16b79c2aa9825a51b0ef47e3f917dfffd0fe0ff3f819eb4e5778b2"),
+    (['poincare', 'A5', '--parabolic', '1,2,4,5', '--format', 'json'], 0, "f0b30bd923040ad13acdd85d3cd8b836d56157c2c989e4466fa50a0b04c98254"),
+    (['poincare', 'A5', '--parabolic', '1,2,4,5', '--at', '2', '--format', 'text'], 0, "e9c8583cee2807bba1c85cb913a604a7438ef466c75c68bc422b42b789210d26"),
+    (['poincare', 'A5', '--parabolic', '1,2,4,5', '--at', '2', '--format', 'json'], 0, "e2af8009f12bbae92765d4e3b49f95ee5906002cc88f69e219994fdf4c230309"),
+    (['poincare', 'C4', '--parabolic', '2,3,4', '--format', 'text'], 0, "e494ecb24aa6d59ddebe6247fef560c203459a11cd6083582434797e8fc3935f"),
+    (['poincare', 'C4', '--parabolic', '2,3,4', '--format', 'json'], 0, "cd2bba6b0663a9cdce3ec9dc817ee2fd4a01b31615c8da54e7d26ab3dcbadd8c"),
+    (['poincare', 'C4', '--parabolic', '2,3,4', '--at', '2', '--format', 'text'], 0, "ce8bafb38615aeb5d44ebbabe78ec14ac35a5de87bdc5ad5ea82a72656024ce4"),
+    (['poincare', 'C4', '--parabolic', '2,3,4', '--at', '2', '--format', 'json'], 0, "1271501b6402a7483f20eee60daa85c88e97ba5f152a0252d6de528e89e39afe"),
+    (['cosets', 'A5', '--parabolic', '3', '--format', 'json'], 0, "a0bbff29aa63108f22da2cdd6e8543a3451e2bb4d2b1ba3151490259579f0e9e"),
+    (['cosets', 'D5', '--parabolic', '3', '--format', 'json'], 0, "dc222af1a1c8a64e0674d87518fba1d125b97431541008257dbe12624ff9fd22"),
+    (['poincare', 'E6', '--at', '2', '--format', 'text'], 0, "836960fa1e436898fd65f5ecf955b02695892733225c18aebc003b2e7529e257"),
+    (['poincare', 'E6', '--at', '2', '--format', 'json'], 0, "5cc247c30704352630698a6573ce5fe986f50d3b502eeed5bfc9bfa91253c031"),
+]
 
-def test_cli_stdout_matches_golden_digests(capsys):
+
+def drifted(rows, capsys):
     drift = []
-    for argv, code, digest in GOLDEN:
+    for argv, code, digest in rows:
         got_code = run(list(argv))
         out = capsys.readouterr().out
         got = hashlib.sha256(out.encode()).hexdigest()
         if (got_code, got) != (code, digest):
             drift.append((argv, got_code, got))
-    assert drift == []
+    return drift
+
+
+def test_cli_stdout_matches_golden_digests(capsys):
+    assert drifted(GOLDEN, capsys) == []
     assert len(GOLDEN) == 96
+
+
+def test_cell_paths_match_golden_digests(capsys):
+    assert drifted(GOLDEN_CELLS, capsys) == []
+    assert len(GOLDEN_CELLS) == 26

@@ -19,7 +19,7 @@ from math import factorial
 import pytest
 
 from g2pair.errors import ConventionError, PicardError
-from g2pair.rootsys import matmul, matvec, root_system
+from g2pair.rootsys import matvec, root_system
 from g2pair.schubert import (
     CohomologyElement,
     DivisorClass,
@@ -39,6 +39,13 @@ def make_group(name):
 
 
 # --- oracle helpers ----------------------------------------------------
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+    )
 
 
 def pair_root(cartan, v, beta):
@@ -103,7 +110,7 @@ def oracle_multiply(group, parabolic, weights, coeffs):
 
 def oracle_pushforward(group, fiber, parabolic_to, coeffs):
     rs = group.root_system
-    s_i = rs.simple_reflection_matrix(fiber)
+    s_i = oracle_reflection(rs, rs.simple_root(fiber))
     out = {}
     for w, c in coeffs.items():
         prod = matmul(w.matrix, s_i)

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from g2pair.motive import poincare_polynomial
-from g2pair.rootsys import identity_matrix, matmul, root_system
+from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
 
 ORDERS = {
@@ -37,10 +37,33 @@ def group(named_group):
     return named_group[1]
 
 
+def identity_matrix(n):
+    return tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+
+
+def matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
+    )
+
+
+def reflection_matrix(rs, beta):
+    """s_beta on the root lattice: alpha_j - <alpha_j, beta_check> beta, with
+    the pairing from the symmetrized form, (alpha_j, beta) = d_j (a^T beta)_j."""
+    a, d = rs.cartan.entries, rs.cartan.symmetrizer
+    n = rs.rank
+    norm = rs.cartan.bilinear(beta, beta)
+    pair = [2 * d[j] * sum(a[j][k] * beta[k] for k in range(n)) // norm for j in range(n)]
+    return tuple(
+        tuple(int(r == c) - pair[c] * beta[r] for c in range(n)) for r in range(n)
+    )
+
+
 def word_matrix(rs, word):
     m = identity_matrix(rs.rank)
     for i in word:
-        m = matmul(m, rs.simple_reflection_matrix(i))
+        m = matmul(m, reflection_matrix(rs, rs.simple_root(i)))
     return m
 
 
@@ -78,7 +101,7 @@ def test_times_reflection_matches_matmul(group):
     rs = group.root_system
     data = group.reflection_data
     assert [r.root for r in data] == list(rs.positive_roots)
-    matrices = [rs.reflection_matrix(r.root) for r in data]
+    matrices = [reflection_matrix(rs, r.root) for r in data]
     for r, m in zip(data, matrices):
         assert r.element.matrix == m
     for w in group:
