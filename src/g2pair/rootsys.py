@@ -33,6 +33,16 @@ DEFAULT_ROOT_CAP = 100_000
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
 
+def check_node(i, rank: int, what: str = "node index") -> int:
+    """``i`` as a node index 1..rank; bools and non-integers are refused
+    for their type, before any range is named."""
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise ValueError(f"{what} must be an int, got {type(i).__name__} {i!r}")
+    if not 1 <= i <= rank:
+        raise ValueError(f"{what} {i} out of range 1..{rank}")
+    return i
+
+
 def matvec(m: Matrix, v: Root) -> Root:
     n = len(v)
     return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
@@ -211,19 +221,15 @@ class RootSystem(
         return frozenset(self.positive_roots) | frozenset(neg)
 
     def simple_root(self, i: int) -> Root:
-        self._check_node(i)
+        check_node(i, self.rank)
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
     def is_root(self, v: Root) -> bool:
         return tuple(v) in self._root_set
 
-    def _check_node(self, i: int) -> None:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"node index {i} out of range 1..{self.rank}")
-
     def reflect(self, i: int, v: Root) -> Root:
         """s_i(v) = v - <v, alpha_i_check> alpha_i for any lattice vector v."""
-        self._check_node(i)
+        check_node(i, self.rank)
         if len(v) != self.rank:
             raise ValueError("vector length does not match the rank")
         v = tuple(v)

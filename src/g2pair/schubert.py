@@ -2,24 +2,34 @@
 
 The integral cohomology of G/P has a basis of Schubert classes sigma[w]
 indexed by minimal coset representatives, with sigma[w] sitting in
-degree 2*length(w).  Full products are not implemented; everything the
-degree computations need follows from the divisor product rule
+degree 2*length(w).  A ring is built from the orbit of omega_P alone
+(weyl): the cell of w is the point mu = w(omega_P), at layer length(w),
+and the group is never enumerated.  Full products are not implemented;
+everything the degree computations need follows from Chevalley's divisor
+rule (Fulton-Woodward, "On the quantum product of Schubert classes"),
+read on the orbit:
 
-    d . sigma[w] = sum over beta > 0 of <lambda, beta_check> sigma[w*s_beta]
+    sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
-restricted to w*s_beta of length length(w)+1 that remain minimal
-representatives, where lambda is the weight of the divisor d.  Repeated
-divisor multiplication plus the projection p: G/B -> G/P (pullback
-sigma[w] -> sigma[w], pushforward sigma[w] -> sigma[w*s_i] when the
-length drops, 0 otherwise) computes Chern classes of the rank-2 bundle
-V with P(V) = G/B over G/P, and from those the degree of the
-anticanonical zero locus of a section of V.
+over the positive roots gamma with q = <mu, gamma_check> > 0 for which
+s_gamma mu = mu - q gamma lies at layer length(w) + 1 (this is the rule
+for w*s_beta with gamma = w beta).  Both pairings are sums of the
+<w(omega_j), gamma_check> over the free nodes j.  A cell keeps those as
+one list over the positive roots per free node, made from its canonical
+parent's (weyl) by the permutation s_i induces on the roots, so a cell
+costs O(|free nodes| * |positive roots|) and no reflection matrix.  The
+projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
+point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
+layers lower, and to zero otherwise; pullback keeps each cell (canonical
+words of W^P' are words of W^P).  Together they compute the
+Chern classes of the rank-2 bundle V with P(V) = G/B over G/P, and from
+those the degree of the anticanonical zero locus of a section of V.
 
 The bundle conventions are self-checked: zeta (the tautological divisor
 upstairs) must push to 1, and c1, c2 must satisfy the rank-2 relation
 zeta^2 - p*(c1).zeta + p*(c2) = 0 exactly, term by term.
 
-A CohomologyElement is a Combination (motive.py) keyed by basis index:
+A CohomologyElement is a Combination (motive.py) keyed by cell index:
 sums, multiples and rendering are the ones L-polynomials and motivic
 classes use, while equality and sums also require the same ring.
 """
@@ -27,11 +37,12 @@ classes use, while equality and sums also require the same ring.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .weyl import WeylElement, WeylGroup
+from .weyl import Word, WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
@@ -40,13 +51,12 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 
     def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
         weights = tuple(weights)
-        if not all(isinstance(c, int) for c in weights):
-            raise ValueError("divisor weights must be integers")
+        for c in weights:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(
+                    f"divisor weights must be ints, got {type(c).__name__} {c!r}"
+                )
         return super().__new__(cls, weights)
-
-    def pairing(self, coroot_coords: tuple[int, ...]) -> int:
-        # <lambda, beta_check> in the fundamental weight basis
-        return sum(c * b for c, b in zip(self.weights, coroot_coords))
 
     def __str__(self) -> str:
         parts = [f"{c}*w{i}" for i, c in enumerate(self.weights, start=1) if c]
@@ -82,7 +92,8 @@ class CohomologyElement(Combination):
     def degree(self) -> Optional[int]:
         """Common cohomological degree (half, i.e. the Weyl length), or
         None for zero.  Mixed-degree elements are rejected."""
-        lengths = {self.ring.basis[k].length for k in self._terms}
+        words = self.ring.words
+        lengths = {len(words[k]) for k in self._terms}
         if not lengths:
             return None
         if len(lengths) > 1:
@@ -105,7 +116,7 @@ class CohomologyElement(Combination):
         return hash((id(self.ring), tuple(self._terms.items())))
 
     def _body(self, k: int, mag: int) -> str:
-        body = f"sigma[{self.ring.basis[k].name}]"
+        body = f"sigma[{word_name(self.ring.words[k])}]"
         return body if mag == 1 else f"{mag}*{body}"
 
     def __repr__(self) -> str:
@@ -113,28 +124,48 @@ class CohomologyElement(Combination):
 
 
 class SchubertRing:
-    """Schubert basis of H*(G/P) for P spanned by the given simple nodes."""
+    """Schubert basis of H*(G/P) for P spanned by the given simple nodes,
+    on the orbit of omega_P: cell k has the canonical word ``words[k]``
+    and the point ``points[k]`` = w(omega_P)."""
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
         self.group = group
         self.parabolic = group.normalize_parabolic(parabolic)
-        self.basis: tuple[WeylElement, ...] = group.min_coset_reps(self.parabolic)
-        self._index = {w: k for k, w in enumerate(self.basis)}
-        self.dimension = self.basis[-1].length
-        tops = [k for k, w in enumerate(self.basis) if w.length == self.dimension]
-        if len(tops) != 1:
+        self.free_nodes = tuple(
+            i for i in range(1, group.rank + 1) if i not in self.parabolic
+        )
+        words, points = group.orbit(self.parabolic)
+        self.words: tuple[Word, ...] = tuple(words)
+        self.points: tuple[tuple[int, ...], ...] = tuple(points)
+        # per cell, made on first use: <w(omega_j), gamma_check> per free
+        # node j; at the identity, the coefficient of alpha_j_check in gamma_check
+        self._pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
+        self._pairings[0] = tuple(
+            [coroot[j - 1] for _, coroot, _ in group.reflection_data]
+            for j in self.free_nodes
+        )
+        self._index = {w: k for k, w in enumerate(words)}
+        self._at = {mu: k for k, mu in enumerate(points)}
+        self.dimension = len(words[-1])
+        if len(words) > 1 and len(words[-2]) == self.dimension:
             raise ConventionError("quotient has no unique top class")
-        self._top = tops[0]
+        self._top = len(words) - 1
 
     @property
     def rank(self) -> int:
         return self.group.rank
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.words)
+
+    @cached_property
+    def basis(self) -> tuple[WeylElement, ...]:
+        """The cells as group elements, for callers that hold
+        WeylElements; built from the words, the group stays unenumerated."""
+        return tuple(map(self.group.element, self.words))
 
     def basis_index(self, w: WeylElement) -> Optional[int]:
-        return self._index.get(w)
+        return self._index.get(w.word)
 
     def zero(self) -> CohomologyElement:
         return CohomologyElement(self, {})
@@ -150,12 +181,6 @@ class SchubertRing:
 
     def point_class(self) -> CohomologyElement:
         return CohomologyElement(self, {self._top: 1})
-
-    @cached_property
-    def free_nodes(self) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(1, self.rank + 1) if i not in self.parabolic
-        )
 
     def check_divisor(self, d: DivisorClass) -> None:
         if len(d.weights) != self.rank:
@@ -175,8 +200,7 @@ class SchubertRing:
         for i in self.free_nodes:
             c = d.weights[i - 1]
             if c:
-                k = self.basis_index(self.group.generator(i))
-                out[k] = c
+                out[self._index[(i,)]] = c
         return CohomologyElement(self, out)
 
     def ample_generator(self) -> DivisorClass:
@@ -189,32 +213,59 @@ class SchubertRing:
         weights[self.free_nodes[0] - 1] = 1
         return DivisorClass(tuple(weights))
 
+    def _pairing(self, k: int) -> tuple[list[int], ...]:
+        """For each free node j, <w(omega_j), gamma_check> over the positive
+        roots gamma in root order, at the cell k = w.  Since
+        <s_i v, gamma_check> = <v, s_i(gamma)_check>, a cell's lists are
+        those of its canonical parent s_i w, permuted by s_i.  The pairings
+        with the simple coroots are the weight coordinates of w(omega_j)."""
+        memo, words, chain = self._pairings, self.words, []
+        while memo[k] is None:
+            chain.append(k)
+            k = self._index[words[k][1:]]
+        ps = memo[k]
+        moves = self.group.root_moves
+        for k in reversed(chain):
+            a, perm = moves[words[k][0] - 1]
+            lifted = []
+            for p in ps:
+                out = [p[n] for n in perm]
+                out[a] = -out[a]
+                lifted.append(out)
+            ps = memo[k] = tuple(lifted)
+        return ps
+
+    def _covers(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(j, <w(omega_f), gamma_check> per free node f) for every cell
+        j = s_gamma mu one layer above the cell k = w, mu = w(omega_P),
+        gamma > 0: the terms of the Chevalley rule."""
+        mu, words, at = self.points[k], self.words, self._at
+        data = self.group.reflection_data
+        up = len(words[k]) + 1
+        ps = self._pairing(k)
+        qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
+        for p in ps[1:]:
+            qs = list(map(add, qs, p))
+        covers = []
+        for n, q in enumerate(qs):
+            if q > 0:
+                j = at[tuple([a - q * b for a, b in zip(mu, data[n].weight)])]
+                if len(words[j]) == up:
+                    covers.append((j, tuple([p[n] for p in ps])))
+        return covers
+
     def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
         """Product of the divisor d with x, one length step up."""
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
         self.check_divisor(d)
-        steps = [
-            (r, m) for r in self.group.reflection_data if (m := d.pairing(r.coroot))
-        ]
-        by_x = self.group._by_x
+        lam = tuple(d.weights[j - 1] for j in self.free_nodes)
         out: dict[int, int] = {}
         for k, c in x.coefficients().items():
-            w = self.basis[k]
-            wx = w.x
-            for r, m in steps:
-                # w * s_beta has x-point x - p beta, and is shorter than w
-                # exactly when p = <x, beta_check> < 0 (p is never 0).
-                p = sum(a * b for a, b in zip(wx, r.coroot))
-                if p <= 0:
-                    continue
-                u = by_x[tuple(a - p * b for a, b in zip(wx, r.weight))]
-                if u.length != w.length + 1:
-                    continue
-                j = self._index.get(u)
-                if j is None:
-                    continue
-                out[j] = out.get(j, 0) + c * m
+            for j, pairs in self._covers(k):
+                m = sum(map(mul, lam, pairs))  # <w lambda, gamma_check>
+                if m:
+                    out[j] = out.get(j, 0) + c * m
         return CohomologyElement(self, out)
 
     def integrate(self, x: CohomologyElement) -> int:
@@ -226,25 +277,28 @@ class SchubertRing:
 def divisor_from_degree_one(x: CohomologyElement) -> DivisorClass:
     """Read a degree-1 element as a divisor in weight coordinates."""
     weights = [0] * x.ring.rank
-    for w, c in x.terms():
-        if w.length != 1:
+    for k, c in x.coefficients().items():
+        word = x.ring.words[k]
+        if len(word) != 1:
             raise ValueError(f"{x} is not of pure degree 1")
-        weights[w.word[0] - 1] = c
+        weights[word[0] - 1] = c
     return DivisorClass(tuple(weights))
 
 
 def pullback(x: CohomologyElement, to_ring: SchubertRing) -> CohomologyElement:
-    """Along G/Q -> G/P with Q inside P: basis classes map to themselves."""
+    """Along G/Q -> G/P with Q inside P: basis classes map to themselves,
+    found by their canonical words."""
     if to_ring.group is not x.ring.group:
         raise ValueError("rings must share the Weyl group")
     if not set(to_ring.parabolic) <= set(x.ring.parabolic):
         raise ValueError("pullback goes to a finer quotient only")
     out: dict[int, int] = {}
-    for w, c in x.terms():
-        k = to_ring.basis_index(w)
-        if k is None:
-            raise ConventionError(f"{w.name} lost under pullback")
-        out[k] = c
+    for k, c in x.coefficients().items():
+        word = x.ring.words[k]
+        j = to_ring._index.get(word)
+        if j is None:
+            raise ConventionError(f"{word_name(word)} lost under pullback")
+        out[j] = c
     return CohomologyElement(to_ring, out)
 
 
@@ -253,21 +307,30 @@ def pushforward(
     fiber_node: int,
     target: SchubertRing,
 ) -> CohomologyElement:
-    """Along the line fibration collapsing one node: sigma[w] goes to
-    sigma[w*s_i] when that shortens w, to zero otherwise."""
+    """Along G/P -> G/P', P' = P + {fiber_node}, the target's ring: the
+    cell of w goes to the cell of its point w(omega_P') when that cell
+    lies dim(fibre) layers lower, and to zero otherwise.  Through the line
+    fibration G/B -> G/P_i, sigma[w] goes to sigma[w*s_i] when that
+    shortens w."""
     ring = x.ring
+    coarser = ring.group.normalize_parabolic(ring.parabolic + (fiber_node,))
     if fiber_node in ring.parabolic:
         raise ValueError(f"node {fiber_node} is already collapsed")
-    s_i = ring.group.generator(fiber_node)
+    if target.group is not ring.group or target.parabolic != coarser:
+        raise ValueError(
+            f"pushforward through node {fiber_node} goes to the quotient by "
+            f"{list(coarser)} of the same group"
+        )
+    drop = ring.dimension - target.dimension
+    f = ring.free_nodes.index(fiber_node)
+    simple = [a for a, _ in ring.group.root_moves]
     out: dict[int, int] = {}
-    for w, c in x.terms():
-        if not w.has_right_descent(fiber_node):
-            continue
-        u = w * s_i
-        k = target.basis_index(u)
-        if k is None:
-            raise ConventionError(f"{u.name} missing from the target basis")
-        out[k] = out.get(k, 0) + c
+    for k, c in x.coefficients().items():
+        # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
+        p = ring._pairing(k)[f]
+        j = target._at[tuple([m - p[a] for m, a in zip(ring.points[k], simple)])]
+        if len(target.words[j]) == len(ring.words[k]) - drop:
+            out[j] = out.get(j, 0) + c
     return CohomologyElement(target, out)
 
 
@@ -328,8 +391,8 @@ def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
     ample generator.
     """
     check_rank2_pair(group)
-    if side not in (1, 2):
-        raise ValueError(f"side must be 1 or 2, got {side}")
+    if isinstance(side, bool) or side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, got {side!r}")
     fiber_node = 3 - side
     _, c2 = chern_of_pushforward_bundle(group, fiber_node)
     ring = c2.ring

@@ -12,21 +12,28 @@ O(rank).  s_i mu lies one layer up exactly when mu_i > 0, and the left
 descents of a point are its negative coordinates.
 
 Elements carry a canonical reduced word: the lexicographically smallest
-one, obtained by greedy extraction of the smallest left descent.  The
-edges into a new point are exactly its left descents, so the smallest
-letter i among them gives its word (i,) + word(s_i mu), which is already
-known.  A minimal coset representative keeps the right factor of every
-reduced product, so the walk of omega_P yields exactly the elements of
-W^P, with the group's own words, in (length, word) order.  Beside each
-point the walk carries y = w(rho) of its representative.
+one, obtained by greedy extraction of the smallest left descent.  So a
+point t of the next layer has one canonical parent, s_i t for the first
+negative coordinate i of t, and its word is (i,) + the parent's word.
+The walk emits t = s_i mu only from that parent, that is when no
+coordinate j < i of t is negative.  For j != i, t_j = mu_j - mu_i a_ji
+>= mu_j, so only a negative mu_j with j < i can block: it stays negative
+when j is not adjacent to i.  Taking the letter in the outer loop and
+the layer, in word order, in the inner one, each layer comes out in word
+order with no sort and no table of candidates.  A minimal coset
+representative keeps the right factor of every reduced product, so the
+walk of omega_P yields exactly the elements of W^P, with the group's own
+words, in (length, word) order.  A Schubert ring reads its per-cell data
+off the canonical parent's in the same way.
 
-The whole group is the walk of rho = omega_{}: the orbit of rho is free,
-so w -> y = w(rho) is a bijection.  Each element also carries
-x = w^-1(rho), which holds its right-hand data.  Read off the two points:
+The whole group is the walk of rho = omega_{}, whose points are the
+y = w(rho): the orbit of rho is free, so w -> y is a bijection.  Each
+element also carries x = w^-1(rho), which holds its right-hand data.
+Read off the two points:
 
   * left descents: l(s_i w) < l(w) exactly when y_i < 0;
   * right descents: l(w s_i) < l(w) exactly when x_i < 0;
-  * w * s_beta has x-point s_beta(x), the inverse has y-point x.
+  * uv has y-point u(y(v)), the inverse has y-point x.
 
 |W| is the product of the degrees d_i of W, which are one more than the
 parts of the partition dual to the numbers of positive roots of each
@@ -36,9 +43,9 @@ every layer, so the cap is checked before anything is enumerated and the
 order needs no enumeration.  The same rule, applied to the roots
 supported on P, gives the degrees of W_P, from which motive counts the
 cells of G/P without a walk.  The group's elements are built on first
-use; coset words read only the walk of omega_P.  Each word of W^P is a
-letter followed by a shorter word of W^P, so a whole list is named in
-one pass, each name from the name of its suffix.
+use; coset words and Schubert rings read only the walk of omega_P.  Each
+word of W^P is a letter followed by a shorter word of W^P, so a whole
+list is named in one pass, each name from the name of its suffix.
 Matrices on the root lattice are derived from the word on demand; they
 serve as an independent cross-check and are never used to multiply.
 """
@@ -52,7 +59,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError
-from .rootsys import Matrix, Root, RootSystem, matvec
+from .rootsys import Matrix, Root, RootSystem, check_node, matvec
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -144,20 +151,14 @@ class WeylElement:
         return self._matrix
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        """Fold the word of v onto x(u): x(uv) = v^-1(x(u))."""
+        """Fold the word of u onto y(v): y(uv) = u(y(v))."""
         if self.group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
         cols = self.group._columns
-        x = self.x
-        for i in other.word:
-            x = _reflect(x, i - 1, cols[i - 1])
-        return self.group._by_x[x]
-
-    def times_reflection(self, r: "Reflection") -> "WeylElement":
-        """w * s_beta in O(rank): its x-point is x - <x, beta_check> beta."""
-        x = self.x
-        p = sum(a * b for a, b in zip(x, r.coroot))
-        return self.group._by_x[tuple(a - p * b for a, b in zip(x, r.weight))]
+        y = other.y
+        for i in reversed(self.word):
+            y = _reflect(y, i - 1, cols[i - 1])
+        return self.group._by_y[y]
 
     def inverse(self) -> "WeylElement":
         return self.group._by_y[self.x]
@@ -179,14 +180,13 @@ class WeylElement:
 
 
 class Reflection(NamedTuple):
-    """The reflection s_beta of a positive root, with the data that
-    w * s_beta needs: beta in fundamental-weight coordinates and beta_check
-    in simple-coroot coordinates."""
+    """A positive root beta with beta_check in simple-coroot coordinates
+    and beta in fundamental-weight coordinates: <v, beta_check> and
+    s_beta(v) = v - <v, beta_check> beta of a weight v in O(rank)."""
 
     root: Root
     coroot: Root
     weight: Point
-    element: WeylElement
 
 
 class LengthBijection(NamedTuple):
@@ -250,11 +250,12 @@ class WeylGroup:
     The order comes from the degrees, and CapExceededError is raised at
     once when it passes ``cap``.  The elements, sorted by (length, word),
     are enumerated on first use of ``elements``, ``identity`` or any
-    lookup.  Coset words come from the walk of omega_P, which is kept
-    per parabolic: one request asks for the same quotients many times.
+    lookup.  Coset words come from the walk of omega_P, whose words are
+    kept per parabolic: one request asks for the same quotients many
+    times.
     """
 
-    _LAZY = frozenset(("elements", "identity", "_by_y", "_by_x"))
+    _LAZY = frozenset(("elements", "identity", "_by_y", "_by_word"))
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         if cap < 1:
@@ -269,7 +270,7 @@ class WeylGroup:
         self.order = math.prod(self.degrees)
         if self.order > cap:
             raise _cap_error(self.degrees, cap)
-        self._walks: dict[tuple[int, ...], tuple[tuple[Word, ...], tuple[Point, ...]]] = {}
+        self._walks: dict[tuple[int, ...], tuple[Word, ...]] = {}
 
     def __getattr__(self, name: str):
         # Only reached while the attribute is missing: enumerate once, after
@@ -279,60 +280,41 @@ class WeylGroup:
         self._enumerate()
         return self.__dict__[name]
 
-    def _walk(self, nodes: tuple[int, ...]) -> tuple[tuple[Word, ...], tuple[Point, ...]]:
-        """Words and rho-points y of W^P, P = ``nodes`` (normalized), in
-        (length, word) order: the breadth-first orbit of omega_P."""
-        walk = self._walks.get(nodes)
-        if walk is not None:
-            return walk
-        cols = self._columns
-        rho = (1,) * self.rank
-        weight = tuple(0 if i in nodes else 1 for i in range(1, self.rank + 1))
-        full = not nodes  # omega_{} = rho: the orbit point is y itself
+    def orbit(self, nodes: tuple[int, ...]) -> tuple[list[Word], list[Point]]:
+        """The orbit of omega_P, P = ``nodes`` (normalized), breadth first
+        in (length, word) order: the canonical words and the points."""
+        rank, cols = self.rank, self._columns
         words: list[Word] = [()]
-        ys: list[Point] = [rho]
-        layer = [(weight, (), rho)]
-        while layer:
-            # mu_i > 0 means s_i is not a left descent: s_i w lies one layer
-            # up, with s_i as a left descent.  The smallest such i over all
-            # edges into a point is its canonical first letter.
-            first: dict[Point, tuple[int, Word, Point]] = {}
-            for mu, word, y in layer:
-                for i, c in enumerate(mu):
-                    if c > 0:
-                        t = _reflect(mu, i, cols[i])
-                        seen = first.get(t)
-                        if seen is None or i < seen[0]:
-                            first[t] = (i, word, y)
-            layer = []
-            # (i, word) determines the new point, so sorting never reaches y.
-            for t, (i, word, y) in sorted(first.items(), key=lambda item: item[1]):
-                word = (i + 1,) + word
-                y = t if full else _reflect(y, i, cols[i])
-                layer.append((t, word, y))
-                words.append(word)
-                ys.append(y)
-        by_y = self.__dict__.get("_by_y")
-        if by_y is not None:  # keep the group's own tuples, not copies
-            reps = [by_y[y] for y in ys]
-            words, ys = [e.word for e in reps], [e.y for e in reps]
-        walk = self._walks[nodes] = (tuple(words), tuple(ys))
-        return walk
+        points: list[Point] = [tuple(0 if i in nodes else 1 for i in range(1, rank + 1))]
+        start = 0
+        while start < len(points):
+            end = len(points)
+            for i in range(rank):
+                col, letter = cols[i], (i + 1,)
+                for k in range(start, end):
+                    mu = points[k]
+                    if mu[i] > 0:
+                        t = _reflect(mu, i, col)
+                        if i and min(t[:i]) < 0:
+                            continue  # t's first descent is j < i: another parent
+                        words.append(letter + words[k])
+                        points.append(t)
+            start = end
+        return words, points
 
     def _enumerate(self) -> None:
         """Build every element from the walk of rho."""
-        words, ys = self._walk(())
+        words, ys = self.orbit(())
         cols = self._columns
         identity = WeylElement((), ys[0], ys[0], self)
         by_word = {(): identity}
-        for word, y in zip(words, ys):
-            if word:
-                # x(w) = s_j(x(w')) for w = w' s_j: the prefix w' of a
-                # canonical word is canonical and one layer down.
-                j = word[-1] - 1
-                by_word[word] = WeylElement(
-                    word, y, _reflect(by_word[word[:-1]].x, j, cols[j]), self
-                )
+        for word, y in zip(words[1:], ys[1:]):
+            # x(w) = s_j(x(w')) for w = w' s_j: the prefix w' of a
+            # canonical word is canonical and one layer down.
+            j = word[-1] - 1
+            by_word[word] = WeylElement(
+                word, y, _reflect(by_word[word[:-1]].x, j, cols[j]), self
+            )
         elements = tuple(by_word.values())
         if len(elements) != self.order:
             raise AssertionError(
@@ -346,7 +328,7 @@ class WeylGroup:
         self.elements: tuple[WeylElement, ...] = elements
         self.identity = identity
         self._by_y = by_y
-        self._by_x = {e.x: e for e in elements}
+        self._by_word = by_word
 
     @property
     def rank(self) -> int:
@@ -359,8 +341,7 @@ class WeylGroup:
         return f"WeylGroup(rank {self.rank}, order {self.order})"
 
     def generator(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"node index {i} out of range 1..{self.rank}")
+        check_node(i, self.rank)
         return self._by_y[_reflect((1,) * self.rank, i - 1, self._columns[i - 1])]
 
     def element_by_matrix(self, m: Matrix) -> WeylElement:
@@ -379,14 +360,23 @@ class WeylGroup:
 
     def from_word(self, letters: Iterable[int]) -> WeylElement:
         """Canonical element for an arbitrary (not necessarily reduced) word."""
-        letters = list(letters)
-        for i in letters:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"letter {i} out of range 1..{self.rank}")
+        letters = [check_node(i, self.rank, "letter") for i in letters]
         y = (1,) * self.rank
         for i in reversed(letters):
             y = _reflect(y, i - 1, self._columns[i - 1])
         return self._by_y[y]
+
+    def element(self, word: Word) -> WeylElement:
+        """The element whose canonical word is ``word`` (as coset_words and
+        the orbit give them), its two points read off the word, so the
+        group is not enumerated."""
+        cols = self._columns
+        y = x = (1,) * self.rank
+        for i in reversed(word):
+            y = _reflect(y, i - 1, cols[i - 1])
+        for i in word:
+            x = _reflect(x, i - 1, cols[i - 1])
+        return WeylElement(word, y, x, self)
 
     def inversion_length(self, w: WeylElement) -> int:
         """Number of positive roots sent negative; equals len(w.word) and is
@@ -399,11 +389,7 @@ class WeylGroup:
         return count
 
     def normalize_parabolic(self, nodes: Iterable[int]) -> tuple[int, ...]:
-        out = sorted(set(nodes))
-        for i in out:
-            if not isinstance(i, int) or not 1 <= i <= self.rank:
-                raise ValueError(f"parabolic node {i} out of range 1..{self.rank}")
-        return tuple(out)
+        return tuple(sorted({check_node(i, self.rank, "parabolic node") for i in nodes}))
 
     def parabolic_degrees(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Degrees of W_P, P generated by ``nodes``: read off the positive
@@ -417,14 +403,18 @@ class WeylGroup:
         """Canonical words of the minimal representatives of the cosets
         w W_P, P generated by ``nodes``, sorted by (length, word), without
         building the group."""
-        return self._walk(self.normalize_parabolic(nodes))[0]
+        p = self.normalize_parabolic(nodes)
+        words = self._walks.get(p)
+        if words is None:
+            words = self._walks[p] = tuple(self.orbit(p)[0])
+        return words
 
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by
-        ``nodes``, as elements of this group: the walk of omega_P looked
-        up by y.  Sorted by (length, word) like everything else."""
-        by_y = self._by_y
-        return tuple(by_y[y] for y in self._walk(self.normalize_parabolic(nodes))[1])
+        ``nodes``, as elements of this group: the words of the walk of
+        omega_P looked up.  Sorted by (length, word) like everything else."""
+        by_word = self._by_word
+        return tuple(by_word[w] for w in self.coset_words(nodes))
 
     def parabolic_elements(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Elements of the standard parabolic subgroup W_P.  Canonical words
@@ -445,18 +435,35 @@ class WeylGroup:
 
     @cached_property
     def reflection_data(self) -> tuple[Reflection, ...]:
-        """One record per positive root, in root order.  s_beta is an
-        involution, so x = y = rho - <rho, beta_check> beta."""
+        """One record per positive root, in root order."""
         rs = self.root_system
-        out = []
-        for beta in rs.positive_roots:
-            coroot = rs.coroot_coordinates(beta)
-            weight = matvec(rs.cartan.entries, beta)
-            h = sum(coroot)  # <rho, beta_check>
-            point = tuple(1 - h * c for c in weight)
-            out.append(Reflection(beta, coroot, weight, self._by_y[point]))
-        return tuple(out)
+        return tuple(
+            Reflection(beta, rs.coroot_coordinates(beta), matvec(rs.cartan.entries, beta))
+            for beta in rs.positive_roots
+        )
+
+    @cached_property
+    def root_moves(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per simple reflection s_i: the index of alpha_i, and for each
+        positive root beta in root order the index of s_i(beta).  s_i
+        permutes the positive roots other than alpha_i and negates
+        alpha_i, which keeps its own index here."""
+        rs = self.root_system
+        roots = rs.positive_roots
+        index = {beta: n for n, beta in enumerate(roots)}
+        return tuple(
+            (
+                index[rs.simple_root(i)],
+                tuple(index.get(rs.reflect(i, beta), n) for n, beta in enumerate(roots)),
+            )
+            for i in range(1, self.rank + 1)
+        )
 
     def reflections(self) -> dict[Root, WeylElement]:
-        """Map positive root -> the reflection it defines (a fresh dict)."""
-        return {r.root: r.element for r in self.reflection_data}
+        """Map positive root -> the reflection it defines (a fresh dict).
+        s_beta has y-point rho - <rho, beta_check> beta."""
+        by_y = self._by_y
+        return {
+            r.root: by_y[tuple(1 - sum(r.coroot) * c for c in r.weight)]
+            for r in self.reflection_data
+        }

@@ -13,10 +13,15 @@ Two oracles keep the library honest, both implemented here from scratch:
     multiplication.
 """
 
+import itertools
+import time
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2pair.errors import ConventionError, PicardError
 from g2pair.rootsys import matvec, root_system
@@ -533,3 +538,206 @@ def test_cohomology_element_api():
     assert a.coefficient(g.from_word([1, 2])) == 1
     assert a.coefficient(g.identity) == 0
     assert a != b
+
+
+# --- rings on the orbit of omega_P ---------------------------------------
+
+
+@cache
+def shared_group(name, cap=1_000_000):
+    return WeylGroup(root_system(name), cap=cap)
+
+
+def all_parabolics(rank):
+    nodes = range(1, rank + 1)
+    return [p for k in range(rank + 1) for p in itertools.combinations(nodes, k)]
+
+
+def free_weights(weights, parabolic):
+    return tuple(0 if i in parabolic else c for i, c in enumerate(weights, start=1))
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "C3"))
+@given(data=st.data())
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+def test_orbit_products_match_oracle_on_rank3(name, data):
+    g = shared_group(name)
+    weights = data.draw(st.tuples(*[st.integers(0, 3)] * g.rank))
+    for parabolic in all_parabolics(g.rank):
+        ring = SchubertRing(g, parabolic)
+        lam = free_weights(weights, parabolic)
+        for w in ring.basis:
+            got = as_dict(ring.chevalley(DivisorClass(lam), ring.sigma(w)))
+            assert got == oracle_multiply(g, parabolic, lam, {w: 1}), (parabolic, lam, w.name)
+
+
+@st.composite
+def drawn_classes(draw, names):
+    g = shared_group(draw(st.sampled_from(names)))
+    parabolic = tuple(draw(st.sets(st.integers(1, g.rank), max_size=g.rank)))
+    weights = free_weights(draw(st.tuples(*[st.integers(0, 3)] * g.rank)), parabolic)
+    ring = SchubertRing(g, parabolic)
+    cells = draw(st.lists(st.integers(0, len(ring) - 1), min_size=1, max_size=3))
+    return g, ring, DivisorClass(weights), cells
+
+
+@given(drawn_classes(("B4", "C4", "D4", "F4")))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+def test_orbit_products_match_oracle_on_drawn_parabolics(case):
+    g, ring, d, cells = case
+    for k in cells:
+        w = ring.basis[k]
+        got = as_dict(ring.chevalley(d, ring.sigma(w)))
+        assert got == oracle_multiply(g, ring.parabolic, d.weights, {w: 1}), (
+            ring.parabolic, d, w.name,
+        )
+
+
+@given(drawn_classes(("A3", "B3", "C3", "D4", "F4")), st.data())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_divisors_commute_on_quotients(case, data):
+    _, ring, d1, cells = case
+    d2 = DivisorClass(free_weights(
+        data.draw(st.tuples(*[st.integers(-2, 3)] * ring.rank)), ring.parabolic
+    ))
+    for k in cells:
+        x = ring.sigma(ring.basis[k])
+        assert ring.chevalley(d1, ring.chevalley(d2, x)) == ring.chevalley(
+            d2, ring.chevalley(d1, x)
+        ), (ring.parabolic, d1, d2, k)
+
+
+def is_line_fibration(g, parabolic, node):
+    # the fibre W_P'/W_P is P^1 when the node joins no node of P
+    a = g.root_system.cartan.entries
+    return all(a[node - 1][i - 1] == 0 for i in parabolic)
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "C3"))
+def test_projection_formula_on_rank3_fibrations(name):
+    g = shared_group(name)
+    lines = 0
+    for parabolic in all_parabolics(g.rank):
+        source = SchubertRing(g, parabolic)
+        for node in source.free_nodes:
+            base = SchubertRing(g, parabolic + (node,))
+            line = is_line_fibration(g, parabolic, node)
+            lines += line
+            divisors = [
+                DivisorClass(free_weights(w, base.parabolic))
+                for w in ((1,) * g.rank, (2, 1, 3), (0, 3, 1))
+            ]
+            for w in source.basis:
+                x = source.sigma(w)
+                pushed = pushforward(x, node, base)
+                if line:
+                    want = oracle_pushforward(g, node, base.parabolic, {w: 1})
+                    assert as_dict(pushed) == want, (parabolic, node, w.name)
+                for d in divisors:
+                    left = pushforward(source.chevalley(d, x), node, base)
+                    assert left == base.chevalley(d, pushed), (parabolic, node, d, w.name)
+    assert lines > g.rank  # every G/B -> G/P_i, and more
+
+
+def test_rings_leave_the_group_unbuilt():
+    for name in ("A3", "B3", "D4", "F4", "G2"):
+        g = make_group(name)
+        g.coset_words((1,))
+        walks = dict(g._walks)
+        rings = []
+        for parabolic in all_parabolics(g.rank):
+            ring = SchubertRing(g, parabolic)
+            d = DivisorClass(free_weights((1,) * g.rank, parabolic))
+            x = ring.one()
+            for _ in range(ring.dimension):
+                x = ring.chevalley(d, x)
+            assert ring.integrate(x) > 0
+            rings.append(ring)
+        assert "elements" not in g.__dict__, name
+        assert g._walks == walks and all(g._walks[p] is w for p, w in walks.items())
+        for ring in rings:
+            assert ring.words == g.coset_words(ring.parabolic)
+
+
+def test_basis_elements_are_the_groups_cells():
+    for name in ("B3", "G2", "[[2,-1],[-3,2]]"):
+        g = make_group(name)
+        rings = [SchubertRing(g, p) for p in all_parabolics(g.rank)]
+        bases = [ring.basis for ring in rings]
+        assert "elements" not in g.__dict__
+        for ring, basis in zip(rings, bases):
+            parabolic = ring.parabolic
+            assert basis == g.min_coset_reps(parabolic)
+            for k, w in enumerate(g.min_coset_reps(parabolic)):
+                assert ring.basis[k].x == w.x
+                assert ring.basis_index(w) == k
+                assert ring.sigma(w).coefficient(w) == 1
+
+
+def top_degree(g, parabolic):
+    ring = SchubertRing(g, parabolic)
+    h = ring.ample_generator()
+    x = ring.one()
+    for _ in range(ring.dimension):
+        x = ring.chevalley(h, x)
+    return ring.integrate(x)
+
+
+@pytest.mark.parametrize(
+    "name, free, expected",
+    (("E6", 1, 78), ("E7", 7, 13110), ("E8", 8, None)),
+)
+def test_e_series_degrees_through_the_ring(name, free, expected):
+    g = WeylGroup(root_system(name), cap=10**9)
+    parabolic = tuple(i for i in range(1, g.rank + 1) if i != free)
+    if expected is None:
+        weights = tuple(int(i == free) for i in range(1, g.rank + 1))
+        expected = oracle_degree_closed_form(g, parabolic, weights)
+    start = time.perf_counter()
+    assert top_degree(g, parabolic) == expected
+    assert time.perf_counter() - start < 1.0
+    assert "elements" not in g.__dict__
+
+
+def test_pushforward_rejects_other_targets():
+    g = make_group("G2")
+    flag = SchubertRing(g, ())
+    zeta = flag.from_divisor(DivisorClass((1, 1)))
+    base = SchubertRing(g, (1,))
+    assert pushforward(zeta, 1, base) == base.one()
+    twin = WeylGroup(root_system("G2"))
+    for target in (flag, SchubertRing(g, (2,)), SchubertRing(twin, (1,))):
+        with pytest.raises(ValueError):
+            pushforward(zeta, 1, target)
+    with pytest.raises(ValueError):
+        pushforward(zeta, 3, SchubertRing(g, (1, 2)))
+
+
+def test_bools_and_non_ints_are_refused():
+    g = make_group("G2")
+    for bad in ((True, 2), (1.0, 2), ("1", 2)):
+        with pytest.raises(ValueError, match="divisor weights must be ints"):
+            DivisorClass(bad)
+    for bad in ([True], [1.0], [False, 2], ["1"]):
+        with pytest.raises(ValueError, match="parabolic node must be an int") as info:
+            g.normalize_parabolic(bad)
+        assert "out of range" not in str(info.value)
+        with pytest.raises(ValueError, match="must be an int"):
+            SchubertRing(g, bad)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        g.normalize_parabolic([3])
+    with pytest.raises(ValueError, match="node index must be an int"):
+        g.generator(True)
+    with pytest.raises(ValueError, match="letter must be an int"):
+        g.from_word([1, True])
+    with pytest.raises(ValueError, match="must be an int"):
+        pushforward(SchubertRing(g, ()).one(), True, SchubertRing(g, (1,)))
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        degree_of_zero_locus(g, True)
+    rs = g.root_system
+    with pytest.raises(ValueError, match="node index must be an int"):
+        rs.simple_root(True)
+    with pytest.raises(ValueError, match="node index must be an int"):
+        rs.reflect(1.0, (1, 0))
+    with pytest.raises(ValueError, match="node index 3 out of range 1..2"):
+        rs.simple_root(3)

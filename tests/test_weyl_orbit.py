@@ -102,13 +102,29 @@ def test_times_reflection_matches_matmul(group):
     data = group.reflection_data
     assert [r.root for r in data] == list(rs.positive_roots)
     matrices = [reflection_matrix(rs, r.root) for r in data]
-    for r, m in zip(data, matrices):
-        assert r.element.matrix == m
+    by_root = group.reflections()
+    reflections = [by_root[r.root] for r in data]
+    for s_beta, m in zip(reflections, matrices):
+        assert s_beta.matrix == m
     for w in group:
-        for r, m in zip(data, matrices):
+        for r, s_beta, m in zip(data, reflections, matrices):
             expected = group.element_by_matrix(matmul(w.matrix, m))
-            assert w.times_reflection(r) is expected
-            assert w * r.element is expected
+            # w * s_beta has x-point s_beta(x) = x - <x, beta_check> beta
+            p = sum(a * b for a, b in zip(w.x, r.coroot))
+            assert expected.x == tuple(a - p * b for a, b in zip(w.x, r.weight))
+            assert w * s_beta is expected
+
+
+def test_root_moves_are_simple_reflections(group):
+    rs = group.root_system
+    roots = rs.positive_roots
+    for i, (a, perm) in enumerate(group.root_moves, start=1):
+        s_i = reflection_matrix(rs, rs.simple_root(i))
+        assert roots[a] == rs.simple_root(i)
+        assert sorted(perm) == list(range(len(roots)))
+        for n, beta in enumerate(roots):
+            image = tuple(sum(row[c] * beta[c] for c in range(rs.rank)) for row in s_i)
+            assert image == (tuple(-x for x in beta) if n == a else roots[perm[n]])
 
 
 def test_random_products_match_matmul(group):
