@@ -162,7 +162,7 @@ class SchubertRing:
     def basis(self) -> tuple[WeylElement, ...]:
         """The cells as group elements, for callers that hold
         WeylElements; built from the words, the group stays unenumerated."""
-        return tuple(map(self.group.element, self.words))
+        return tuple(map(self.group.from_word, self.words))
 
     def basis_index(self, w: WeylElement) -> Optional[int]:
         return self._index.get(w.word)

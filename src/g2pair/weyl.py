@@ -26,14 +26,17 @@ walk of omega_P yields exactly the elements of W^P, with the group's own
 words, in (length, word) order.  A Schubert ring reads its per-cell data
 off the canonical parent's in the same way.
 
-The whole group is the walk of rho = omega_{}, whose points are the
-y = w(rho): the orbit of rho is free, so w -> y is a bijection.  Each
-element also carries x = w^-1(rho), which holds its right-hand data.
-Read off the two points:
+An element is its point y = w(rho): the orbit of rho is free.  One
+constructor makes every element from y and keeps it per group, so equal
+elements are the same object.  It reads the canonical word off y by
+reflecting at the first negative coordinate until none is left, which
+ends at rho exactly when y is in the orbit.  Words, products (u's word
+folded onto y(v)), inverses, reflections and the longest element (-rho)
+are points handed to it; none enumerates W.  x = w^-1(rho) is computed
+on first use:
 
   * left descents: l(s_i w) < l(w) exactly when y_i < 0;
-  * right descents: l(w s_i) < l(w) exactly when x_i < 0;
-  * uv has y-point u(y(v)), the inverse has y-point x.
+  * right descents: l(w s_i) < l(w) exactly when x_i < 0.
 
 |W| is the product of the degrees d_i of W, which are one more than the
 parts of the partition dual to the numbers of positive roots of each
@@ -42,8 +45,8 @@ height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
 every layer, so the cap is checked before anything is enumerated and the
 order needs no enumeration.  The same rule, applied to the roots
 supported on P, gives the degrees of W_P, from which motive counts the
-cells of G/P without a walk.  The group's elements are built on first
-use; coset words and Schubert rings read only the walk of omega_P.  Each
+cells of G/P without a walk.  Only ``elements`` walks the orbit of rho;
+coset words and Schubert rings read only the walk of omega_P.  Each
 word of W^P is a letter followed by a shorter word of W^P, so a whole
 list is named in one pass, each name from the name of its suffix.
 Matrices on the root lattice are derived from the word on demand; they
@@ -99,16 +102,16 @@ def _reflect(v: Point, i: int, column: tuple[tuple[int, int], ...]) -> Point:
 
 
 class WeylElement:
-    """One group element: its canonical word and its two orbit points
-    y = w(rho) (the identity of the element) and x = w^-1(rho)."""
+    """One group element: its canonical word and its point y = w(rho),
+    made only by its group's constructor."""
 
-    __slots__ = ("word", "y", "x", "group", "_matrix")
+    __slots__ = ("word", "y", "group", "_x", "_matrix")
 
-    def __init__(self, word: Word, y: Point, x: Point, group: "WeylGroup"):
+    def __init__(self, word: Word, y: Point, group: "WeylGroup"):
         self.word = word
         self.y = y
-        self.x = x
         self.group = group
+        self._x: Point | None = None
         self._matrix: Matrix | None = None
 
     @property
@@ -150,18 +153,21 @@ class WeylElement:
             self._matrix = tuple(zip(*cols))
         return self._matrix
 
+    @property
+    def x(self) -> Point:
+        """w^-1(rho), the point of the reversed word."""
+        if self._x is None:
+            self._x = self.group._fold(self.word[::-1], self.group._rho)
+        return self._x
+
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Fold the word of u onto y(v): y(uv) = u(y(v))."""
         if self.group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
-        cols = self.group._columns
-        y = other.y
-        for i in reversed(self.word):
-            y = _reflect(y, i - 1, cols[i - 1])
-        return self.group._by_y[y]
+        return self.group._at(self.group._fold(self.word, other.y))
 
     def inverse(self) -> "WeylElement":
-        return self.group._by_y[self.x]
+        return self.group._at(self.x)
 
     def order(self) -> int:
         k, cur = 1, self
@@ -248,14 +254,12 @@ class WeylGroup:
     """Finite Weyl group of a root system.
 
     The order comes from the degrees, and CapExceededError is raised at
-    once when it passes ``cap``.  The elements, sorted by (length, word),
-    are enumerated on first use of ``elements``, ``identity`` or any
-    lookup.  Coset words come from the walk of omega_P, whose words are
-    kept per parabolic: one request asks for the same quotients many
-    times.
+    once when it passes ``cap``.  ``_at`` makes each element from its
+    point w(rho) once, on first use, and keeps it; only ``elements``,
+    sorted by (length, word), walks the whole group.  Coset words come
+    from the walk of omega_P, kept per parabolic: one request asks for
+    the same quotients many times.
     """
-
-    _LAZY = frozenset(("elements", "identity", "_by_y", "_by_word"))
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         if cap < 1:
@@ -271,14 +275,35 @@ class WeylGroup:
         if self.order > cap:
             raise _cap_error(self.degrees, cap)
         self._walks: dict[tuple[int, ...], tuple[Word, ...]] = {}
+        self._rho: Point = (1,) * rank
+        self._made: dict[Point, WeylElement] = {}
 
-    def __getattr__(self, name: str):
-        # Only reached while the attribute is missing: enumerate once, after
-        # which the four attributes are plain instance attributes.
-        if name not in WeylGroup._LAZY:
-            raise AttributeError(name)
-        self._enumerate()
-        return self.__dict__[name]
+    def _at(self, y: Point, word: Word | None = None) -> WeylElement:
+        """The element w with w(rho) = y, made on first use.  Its canonical
+        word is ``word`` when a walk of rho has it, else the sequence of
+        first negative coordinates peeled off y; each peel adds a positive
+        multiple of a simple root, so peeling ends."""
+        found = self._made.get(y)
+        if found is None:
+            if word is None:
+                cols, letters, t = self._columns, [], y
+                while (i := next((k for k, c in enumerate(t) if c < 0), -1)) >= 0:
+                    letters.append(i + 1)
+                    t = _reflect(t, i, cols[i])
+                if t != self._rho:
+                    raise ValueError(f"{y} is not in the orbit of rho")
+                word = tuple(letters)
+            found = self._made[y] = WeylElement(word, y, self)
+        return found
+
+    def _fold(self, letters: Word, y: Point) -> Point:
+        """s_{l1} ... s_{lk}(y) for letters l1..lk, rightmost first."""
+        cols, v = self._columns, list(y)
+        for i in reversed(letters):
+            c = v[i - 1]
+            for j, a in cols[i - 1]:
+                v[j] -= c * a
+        return tuple(v)
 
     def orbit(self, nodes: tuple[int, ...]) -> tuple[list[Word], list[Point]]:
         """The orbit of omega_P, P = ``nodes`` (normalized), breadth first
@@ -302,33 +327,18 @@ class WeylGroup:
             start = end
         return words, points
 
-    def _enumerate(self) -> None:
-        """Build every element from the walk of rho."""
+    @cached_property
+    def elements(self) -> tuple[WeylElement, ...]:
+        """Every element, from the walk of rho, in (length, word) order."""
         words, ys = self.orbit(())
-        cols = self._columns
-        identity = WeylElement((), ys[0], ys[0], self)
-        by_word = {(): identity}
-        for word, y in zip(words[1:], ys[1:]):
-            # x(w) = s_j(x(w')) for w = w' s_j: the prefix w' of a
-            # canonical word is canonical and one layer down.
-            j = word[-1] - 1
-            by_word[word] = WeylElement(
-                word, y, _reflect(by_word[word[:-1]].x, j, cols[j]), self
-            )
-        elements = tuple(by_word.values())
+        elements = tuple(map(self._at, ys, words))
         if len(elements) != self.order:
             raise AssertionError(
                 f"orbit of rho has {len(elements)} points, the degrees give {self.order}"
             )
         if len(elements) > 1 and elements[-2].length == elements[-1].length:
             raise AssertionError("longest element is not unique; group is not finite Weyl")
-        by_y = {e.y: e for e in elements}
-        for e in elements:
-            e.x = by_y[e.x].y  # x(w) = y(w^-1): keep one copy of each point
-        self.elements: tuple[WeylElement, ...] = elements
-        self.identity = identity
-        self._by_y = by_y
-        self._by_word = by_word
+        return elements
 
     @property
     def rank(self) -> int:
@@ -340,16 +350,20 @@ class WeylGroup:
     def __repr__(self) -> str:
         return f"WeylGroup(rank {self.rank}, order {self.order})"
 
+    @property
+    def identity(self) -> WeylElement:
+        return self._at(self._rho)
+
     def generator(self, i: int) -> WeylElement:
         check_node(i, self.rank)
-        return self._by_y[_reflect((1,) * self.rank, i - 1, self._columns[i - 1])]
+        return self._at(_reflect(self._rho, i - 1, self._columns[i - 1]))
 
     def element_by_matrix(self, m: Matrix) -> WeylElement:
         """The element acting on the root lattice by m: m sends 2 rho (root
         coordinates) to 2 w(rho), whose weight coordinates name w."""
         two_y = matvec(self.root_system.cartan.entries, matvec(m, self._two_rho))
-        found = self._by_y.get(tuple(c // 2 for c in two_y))
-        if found is None or found.matrix != m:
+        found = self._at(tuple(c // 2 for c in two_y))
+        if found.matrix != m:
             raise ValueError("matrix does not belong to this group")
         return found
 
@@ -359,24 +373,10 @@ class WeylGroup:
         return tuple(map(sum, zip(*self.root_system.positive_roots)))
 
     def from_word(self, letters: Iterable[int]) -> WeylElement:
-        """Canonical element for an arbitrary (not necessarily reduced) word."""
-        letters = [check_node(i, self.rank, "letter") for i in letters]
-        y = (1,) * self.rank
-        for i in reversed(letters):
-            y = _reflect(y, i - 1, self._columns[i - 1])
-        return self._by_y[y]
-
-    def element(self, word: Word) -> WeylElement:
-        """The element whose canonical word is ``word`` (as coset_words and
-        the orbit give them), its two points read off the word, so the
-        group is not enumerated."""
-        cols = self._columns
-        y = x = (1,) * self.rank
-        for i in reversed(word):
-            y = _reflect(y, i - 1, cols[i - 1])
-        for i in word:
-            x = _reflect(x, i - 1, cols[i - 1])
-        return WeylElement(word, y, x, self)
+        """The element of a word in 1..rank, reduced or not; it carries its
+        canonical word."""
+        letters = tuple(check_node(i, self.rank, "letter") for i in letters)
+        return self._at(self._fold(letters, self._rho))
 
     def inversion_length(self, w: WeylElement) -> int:
         """Number of positive roots sent negative; equals len(w.word) and is
@@ -411,10 +411,9 @@ class WeylGroup:
 
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by
-        ``nodes``, as elements of this group: the words of the walk of
-        omega_P looked up.  Sorted by (length, word) like everything else."""
-        by_word = self._by_word
-        return tuple(by_word[w] for w in self.coset_words(nodes))
+        ``nodes``, as elements of this group, made from the words of the
+        walk of omega_P.  Sorted by (length, word) like everything else."""
+        return tuple(map(self.from_word, self.coset_words(nodes)))
 
     def parabolic_elements(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Elements of the standard parabolic subgroup W_P.  Canonical words
@@ -425,13 +424,14 @@ class WeylGroup:
     def length_bijection(self, left_nodes: Iterable[int], right_nodes: Iterable[int]) -> LengthBijection:
         left = self.min_coset_reps(left_nodes)
         right = self.min_coset_reps(right_nodes)
-        ll = tuple(w.length for w in left)
-        lr = tuple(w.length for w in right)
+        ll = tuple(map(len, self.coset_words(left_nodes)))
+        lr = tuple(map(len, self.coset_words(right_nodes)))
         pairs = tuple(zip(left, right)) if ll == lr else None
         return LengthBijection(left=left, right=right, lengths_left=ll, lengths_right=lr, pairs=pairs)
 
     def longest_element(self) -> WeylElement:
-        return self.elements[-1]
+        """w0, the element with w0(rho) = -rho."""
+        return self._at(tuple(-c for c in self._rho))
 
     @cached_property
     def reflection_data(self) -> tuple[Reflection, ...]:
@@ -462,8 +462,7 @@ class WeylGroup:
     def reflections(self) -> dict[Root, WeylElement]:
         """Map positive root -> the reflection it defines (a fresh dict).
         s_beta has y-point rho - <rho, beta_check> beta."""
-        by_y = self._by_y
         return {
-            r.root: by_y[tuple(1 - sum(r.coroot) * c for c in r.weight)]
+            r.root: self._at(tuple(1 - sum(r.coroot) * c for c in r.weight))
             for r in self.reflection_data
         }

@@ -9,6 +9,7 @@ library.
 
 import math
 import random
+import time
 
 import pytest
 
@@ -234,6 +235,52 @@ def test_from_word_reduces():
     assert g.from_word([1, 2, 1, 2, 1, 2, 1]).name == "s2*s1*s2*s1*s2"
     with pytest.raises(ValueError):
         g.from_word([3])
+
+
+def test_from_word_refuses_letter_zero():
+    # a letter is not a Python index: 0 must not wrap round to the last node
+    with pytest.raises(ValueError, match=r"letter 0 out of range 1\.\.2"):
+        make_group("G2").from_word((0,))
+
+
+def test_from_word_refuses_a_letter_past_the_rank():
+    with pytest.raises(ValueError, match=r"letter 5 out of range 1\.\.2"):
+        make_group("G2").from_word((5,))
+
+
+def test_non_reduced_word_gives_the_canonical_element():
+    g = make_group("G2")
+    e = g.from_word((1, 1))
+    assert e is g.identity
+    assert (e.word, e.length, e.name) == ((), 0, "e")
+    assert g.from_word((2, 1, 2, 1, 2, 1, 2)) is g.from_word((1, 2, 1, 2, 1))
+
+
+@pytest.mark.parametrize("name", ("G2", "B3"))
+def test_length_bijection_leaves_the_group_unbuilt(name):
+    g = make_group(name)
+    bij = g.length_bijection((1,), (2,))
+    assert bij.left == g.min_coset_reps((1,)) and bij.right == g.min_coset_reps((2,))
+    assert bij.lengths_left == tuple(w.length for w in bij.left)
+    assert bij.lengths_right == tuple(w.length for w in bij.right)
+    assert "elements" not in vars(g)
+
+
+def test_element_api_reaches_e8_without_enumerating():
+    start = time.perf_counter()
+    g = make_group("E8", cap=10**9)
+    assert g.from_word([1, 3]).order() == 3
+    w0 = g.longest_element()
+    assert w0.length == 120
+    assert w0.y == (-1,) * 8
+    assert w0.inverse() is g.longest_element()
+    for i in range(1, 9):
+        assert g.generator(i) * g.generator(i) is g.identity
+    refl = g.reflections()
+    assert len(refl) == 120
+    assert all(t.order() == 2 for t in refl.values())
+    assert time.perf_counter() - start < 1
+    assert "elements" not in vars(g)
 
 
 def test_reflections():

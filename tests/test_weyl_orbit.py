@@ -1,12 +1,12 @@
 """Weyl elements as rho-orbit points, cross-checked against matrices.
 
-The library identifies an element by w(rho) and w^-1(rho) in weight
-coordinates and multiplies by folding words onto those points.  Here every
-derived operation is recomputed through integer matrices on the root
-lattice, built as products of simple-reflection matrices along the word:
-descents are read off matrix columns, products and reflections are matrix
-products looked up by matrix.  Every named type with |W| <= 1920 is
-covered, plus the reducible literal A1 x A1.
+The library identifies an element by w(rho) in weight coordinates, reads
+right descents off w^-1(rho) and multiplies by folding words onto points.
+Here every derived operation is recomputed through integer matrices on
+the root lattice, built as products of simple-reflection matrices along
+the word: descents are read off matrix columns, products and reflections
+are matrix products looked up by matrix.  Every named type with
+|W| <= 1920 is covered, plus the reducible literal A1 x A1.
 """
 
 import math
