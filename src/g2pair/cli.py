@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
@@ -28,11 +29,15 @@ def _json(doc: dict) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written
     without json's pure-Python indenting encoder.  Takes exactly dict (str
     keys), list, tuple, str, int, bool and None, with one join per
-    container; anything else, floats included, raises TypeError."""
+    container; anything else, floats included, raises TypeError.  A list
+    of dicts that share one key set is written column by column."""
     return _write(doc, "\n")
 
 
 _INT = {int}
+_STR = {str}
+_DICT = {dict}
+_SEQ = {list, tuple}
 
 
 def _write(v, nl: str) -> str:
@@ -53,8 +58,12 @@ def _write(v, nl: str) -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        if {*map(type, v)} == _INT:
+        types = {*map(type, v)}
+        if types == _INT:
             return "[" + inner + sep.join(map(int.__repr__, v)) + nl + "]"
+        keys = v[0].keys() if types == _DICT else None
+        if keys and all(d.keys() == keys for d in v):
+            return "[" + inner + sep.join(_rows(v, inner)) + nl + "]"
         return "[" + inner + sep.join([_write(x, inner) for x in v]) + nl + "]"
     if v is None:
         return "null"
@@ -63,6 +72,48 @@ def _write(v, nl: str) -> str:
     if v is False:
         return "false"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _rows(rows: Sequence[dict], nl: str) -> list[str]:
+    """_write of each dict in ``rows``, which all have one key set: one
+    %-template of the sorted, quoted keys, filled from columns that are
+    each written in one pass."""
+    keys = sorted(rows[0])
+    inner = nl + "  "
+    template = "{" + inner + ("," + inner).join(
+        _quote(k).replace("%", "%%") + ": %s" for k in keys
+    ) + nl + "}"
+    columns = [_column([d[k] for d in rows], inner) for k in keys]
+    return [template % cells for cells in zip(*columns)]
+
+
+def _column(col: list, nl: str) -> list[str]:
+    """[_write(x, nl) for x in col], with one map for a column of ints or
+    of strs.  In a column of int lists, a list whose tail x[1:] came
+    earlier (as each word of a walk follows its suffix) is its first
+    letter plus the tail's text; any other takes one join."""
+    types = {*map(type, col)}
+    if types == _INT:
+        return list(map(int.__repr__, col))
+    if types == _STR:
+        return list(map(_quote, col))
+    if not (types <= _SEQ and {*map(type, chain.from_iterable(col))} <= _INT):
+        return [_write(x, nl) for x in col]
+    inner = nl + "  "
+    sep = "," + inner
+    body: dict[tuple, str] = {}
+    out = []
+    for x in map(tuple, col):
+        if not x:
+            out.append("[]")
+            continue
+        rest = body.get(x[1:])
+        if rest is None:
+            text = body[x] = sep.join(map(int.__repr__, x))
+        else:
+            text = body[x] = int.__repr__(x[0]) + sep + rest
+        out.append("[" + inner + text + nl + "]")
+    return out
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
@@ -244,9 +295,9 @@ def _cmd_degree(ns: argparse.Namespace) -> str:
 def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
     f1, f2, cert, steps = _identity_pipeline(group)
-    names1 = word_names(group.coset_words((1,)))
-    names2 = word_names(group.coset_words((2,)))
-    bij = group.length_bijection((1,), (2,))
+    words1, words2 = group.coset_words((1,)), group.coset_words((2,))
+    names1, names2 = word_names(words1), word_names(words2)
+    lengths = tuple(map(len, words1))
     flag_poly = poincare_polynomial(group, ())
     deg1 = degree_of_zero_locus(group, 1)
     deg2 = degree_of_zero_locus(group, 2)
@@ -259,8 +310,8 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
                 "cosets": {
                     "side1": names1,
                     "side2": names2,
-                    "length_bijection_ok": bij.ok,
-                    "lengths": bij.lengths_left,
+                    "length_bijection_ok": lengths == tuple(map(len, words2)),
+                    "lengths": lengths,
                 },
                 "poincare": {
                     "side1": f1.to_pairs(),
@@ -284,7 +335,7 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
     lines += [f"  {name}" for name in names2]
     lines.append(
         "length bijection: j-th member pairs with j-th member, lengths "
-        + " ".join(str(k) for k in bij.lengths_left)
+        + " ".join(str(k) for k in lengths)
     )
     lines.append(f"cell-count polynomial, side 1: {f1}")
     lines.append(f"cell-count polynomial, side 2: {f2}")

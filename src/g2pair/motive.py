@@ -231,11 +231,6 @@ def poincare_polynomial(group: WeylGroup, parabolic: Iterable[int] = ()) -> LPol
     return LPolynomial(dict(enumerate(counts)))
 
 
-def subgroup_length_poly(group: WeylGroup, parabolic: Iterable[int]) -> LPolynomial:
-    """Length generating polynomial of the parabolic subgroup W_P itself."""
-    return LPolynomial((w.length, 1) for w in group.parabolic_elements(parabolic))
-
-
 def projective_bundle_poly(base: LPolynomial, rank: int) -> LPolynomial:
     """Class of a projectivized rank-r bundle: base * (1 + L + ... + L^(r-1))."""
     if not isinstance(rank, int) or rank < 1:

@@ -415,12 +415,6 @@ class WeylGroup:
         walk of omega_P.  Sorted by (length, word) like everything else."""
         return tuple(map(self.from_word, self.coset_words(nodes)))
 
-    def parabolic_elements(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
-        """Elements of the standard parabolic subgroup W_P.  Canonical words
-        of W_P elements only use letters of P, so membership is a word test."""
-        p = set(self.normalize_parabolic(nodes))
-        return tuple(w for w in self.elements if set(w.word) <= p)
-
     def length_bijection(self, left_nodes: Iterable[int], right_nodes: Iterable[int]) -> LengthBijection:
         left = self.min_coset_reps(left_nodes)
         right = self.min_coset_reps(right_nodes)

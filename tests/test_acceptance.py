@@ -21,6 +21,7 @@ from g2pair.schubert import (
     pushforward,
 )
 from g2pair.weyl import WeylGroup
+from weyl_oracles import parabolic_elements
 
 atom = MotivicClass.atom
 
@@ -167,7 +168,7 @@ def test_criterion_7_property_suites():
             poly = poincare_polynomial(g, parabolic)
             palindromic_ok = palindromic_ok and poly.is_palindromic()
             reps = g.min_coset_reps(parabolic)
-            sub = g.parabolic_elements(parabolic)
+            sub = parabolic_elements(g, parabolic)
             factorization_ok = (
                 factorization_ok and len(reps) * len(sub) == g.order
             )

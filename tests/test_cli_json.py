@@ -2,7 +2,10 @@
 
 ``cli._json`` must give the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` for every document the verbs can build, and refuse
-what they never build.
+what they never build.  Lists of dicts that share one key set ("rows",
+like the representatives of ``cosets``) take their own column-by-column
+path, so they get their own strategy: random dictionaries almost never
+share a key set.
 """
 
 import json
@@ -11,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2pair.cli import _json
+from g2pair.cli import _json, run
+from g2pair.rootsys import root_system
+from g2pair.weyl import WeylGroup, word_names
 
 scalars = (
     st.none()
@@ -29,6 +34,54 @@ documents = st.recursive(
     max_leaves=40,
 )
 
+# Keys and strings that need escapes, "%" (the row template's own marker)
+# or non-ASCII; the writer quotes keys and strings itself.
+key_text = st.text(alphabet='ab%"\\\né☃', max_size=4)
+escaped_text = st.text(alphabet='a%"\\\x00\x1f\n\té☃\U0001f600', max_size=5)
+cell_kinds = (
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers() | st.booleans(),
+    escaped_text,
+    st.none(),
+    st.dictionaries(key_text, scalars, max_size=3),
+    st.lists(st.integers(min_value=-2, max_value=12), max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=12), max_size=4).map(tuple),
+    st.lists(st.integers(min_value=0, max_value=3) | st.booleans(), max_size=3),
+)
+
+
+@st.composite
+def walk_words(draw, n):
+    """n int lists and tuples, each a letter plus an earlier one, in the
+    order a walk of W/W_P lists its words (every suffix first)."""
+    words = [()]
+    while len(words) < n:
+        words.append((draw(st.integers(min_value=0, max_value=9)),) + draw(st.sampled_from(words)))
+    return [list(w) if draw(st.booleans()) else w for w in words]
+
+
+@st.composite
+def row_lists(draw):
+    keys = draw(st.lists(key_text, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(min_value=1, max_value=8))
+    columns = []
+    for _ in keys:
+        kind = draw(st.integers(min_value=0, max_value=len(cell_kinds) + 1))
+        if kind == len(cell_kinds):
+            columns.append(draw(walk_words(n)))
+        else:
+            cells = st.one_of(cell_kinds) if kind > len(cell_kinds) else cell_kinds[kind]
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    rows = [dict(zip(keys, cells)) for cells in zip(*columns)]
+    # One row with a key the others lack, or without one they have.
+    odd = draw(st.sampled_from(("none", "extra", "missing")))
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    if odd == "extra":
+        rows[j]["z"] = draw(scalars)
+    elif odd == "missing":
+        del rows[j][keys[0]]
+    return draw(st.sampled_from((rows, tuple(rows), {"rows": rows, "n": n}, [rows])))
+
 
 def stdlib(doc):
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -44,6 +97,20 @@ def stdlib(doc):
 @example([True, 1, False, 0, -1, 10**30])
 @example([[1, 2], (3,), [True], [None, 1]])
 def test_matches_json_dumps(doc):
+    assert _json(doc) == stdlib(doc)
+
+
+@given(row_lists())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@example([{"w": ()}, {"w": (1,)}, {"w": [2, 1]}, {"w": (3, 2, 1)}, {"w": (1, 2)}])
+@example([{"w": (1, 2)}, {"w": (3, True, 2)}])
+@example([{"w": (1, 2)}, {"w": [3, 1, 2]}, {"w": (0, 3, 1, 2)}])
+@example([{"%s": 1, "%%": "%d", '"': "é"}, {"%s": -2, "%%": "%", '"': "☃"}])
+@example([{"b": True, "i": 1}, {"b": 0, "i": False}])
+@example([{}, {}])
+@example([{"a": 1}, {"a": 2, "b": 3}])
+@example([{"a": 1}, {"b": 1}])
+def test_row_lists_match_json_dumps(doc):
     assert _json(doc) == stdlib(doc)
 
 
@@ -71,8 +138,34 @@ def test_a_cosets_shaped_document():
         {1: "int key"},
         {"a": 1, 2: "mixed keys"},
         [object()],
+        [{1: "a"}, {1: "b"}],
+        [{"x": 1.5}, {"x": 2.5}],
+        [{"w": (1, 2)}, {"w": (3, 1.0)}],
+        [{"d": {"e": 0.5}}, {"d": {}}],
     ),
 )
 def test_refuses_what_the_verbs_never_build(doc):
     with pytest.raises(TypeError):
         _json(doc)
+
+
+@pytest.mark.parametrize(
+    "name, nodes",
+    [("D5", (k,)) for k in range(1, 6)]
+    + [("F4", (k,)) for k in range(1, 5)]
+    + [("E6", (2, 3, 4, 5, 6))],
+)
+def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
+    words = WeylGroup(root_system(name)).coset_words(nodes)
+    doc = {
+        "type": name,
+        "parabolic": list(nodes),
+        "count": len(words),
+        "representatives": [
+            {"name": n, "word": list(w), "length": len(w)}
+            for n, w in zip(word_names(words), words)
+        ],
+    }
+    argv = ["cosets", name, "--parabolic", ",".join(map(str, nodes)), "--format", "json"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -7,10 +7,10 @@ from g2pair.motive import (
     LPolynomial,
     poincare_polynomial,
     projective_bundle_poly,
-    subgroup_length_poly,
 )
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
+from weyl_oracles import subgroup_length_poly
 
 
 def make_group(name):
