@@ -17,7 +17,16 @@ for w*s_beta with gamma = w beta).  Both pairings are sums of the
 <w(omega_j), gamma_check> over the free nodes j.  A cell keeps those as
 one list over the positive roots per free node, made from its canonical
 parent's (weyl) by the permutation s_i induces on the roots, so a cell
-costs O(|free nodes| * |positive roots|) and no reflection matrix.  The
+costs O(|free nodes| * |positive roots|) and no reflection matrix.
+
+Points are found by an integer code, c(v) = sum of v_i * r^i with the
+group's radix r = 2 ht(theta_check) + 1 (WeylGroup.point_codes).  Every
+coordinate of a point of an orbit of omega_P is at most ht(theta_check)
+in absolute value, so the code is injective on the orbit, and it is
+linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
+and one int-keyed lookup per candidate root.  A ring checks that its
+codes are distinct when it is built and raises ConventionError if two
+collide, so a radix too small fails before any product.  The
 projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
 point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
 layers lower, and to zero otherwise; pullback keeps each cell (canonical
@@ -126,7 +135,9 @@ class CohomologyElement(Combination):
 class SchubertRing:
     """Schubert basis of H*(G/P) for P spanned by the given simple nodes,
     on the orbit of omega_P: cell k has the canonical word ``words[k]``
-    and the point ``points[k]`` = w(omega_P)."""
+    and the point ``points[k]`` = w(omega_P).  Cells are indexed by the
+    integer code of their point, which must be distinct on the orbit
+    (ConventionError otherwise), and keep their layer length(w)."""
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
         self.group = group
@@ -145,7 +156,14 @@ class SchubertRing:
             for j in self.free_nodes
         )
         self._index = {w: k for k, w in enumerate(words)}
-        self._at = {mu: k for k, mu in enumerate(points)}
+        self._layers = list(map(len, words))
+        powers = group.point_codes[0]
+        self._codes = [sum(map(mul, mu, powers)) for mu in points]
+        self._at = dict(zip(self._codes, range(len(points))))
+        if len(self._at) != len(points):
+            raise ConventionError(
+                f"point codes collide on the orbit of omega_P, P = {list(self.parabolic)}"
+            )
         self.dimension = len(words[-1])
         if len(words) > 1 and len(words[-2]) == self.dimension:
             raise ConventionError("quotient has no unique top class")
@@ -239,9 +257,9 @@ class SchubertRing:
         """(j, <w(omega_f), gamma_check> per free node f) for every cell
         j = s_gamma mu one layer above the cell k = w, mu = w(omega_P),
         gamma > 0: the terms of the Chevalley rule."""
-        mu, words, at = self.points[k], self.words, self._at
-        data = self.group.reflection_data
-        up = len(words[k]) + 1
+        code, at, layers = self._codes[k], self._at, self._layers
+        roots = self.group.point_codes[1]
+        up = layers[k] + 1
         ps = self._pairing(k)
         qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
         for p in ps[1:]:
@@ -249,8 +267,8 @@ class SchubertRing:
         covers = []
         for n, q in enumerate(qs):
             if q > 0:
-                j = at[tuple([a - q * b for a, b in zip(mu, data[n].weight)])]
-                if len(words[j]) == up:
+                j = at[code - q * roots[n]]
+                if layers[j] == up:
                     covers.append((j, tuple([p[n] for p in ps])))
         return covers
 
@@ -324,12 +342,13 @@ def pushforward(
     drop = ring.dimension - target.dimension
     f = ring.free_nodes.index(fiber_node)
     simple = [a for a, _ in ring.group.root_moves]
+    powers = ring.group.point_codes[0]
     out: dict[int, int] = {}
     for k, c in x.coefficients().items():
         # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
         p = ring._pairing(k)[f]
-        j = target._at[tuple([m - p[a] for m, a in zip(ring.points[k], simple)])]
-        if len(target.words[j]) == len(ring.words[k]) - drop:
+        j = target._at[ring._codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
+        if target._layers[j] == ring._layers[k] - drop:
             out[j] = out.get(j, 0) + c
     return CohomologyElement(target, out)
 

@@ -49,20 +49,21 @@ cells of G/P without a walk.  Only ``elements`` walks the orbit of rho;
 coset words and Schubert rings read only the walk of omega_P.  Each
 word of W^P is a letter followed by a shorter word of W^P, so a whole
 list is named in one pass, each name from the name of its suffix.
-Matrices on the root lattice are derived from the word on demand; they
-serve as an independent cross-check and are never used to multiply.
+No element is ever turned into a matrix; the tests derive matrices from
+the words as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CapExceededError
-from .rootsys import Matrix, Root, RootSystem, check_node, matvec
+from .rootsys import Root, RootSystem, check_node, matvec
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -105,14 +106,13 @@ class WeylElement:
     """One group element: its canonical word and its point y = w(rho),
     made only by its group's constructor."""
 
-    __slots__ = ("word", "y", "group", "_x", "_matrix")
+    __slots__ = ("word", "y", "group", "_x")
 
     def __init__(self, word: Word, y: Point, group: "WeylGroup"):
         self.word = word
         self.y = y
         self.group = group
         self._x: Point | None = None
-        self._matrix: Matrix | None = None
 
     @property
     def length(self) -> int:
@@ -139,21 +139,6 @@ class WeylElement:
         return hash(self.y)
 
     @property
-    def matrix(self) -> Matrix:
-        """Action on the root lattice (columns are the images of the simple
-        roots), derived from the word on first use."""
-        if self._matrix is None:
-            rs = self.group.root_system
-            cols = []
-            for j in range(1, rs.rank + 1):
-                v = rs.simple_root(j)
-                for i in reversed(self.word):
-                    v = rs.reflect(i, v)
-                cols.append(v)
-            self._matrix = tuple(zip(*cols))
-        return self._matrix
-
-    @property
     def x(self) -> Point:
         """w^-1(rho), the point of the reversed word."""
         if self._x is None:
@@ -175,9 +160,6 @@ class WeylElement:
             cur = cur * self
             k += 1
         return k
-
-    def apply(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        return matvec(self.matrix, v)
 
     def has_right_descent(self, i: int) -> bool:
         """l(w s_i) < l(w), i.e. w sends alpha_i to a negative root, i.e.
@@ -358,35 +340,11 @@ class WeylGroup:
         check_node(i, self.rank)
         return self._at(_reflect(self._rho, i - 1, self._columns[i - 1]))
 
-    def element_by_matrix(self, m: Matrix) -> WeylElement:
-        """The element acting on the root lattice by m: m sends 2 rho (root
-        coordinates) to 2 w(rho), whose weight coordinates name w."""
-        two_y = matvec(self.root_system.cartan.entries, matvec(m, self._two_rho))
-        found = self._at(tuple(c // 2 for c in two_y))
-        if found.matrix != m:
-            raise ValueError("matrix does not belong to this group")
-        return found
-
-    @cached_property
-    def _two_rho(self) -> Root:
-        """Sum of the positive roots, in simple-root coordinates."""
-        return tuple(map(sum, zip(*self.root_system.positive_roots)))
-
     def from_word(self, letters: Iterable[int]) -> WeylElement:
         """The element of a word in 1..rank, reduced or not; it carries its
         canonical word."""
         letters = tuple(check_node(i, self.rank, "letter") for i in letters)
         return self._at(self._fold(letters, self._rho))
-
-    def inversion_length(self, w: WeylElement) -> int:
-        """Number of positive roots sent negative; equals len(w.word) and is
-        kept as the independent check of that fact."""
-        count = 0
-        for beta in self.root_system.positive_roots:
-            image = matvec(w.matrix, beta)
-            if all(x <= 0 for x in image):
-                count += 1
-        return count
 
     def normalize_parabolic(self, nodes: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted({check_node(i, self.rank, "parabolic node") for i in nodes}))
@@ -435,6 +393,21 @@ class WeylGroup:
             Reflection(beta, rs.coroot_coordinates(beta), matvec(rs.cartan.entries, beta))
             for beta in rs.positive_roots
         )
+
+    @cached_property
+    def point_codes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer codes of weights, v -> sum of v_i * r^i with radix
+        r = 2 ht(theta_check) + 1, ht(theta_check) the largest height of a
+        positive coroot: the powers r^i and the code of each positive root
+        (weight coordinates), in root order.  A coordinate of w(omega_P) is
+        <omega_P, w^-1 alpha_i_check>, a coroot's coefficient sum over the
+        nodes outside P, so at most ht(theta_check) in absolute value: the
+        digits are balanced and the code is injective on every orbit.  It is
+        linear, so s_gamma(mu) = mu - q gamma has code c(mu) - q c(gamma)."""
+        data = self.reflection_data
+        radix = 2 * max(sum(r.coroot) for r in data) + 1
+        powers = tuple(radix**i for i in range(self.rank))
+        return powers, tuple(sum(map(operator.mul, r.weight, powers)) for r in data)
 
     @cached_property
     def root_moves(self) -> tuple[tuple[int, tuple[int, ...]], ...]:

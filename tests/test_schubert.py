@@ -18,6 +18,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from g2pair.schubert import (
     pushforward,
 )
 from g2pair.weyl import WeylGroup
+from weyl_oracles import element_by_matrix, element_matrix
 
 
 def make_group(name):
@@ -103,12 +105,12 @@ def oracle_multiply(group, parabolic, weights, coeffs):
             if m == 0:
                 continue
             assert m.denominator == 1
-            prod = matmul(w.matrix, oracle_reflection(rs, beta))
+            prod = matmul(element_matrix(w), oracle_reflection(rs, beta))
             if inv_count(rs, prod) != w.length + 1:
                 continue
             if not stays_minimal(rs, prod, parabolic):
                 continue
-            u = group.element_by_matrix(prod)
+            u = element_by_matrix(group, prod)
             out[u] = out.get(u, 0) + c * int(m)
     return {k: v for k, v in out.items() if v}
 
@@ -118,11 +120,11 @@ def oracle_pushforward(group, fiber, parabolic_to, coeffs):
     s_i = oracle_reflection(rs, rs.simple_root(fiber))
     out = {}
     for w, c in coeffs.items():
-        prod = matmul(w.matrix, s_i)
+        prod = matmul(element_matrix(w), s_i)
         if inv_count(rs, prod) != w.length - 1:
             continue
         assert stays_minimal(rs, prod, parabolic_to)
-        u = group.element_by_matrix(prod)
+        u = element_by_matrix(group, prod)
         out[u] = out.get(u, 0) + c
     return {k: v for k, v in out.items() if v}
 
@@ -685,7 +687,7 @@ def top_degree(g, parabolic):
 
 @pytest.mark.parametrize(
     "name, free, expected",
-    (("E6", 1, 78), ("E7", 7, 13110), ("E8", 8, None)),
+    (("E6", 1, 78), ("E7", 7, 13110), ("E8", 8, None), ("E8", 1, None)),
 )
 def test_e_series_degrees_through_the_ring(name, free, expected):
     g = WeylGroup(root_system(name), cap=10**9)
@@ -697,6 +699,120 @@ def test_e_series_degrees_through_the_ring(name, free, expected):
     assert top_degree(g, parabolic) == expected
     assert time.perf_counter() - start < 1.0
     assert "elements" not in g.__dict__
+
+
+# --- integer point codes ----------------------------------------------
+
+SMALL_NAMED = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2",
+)
+G2_LITERALS = ("[[2,-1],[-3,2]]", "[[2,-3],[-1,2]]")
+
+
+def code_cases():
+    """(group name, parabolic): every parabolic of the small named types and
+    of both G2 literals, and the maximal parabolics of E6."""
+    for name in SMALL_NAMED + G2_LITERALS:
+        for parabolic in all_parabolics(root_system(name).cartan.rank):
+            yield name, parabolic
+    for free in range(1, 7):
+        yield "E6", tuple(i for i in range(1, 7) if i != free)
+
+
+def tuple_covers(ring):
+    """Per cell, the cover rule on point tuples: s_gamma mu = mu - q gamma
+    for q = <mu, gamma_check> > 0, looked up as a tuple among the points."""
+    at = {mu: j for j, mu in enumerate(ring.points)}
+    out = []
+    for k, mu in enumerate(ring.points):
+        up, ps, covers = len(ring.words[k]) + 1, ring._pairing(k), []
+        for n, r in enumerate(ring.group.reflection_data):
+            q = sum(a * b for a, b in zip(mu, r.coroot))
+            if q > 0:
+                j = at[tuple(a - q * b for a, b in zip(mu, r.weight))]
+                if len(ring.words[j]) == up:
+                    covers.append((j, tuple(p[n] for p in ps)))
+        out.append(covers)
+    return out
+
+
+def tuple_push_targets(ring, node, target):
+    """Per cell, its pushforward on point tuples: w(omega_P') =
+    mu - w(omega_node), found among the target's points."""
+    at = {mu: j for j, mu in enumerate(target.points)}
+    simple = [a for a, _ in ring.group.root_moves]
+    drop = ring.dimension - target.dimension
+    out = []
+    for k, mu in enumerate(ring.points):
+        p = ring._pairing(k)[ring.free_nodes.index(node)]
+        j = at[tuple(m - p[a] for m, a in zip(mu, simple))]
+        out.append({j: 1} if len(target.words[j]) == len(ring.words[k]) - drop else {})
+    return out
+
+
+def codes_with_radix(g, radix):
+    powers = tuple(radix**i for i in range(g.rank))
+    return powers, tuple(sum(map(mul, r.weight, powers)) for r in g.reflection_data)
+
+
+def coroot_height(g):
+    return max(sum(r.coroot) for r in g.reflection_data)
+
+
+def test_code_covers_and_pushforward_match_tuple_lookup():
+    groups = {}
+    for name, parabolic in code_cases():
+        g = groups.setdefault(name, make_group(name))
+        ring = SchubertRing(g, parabolic)
+        for k, covers in enumerate(tuple_covers(ring)):
+            assert ring._covers(k) == covers, (name, parabolic, k)
+        for i in ring.free_nodes:
+            target = SchubertRing(g, parabolic + (i,))
+            for k, pushed in enumerate(tuple_push_targets(ring, i, target)):
+                got = pushforward(CohomologyElement(ring, {k: 1}), i, target)
+                assert got.coefficients() == pushed, (name, parabolic, k, i)
+
+
+def test_orbit_coordinates_are_bounded_by_the_coroot_height():
+    cases = list(code_cases()) + [
+        ("E7", tuple(range(1, 7))),
+        ("E8", tuple(range(1, 8))),
+    ]
+    groups = {}
+    for name, parabolic in cases:
+        g = groups.setdefault(name, WeylGroup(root_system(name), cap=10**9))
+        h = coroot_height(g)
+        assert g.point_codes == codes_with_radix(g, 2 * h + 1), name
+        points = g.orbit(parabolic)[1]
+        assert max(abs(c) for mu in points for c in mu) <= h, (name, parabolic)
+        if not parabolic:
+            # the orbit of rho reaches the bound: <rho, theta_check> = ht(theta_check)
+            assert max(max(mu) for mu in points) == h, name
+
+
+@pytest.mark.parametrize("name", ("A3", "B3", "G2", "[[2,-1],[-3,2]]", "F4"))
+def test_a_radix_too_small_raises_or_is_harmless(name):
+    h = coroot_height(make_group(name))
+    for radix in range(1, 2 * h + 1):
+        g = make_group(name)
+        g.__dict__["point_codes"] = codes_with_radix(g, radix)
+        for parabolic in all_parabolics(g.rank):
+            weights = free_weights((1,) * g.rank, parabolic)
+            try:
+                ring = SchubertRing(g, parabolic)
+            except ConventionError as exc:
+                assert "point codes collide" in str(exc)
+                continue
+            # the codes are injective on this orbit, so every lookup is right
+            assert len(set(ring._codes)) == len(ring)
+            x = ring.one()
+            for _ in range(ring.dimension):
+                x = ring.chevalley(DivisorClass(weights), x)
+            assert ring.integrate(x) == oracle_degree_closed_form(g, parabolic, weights)
+    g = make_group(name)
+    g.__dict__["point_codes"] = codes_with_radix(g, 1)
+    with pytest.raises(ConventionError, match="point codes collide"):
+        SchubertRing(g, ())
 
 
 def test_pushforward_rejects_other_targets():
