@@ -21,7 +21,7 @@ from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
 from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, word_names
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup
 from . import grothring
 
 
@@ -232,11 +232,11 @@ def _cmd_cosets(ns: argparse.Namespace) -> str:
                 "count": len(words),
                 "representatives": [
                     {"name": name, "word": w, "length": len(w)}
-                    for name, w in zip(word_names(words), words)
+                    for name, w in zip(group.coset_names(ns.parabolic), words)
                 ],
             }
         )
-    return "\n".join(word_names(words))
+    return "\n".join(group.coset_names(ns.parabolic))
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> str:
@@ -296,7 +296,7 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
     f1, f2, cert, steps = _identity_pipeline(group)
     words1, words2 = group.coset_words((1,)), group.coset_words((2,))
-    names1, names2 = word_names(words1), word_names(words2)
+    names1, names2 = group.coset_names((1,)), group.coset_names((2,))
     lengths = tuple(map(len, words1))
     flag_poly = poincare_polynomial(group, ())
     deg1 = degree_of_zero_locus(group, 1)

@@ -43,6 +43,15 @@ def check_node(i, rank: int, what: str = "node index") -> int:
     return i
 
 
+def check_cap(cap) -> int:
+    """``cap`` as a positive int; bools are refused for their type."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ValueError(f"cap must be an int, got {type(cap).__name__} {cap!r}")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    return cap
+
+
 def matvec(m: Matrix, v: Root) -> Root:
     n = len(v)
     return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
@@ -60,7 +69,7 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
             if len(row) != n:
                 raise ValueError("Cartan matrix must be square")
             for x in row:
-                if not isinstance(x, int):
+                if isinstance(x, bool) or not isinstance(x, int):
                     raise ValueError("Cartan entries must be integers")
         for i in range(n):
             if entries[i][i] != 2:
@@ -308,8 +317,7 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     Raises NotFiniteTypeError before any work for a matrix of infinite
     type, and CapExceededError at the end of the first layer whose running
     total passes ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    check_cap(cap)
     _check_finite_type(cartan)
     n = cartan.rank
     a = cartan.entries

@@ -24,7 +24,9 @@ group's radix r = 2 ht(theta_check) + 1 (WeylGroup.point_codes).  Every
 coordinate of a point of an orbit of omega_P is at most ht(theta_check)
 in absolute value, so the code is injective on the orbit, and it is
 linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
-and one int-keyed lookup per candidate root.  A ring checks that its
+and one int-keyed lookup per candidate root.  The same rule codes the
+cells: each comes from its canonical parent mu by s_i, so its code is
+c(mu) - mu_i c(alpha_i), one step per cell.  A ring checks that its
 codes are distinct when it is built and raises ConventionError if two
 collide, so a radix too small fails before any product.  The
 projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
@@ -145,9 +147,10 @@ class SchubertRing:
         self.free_nodes = tuple(
             i for i in range(1, group.rank + 1) if i not in self.parabolic
         )
-        words, points = group.orbit(self.parabolic)
+        words, points, parents = group.orbit(self.parabolic)
         self.words: tuple[Word, ...] = tuple(words)
         self.points: tuple[tuple[int, ...], ...] = tuple(points)
+        self._parents = parents
         # per cell, made on first use: <w(omega_j), gamma_check> per free
         # node j; at the identity, the coefficient of alpha_j_check in gamma_check
         self._pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
@@ -157,9 +160,14 @@ class SchubertRing:
         )
         self._index = {w: k for k, w in enumerate(words)}
         self._layers = list(map(len, words))
-        powers = group.point_codes[0]
-        self._codes = [sum(map(mul, mu, powers)) for mu in points]
-        self._at = dict(zip(self._codes, range(len(points))))
+        # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
+        powers, root_codes = group.point_codes
+        simple = [root_codes[a] for a, _ in group.root_moves]
+        codes = self._codes = [sum(map(mul, points[0], powers))]
+        for k in range(1, len(points)):
+            p, i = parents[k], words[k][0] - 1
+            codes.append(codes[p] - points[p][i] * simple[i])
+        self._at = dict(zip(codes, range(len(points))))
         if len(self._at) != len(points):
             raise ConventionError(
                 f"point codes collide on the orbit of omega_P, P = {list(self.parabolic)}"
@@ -237,12 +245,12 @@ class SchubertRing:
         <s_i v, gamma_check> = <v, s_i(gamma)_check>, a cell's lists are
         those of its canonical parent s_i w, permuted by s_i.  The pairings
         with the simple coroots are the weight coordinates of w(omega_j)."""
-        memo, words, chain = self._pairings, self.words, []
+        memo, parents, chain = self._pairings, self._parents, []
         while memo[k] is None:
             chain.append(k)
-            k = self._index[words[k][1:]]
+            k = parents[k]
         ps = memo[k]
-        moves = self.group.root_moves
+        words, moves = self.words, self.group.root_moves
         for k in reversed(chain):
             a, perm = moves[words[k][0] - 1]
             lifted = []

@@ -17,14 +17,20 @@ point t of the next layer has one canonical parent, s_i t for the first
 negative coordinate i of t, and its word is (i,) + the parent's word.
 The walk emits t = s_i mu only from that parent, that is when no
 coordinate j < i of t is negative.  For j != i, t_j = mu_j - mu_i a_ji
->= mu_j, so only a negative mu_j with j < i can block: it stays negative
-when j is not adjacent to i.  Taking the letter in the outer loop and
-the layer, in word order, in the inner one, each layer comes out in word
-order with no sort and no table of candidates.  A minimal coset
-representative keeps the right factor of every reduced product, so the
-walk of omega_P yields exactly the elements of W^P, with the group's own
-words, in (length, word) order.  A Schubert ring reads its per-cell data
-off the canonical parent's in the same way.
+>= mu_j, so only a negative mu_j with j < i can block, and the first
+one is mu's own first descent f, the first letter of its word minus one
+(omega_P has none).  So f decides before any reflection: with no f or
+f > i, t is accepted; with f < i, t is rejected when
+t_f = mu_f - mu_i a_fi < 0, as always when f is not adjacent to i; only
+the rest are reflected and their coordinates before i read.  Taking the
+letter in the outer loop and the layer, in word order, in the inner
+one, each layer comes out in word order with no sort and no table of
+candidates.  A minimal coset representative keeps the right factor of
+every reduced product, so the walk of omega_P yields exactly the
+elements of W^P, with the group's own words, in (length, word) order.
+Each cell keeps its canonical parent's list index: coset names and a
+Schubert ring's per-cell data (pairings, point codes) are read off the
+parent's through that link.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
 constructor makes every element from y and keeps it per group, so equal
@@ -47,8 +53,8 @@ order needs no enumeration.  The same rule, applied to the roots
 supported on P, gives the degrees of W_P, from which motive counts the
 cells of G/P without a walk.  Only ``elements`` walks the orbit of rho;
 coset words and Schubert rings read only the walk of omega_P.  Each
-word of W^P is a letter followed by a shorter word of W^P, so a whole
-list is named in one pass, each name from the name of its suffix.
+word of W^P is a letter followed by its parent's word, so a whole list
+is named in one pass, each name from the name its parent link points to.
 No element is ever turned into a matrix; the tests derive matrices from
 the words as an independent cross-check.
 """
@@ -60,10 +66,10 @@ import math
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError
-from .rootsys import Root, RootSystem, check_node, matvec
+from .rootsys import Root, RootSystem, check_cap, check_node, matvec
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -78,17 +84,21 @@ def word_name(word: Word) -> str:
     return "*".join(f"s{i}" for i in word)
 
 
-def word_names(words: Iterable[Word]) -> list[str]:
-    """word_name of each word, in one pass over words that each come after
-    their suffix word[1:], as W^P does in walk order: each name is
-    "s<i>*" plus the name of the suffix, already made."""
-    names: dict[Word, str] = {(): "e"}
-    out = []
-    for word in words:
-        if word not in names:
-            rest = names[word[1:]]
-            names[word] = f"s{word[0]}*{rest}" if len(word) > 1 else f"s{word[0]}"
-        out.append(names[word])
+def word_names(words: Sequence[Word], parents: Sequence[int]) -> list[str]:
+    """word_name of each word, given the index of its canonical parent
+    (the word without its first letter, -1 for the empty word), as
+    ``orbit`` makes them: each name is "s<i>*" plus the name of the
+    parent, which must come first."""
+    out: list[str] = []
+    for k, (word, p) in enumerate(zip(words, parents)):
+        if not 0 <= p < k:
+            if word:
+                raise ValueError(f"cell {k} has parent {p}, which does not come before it")
+            out.append("e")
+        elif len(word) > 1:
+            out.append(f"s{word[0]}*{out[p]}")
+        else:
+            out.append(f"s{word[0]}")
     return out
 
 
@@ -238,14 +248,13 @@ class WeylGroup:
     The order comes from the degrees, and CapExceededError is raised at
     once when it passes ``cap``.  ``_at`` makes each element from its
     point w(rho) once, on first use, and keeps it; only ``elements``,
-    sorted by (length, word), walks the whole group.  Coset words come
-    from the walk of omega_P, kept per parabolic: one request asks for
-    the same quotients many times.
+    sorted by (length, word), walks the whole group.  Coset words and
+    their parent links come from the walk of omega_P, kept per
+    parabolic: one request asks for the same quotients many times.
     """
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
-        if cap < 1:
-            raise ValueError("cap must be positive")
+        check_cap(cap)
         self.root_system = root_system
         rank = root_system.rank
         a = root_system.cartan.entries
@@ -256,7 +265,7 @@ class WeylGroup:
         self.order = math.prod(self.degrees)
         if self.order > cap:
             raise _cap_error(self.degrees, cap)
-        self._walks: dict[tuple[int, ...], tuple[Word, ...]] = {}
+        self._walks: dict[tuple[int, ...], tuple[tuple[Word, ...], tuple[int, ...]]] = {}
         self._rho: Point = (1,) * rank
         self._made: dict[Point, WeylElement] = {}
 
@@ -287,12 +296,17 @@ class WeylGroup:
                 v[j] -= c * a
         return tuple(v)
 
-    def orbit(self, nodes: tuple[int, ...]) -> tuple[list[Word], list[Point]]:
+    def orbit(self, nodes: tuple[int, ...]) -> tuple[list[Word], list[Point], list[int]]:
         """The orbit of omega_P, P = ``nodes`` (normalized), breadth first
-        in (length, word) order: the canonical words and the points."""
-        rank, cols = self.rank, self._columns
+        in (length, word) order: the canonical words, the points and the
+        index of each point's canonical parent (-1 for omega_P).  A
+        candidate s_i mu is accepted when mu has no first descent f < i,
+        rejected when f < i and mu_f - mu_i a_fi < 0, and only otherwise
+        reflected and checked."""
+        rank, cols, a = self.rank, self._columns, self.root_system.cartan.entries
         words: list[Word] = [()]
         points: list[Point] = [tuple(0 if i in nodes else 1 for i in range(1, rank + 1))]
+        parents = [-1]
         start = 0
         while start < len(points):
             end = len(points)
@@ -300,19 +314,26 @@ class WeylGroup:
                 col, letter = cols[i], (i + 1,)
                 for k in range(start, end):
                     mu = points[k]
-                    if mu[i] > 0:
-                        t = _reflect(mu, i, col)
-                        if i and min(t[:i]) < 0:
-                            continue  # t's first descent is j < i: another parent
+                    c = mu[i]
+                    if c > 0:
+                        if k and (f := words[k][0] - 1) < i:
+                            if mu[f] < c * a[f][i]:
+                                continue  # t_f < 0: t's first descent is f
+                            t = _reflect(mu, i, col)
+                            if min(t[:i]) < 0:
+                                continue  # t's first descent is j < i: another parent
+                        else:
+                            t = _reflect(mu, i, col)
                         words.append(letter + words[k])
                         points.append(t)
+                        parents.append(k)
             start = end
-        return words, points
+        return words, points, parents
 
     @cached_property
     def elements(self) -> tuple[WeylElement, ...]:
         """Every element, from the walk of rho, in (length, word) order."""
-        words, ys = self.orbit(())
+        words, ys, _ = self.orbit(())
         elements = tuple(map(self._at, ys, words))
         if len(elements) != self.order:
             raise AssertionError(
@@ -357,15 +378,24 @@ class WeylGroup:
         roots = (b for b in self.root_system.positive_roots if not any(b[i] for i in outside))
         return _degrees(roots, len(p))
 
+    def _coset_walk(self, nodes: Iterable[int]) -> tuple[tuple[Word, ...], tuple[int, ...]]:
+        """Words and parent links of the walk of omega_P, kept per parabolic."""
+        p = self.normalize_parabolic(nodes)
+        walk = self._walks.get(p)
+        if walk is None:
+            words, _, parents = self.orbit(p)
+            walk = self._walks[p] = (tuple(words), tuple(parents))
+        return walk
+
     def coset_words(self, nodes: Iterable[int]) -> tuple[Word, ...]:
         """Canonical words of the minimal representatives of the cosets
         w W_P, P generated by ``nodes``, sorted by (length, word), without
         building the group."""
-        p = self.normalize_parabolic(nodes)
-        words = self._walks.get(p)
-        if words is None:
-            words = self._walks[p] = tuple(self.orbit(p)[0])
-        return words
+        return self._coset_walk(nodes)[0]
+
+    def coset_names(self, nodes: Iterable[int]) -> list[str]:
+        """word_name of each word of ``coset_words``, through the walk's links."""
+        return word_names(*self._coset_walk(nodes))
 
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by

@@ -4,8 +4,9 @@
 same product over the degrees of W_P and visits no cell.  Here it is
 compared with the length counts of the omega_P walk, which builds every
 minimal coset representative, and with W(L) = W^P(L) W_P(L), where
-W_P(L) comes from enumerating the parabolic subgroup.  ``word_names``
-is compared with ``word_name`` on the same walks.  The reach tests run
+W_P(L) comes from enumerating the parabolic subgroup.  The names made
+through the walk's parent links (``coset_names``, ``word_names``) are
+compared with ``word_name`` on the same walks.  The reach tests run
 the command line on E7 and E8 quotients that no walk could visit in a
 second.
 """
@@ -62,7 +63,7 @@ def test_names_match_word_name(name):
     g = group(name)
     for p in parabolics(g.rank):
         words = g.coset_words(p)
-        assert word_names(words) == [word_name(w) for w in words], p
+        assert g.coset_names(p) == [word_name(w) for w in words], p
 
 
 @given(st.sets(st.integers(1, 6), min_size=3))
@@ -73,7 +74,7 @@ def test_e6_counts_and_names_match_the_walk(nodes):
     assert cells == walked(g, nodes)
     assert cells.is_palindromic()
     words = g.coset_words(nodes)
-    assert word_names(words) == [word_name(w) for w in words]
+    assert g.coset_names(nodes) == [word_name(w) for w in words]
 
 
 def test_counts_leave_the_walks_alone():
@@ -84,10 +85,15 @@ def test_counts_leave_the_walks_alone():
 
 
 def test_names_need_each_suffix_first():
-    assert word_names([(), (1,), (2, 1), (1, 2, 1), ()]) == ["e", "s1", "s2*s1", "s1*s2*s1", "e"]
-    assert word_names([]) == []
-    with pytest.raises(KeyError):
-        word_names([(1, 2)])
+    # the parent link of a word points at its suffix word[1:]
+    words = [(), (1,), (2, 1), (1, 2, 1), ()]
+    assert word_names(words, [-1, 0, 1, 2, -1]) == ["e", "s1", "s2*s1", "s1*s2*s1", "e"]
+    assert word_names([], []) == []
+    for parents in ([-1, 0, 1, 3], [-1, 0, 1, 4], [-1, 0, 1, -1]):
+        with pytest.raises(ValueError, match="does not come before it"):
+            word_names(words[:4], parents)
+    with pytest.raises(ValueError, match="does not come before it"):
+        word_names([(1, 2)], [0])
 
 
 @pytest.mark.parametrize(

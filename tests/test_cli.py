@@ -5,9 +5,11 @@ goes through a real subprocess to cover the module entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 
+import g2pair
 from g2pair.cli import run
 from g2pair.grothring import IdentityCertificate, MotivicClass
 from g2pair.replay import check_certificate
@@ -233,6 +235,14 @@ def test_domain_errors_exit_1(capsys):
         assert err.startswith("error: ")
 
 
+def test_cartan_literals_refuse_json_booleans(capsys):
+    for literal in ("[[2,false],[false,2]]", "[[true,-1],[-1,2]]", "[[2,-1],[-1,true]]"):
+        for verb in ("weyl-order", "roots", "poincare"):
+            code, out, err = invoke(capsys, verb, literal)
+            assert (code, out) == (1, ""), (verb, literal)
+            assert err == "error: Cartan entries must be integers\n", (verb, literal)
+
+
 def test_root_cap_error_reports_progress(capsys):
     # E8 has 8, 7, 7, 7, 7, 7, 6, ... positive roots of heights 1, 2, 3, ...;
     # the running total first passes 100 at height 18, with 103 roots.
@@ -250,10 +260,15 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same package as these tests, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(g2pair.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "g2pair", "weyl-order", "G2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from g2pair.cli import _json, run
 from g2pair.rootsys import root_system
-from g2pair.weyl import WeylGroup, word_names
+from g2pair.weyl import WeylGroup, word_name
 
 scalars = (
     st.none()
@@ -163,7 +163,7 @@ def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
         "count": len(words),
         "representatives": [
             {"name": n, "word": list(w), "length": len(w)}
-            for n, w in zip(word_names(words), words)
+            for n, w in zip(map(word_name, words), words)
         ],
     }
     argv = ["cosets", name, "--parabolic", ",".join(map(str, nodes)), "--format", "json"]

@@ -5,11 +5,13 @@ import pytest
 from g2pair.errors import CapExceededError, UnknownTypeError
 from g2pair.rootsys import (
     CartanMatrix,
+    check_cap,
     generate_root_system,
     matvec,
     parse_cartan,
     root_system,
 )
+from g2pair.weyl import WeylGroup
 
 
 def simple_reflection_matrix(rs, i):
@@ -74,6 +76,35 @@ def test_cartan_validation_direct():
         CartanMatrix(((1,),))
     with pytest.raises(ValueError):
         CartanMatrix(((2, -1), (-1, 2), (0, 0)))
+
+
+def test_cartan_entries_refuse_bools():
+    # bool is an int subclass: False would read as 0 and True as 1
+    for entries in (((2, False), (False, 2)), ((True, -1), (-1, 2)), ((2, -1), (-1, True))):
+        with pytest.raises(ValueError, match="^Cartan entries must be integers$"):
+            CartanMatrix(entries)
+    for literal in ("[[2,false],[false,2]]", "[[true,-1],[-1,2]]"):
+        with pytest.raises(UnknownTypeError, match="^Cartan entries must be integers$"):
+            parse_cartan(literal)
+
+
+def test_caps_refuse_bools():
+    rs = root_system("A2")
+    for call in (
+        lambda cap: generate_root_system(rs.cartan, cap=cap),
+        lambda cap: root_system("A2", cap=cap),
+        lambda cap: WeylGroup(rs, cap=cap),
+        check_cap,
+    ):
+        for cap in (True, False):
+            with pytest.raises(ValueError, match=f"^cap must be an int, got bool {cap}$"):
+                call(cap)
+        with pytest.raises(ValueError, match="^cap must be an int, got float 10.0$"):
+            call(10.0)
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            call(0)
+    assert check_cap(1) == 1
+    assert WeylGroup(rs, cap=6).order == 6
 
 
 def test_symmetrizers():

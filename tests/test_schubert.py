@@ -773,6 +773,16 @@ def test_code_covers_and_pushforward_match_tuple_lookup():
                 assert got.coefficients() == pushed, (name, parabolic, k, i)
 
 
+def test_codes_from_the_parent_are_the_radix_sums():
+    groups = {}
+    for name, parabolic in code_cases():
+        g = groups.setdefault(name, make_group(name))
+        ring = SchubertRing(g, parabolic)
+        powers = g.point_codes[0]
+        want = [sum(c * r for c, r in zip(mu, powers)) for mu in ring.points]
+        assert ring._codes == want, (name, parabolic)
+
+
 def test_orbit_coordinates_are_bounded_by_the_coroot_height():
     cases = list(code_cases()) + [
         ("E7", tuple(range(1, 7))),

@@ -5,7 +5,10 @@ The degree table below is written out by hand from the classification,
 so it shares no code with the library's reading of the degrees off the
 root heights.  The coset words of the walk are compared with the
 right-descent filter of the enumerated group, for every parabolic of the
-small types and for parabolics of E6 drawn by hypothesis.
+small types and for parabolics of E6 drawn by hypothesis.  The walk's
+words and points are compared with a plain reflect-then-check walk
+(``weyl_oracles.reflect_then_slice_orbit``), and its parent links with
+the words and first descents they must match.
 """
 
 import itertools
@@ -22,6 +25,7 @@ from g2pair import cli
 from g2pair.errors import CapExceededError, NotFiniteTypeError
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
+from weyl_oracles import reflect_then_slice_orbit
 
 EXCEPTIONAL = {
     "E6": (2, 5, 6, 8, 9, 12),
@@ -133,6 +137,45 @@ def test_walk_words_are_the_right_descent_filter(name):
 def test_e6_walk_words_are_the_right_descent_filter(nodes):
     g = group("E6")
     assert g.coset_words(nodes) == right_descent_filter(g, nodes)
+
+
+def walk_cases():
+    """(name, parabolic): every parabolic of the small types, every maximal
+    parabolic of E6, and E7/P7."""
+    for name in SMALL:
+        for nodes in subsets(root_system(name).rank):
+            yield name, nodes
+    for free in range(1, 7):
+        yield "E6", tuple(i for i in range(1, 7) if i != free)
+    yield "E7", tuple(range(1, 7))
+
+
+def test_walk_matches_the_reflect_then_slice_oracle():
+    for name, nodes in walk_cases():
+        g = group(name)
+        words, points, parents = g.orbit(nodes)
+        assert (words, points) == reflect_then_slice_orbit(g, nodes), (name, nodes)
+        assert len(parents) == len(words) and parents[0] == -1, (name, nodes)
+
+
+def test_walk_links_name_the_canonical_parent():
+    for name, nodes in walk_cases():
+        words, points, parents = group(name).orbit(nodes)
+        assert not words[0] and min(points[0]) >= 0
+        for k in range(1, len(words)):
+            p = parents[k]
+            assert words[k] == (words[k][0],) + words[p], (name, nodes, k)
+            assert 0 <= p < k and len(words[k]) == len(words[p]) + 1, (name, nodes, k)
+            first = next(j for j, c in enumerate(points[k]) if c < 0)
+            assert first == words[k][0] - 1, (name, nodes, k)
+
+
+def test_coset_walks_keep_the_links():
+    g = WeylGroup(root_system("F4"))
+    for nodes in subsets(4):
+        words, _, parents = g.orbit(nodes)
+        assert g._coset_walk(nodes) == (tuple(words), tuple(parents))
+        assert g._coset_walk(nodes)[0] is g.coset_words(nodes)
 
 
 def test_coset_words_leave_the_group_unbuilt():

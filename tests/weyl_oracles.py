@@ -74,3 +74,28 @@ def inversion_length(group, w):
     return sum(
         1 for beta in group.root_system.positive_roots if all(x <= 0 for x in matvec(m, beta))
     )
+
+
+def reflect_then_slice_orbit(group, nodes):
+    """The orbit of omega_P, P = ``nodes``, breadth first in (length, word)
+    order, by the plain canonical-parent rule: reflect every candidate
+    t = s_i mu with mu_i > 0 and keep it when no t_j with j < i is
+    negative.  Reflections come straight from the Cartan matrix, so this
+    shares no code with ``WeylGroup.orbit`` and its first-descent test."""
+    a = group.root_system.cartan.entries
+    rank = len(a)
+    words = [()]
+    points = [tuple(0 if i in nodes else 1 for i in range(1, rank + 1))]
+    start = 0
+    while start < len(points):
+        end = len(points)
+        for i in range(rank):
+            for k in range(start, end):
+                mu = points[k]
+                if mu[i] > 0:
+                    t = tuple(mu[j] - mu[i] * a[j][i] for j in range(rank))
+                    if min(t[:i], default=0) >= 0:
+                        words.append((i + 1,) + words[k])
+                        points.append(t)
+        start = end
+    return words, points
