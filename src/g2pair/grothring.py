@@ -46,9 +46,9 @@ class MotivicClass(Combination):
         sym, power = key
         if not isinstance(sym, str) or not sym:
             raise ValueError("symbol must be a nonempty string")
-        if not isinstance(power, int) or power < 0:
+        if not isinstance(power, int) or isinstance(power, bool) or power < 0:
             raise ValueError("L-power must be a nonnegative integer")
-        if not isinstance(c, int):
+        if not isinstance(c, int) or isinstance(c, bool):
             raise ValueError("coefficients must be integers")
         return (sym, power)
 
@@ -126,7 +126,7 @@ class MotivicClass(Combination):
 
     @classmethod
     def from_json(cls, doc: dict) -> "MotivicClass":
-        return cls({(str(s), int(p)): int(c) for s, p, c in doc["terms"]})
+        return cls(((s, p), c) for s, p, c in doc["terms"])
 
 
 class RewriteRule(
@@ -136,6 +136,8 @@ class RewriteRule(
     right, so each application eliminates it."""
 
     def __new__(cls, lhs: str, rhs: MotivicClass, justification: str = "") -> "RewriteRule":
+        if not isinstance(lhs, str) or not lhs:
+            raise ValueError("rule symbol must be a nonempty string")
         if lhs == PURE:
             raise ValueError("the pure symbol cannot head a rewrite rule")
         if lhs in rhs.symbols():
@@ -156,7 +158,7 @@ class RewriteRule(
     @classmethod
     def from_json(cls, doc: dict) -> "RewriteRule":
         return cls(
-            lhs=str(doc["lhs"]),
+            lhs=doc["lhs"],
             rhs=MotivicClass.from_json(doc["rhs"]),
             justification=str(doc.get("justification", "")),
         )

@@ -120,7 +120,7 @@ class LPolynomial(Combination):
     __slots__ = ()
 
     def _key(self, deg, c):
-        if not isinstance(deg, int) or not isinstance(c, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (deg, c)):
             raise ValueError("degrees and coefficients must be integers")
         if deg < 0:
             raise ValueError("negative degree")
@@ -140,7 +140,7 @@ class LPolynomial(Combination):
 
     @classmethod
     def from_pairs(cls, pairs: PairList) -> "LPolynomial":
-        return cls((int(d), int(c)) for d, c in pairs)
+        return cls(pairs)
 
     def to_pairs(self) -> PairList:
         return [[d, c] for d, c in self._terms.items()]

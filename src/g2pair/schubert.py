@@ -93,13 +93,6 @@ class CohomologyElement(Combination):
             raise ValueError("elements live in different rings")
         return other
 
-    def terms(self) -> tuple[tuple[WeylElement, int], ...]:
-        return tuple((self.ring.basis[k], c) for k, c in self._terms.items())
-
-    def coefficient(self, w: WeylElement) -> int:
-        k = self.ring.basis_index(w)
-        return 0 if k is None else self._terms.get(k, 0)
-
     def degree(self) -> Optional[int]:
         """Common cohomological degree (half, i.e. the Weyl length), or
         None for zero.  Mixed-degree elements are rejected."""
@@ -158,7 +151,6 @@ class SchubertRing:
             [coroot[j - 1] for _, coroot, _ in group.reflection_data]
             for j in self.free_nodes
         )
-        self._index = {w: k for k, w in enumerate(words)}
         self._layers = list(map(len, words))
         # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
         powers, root_codes = group.point_codes
@@ -186,24 +178,15 @@ class SchubertRing:
 
     @cached_property
     def basis(self) -> tuple[WeylElement, ...]:
-        """The cells as group elements, for callers that hold
-        WeylElements; built from the words, the group stays unenumerated."""
+        """The cells as group elements, built from the words.  Kept for the
+        benchmark's tracer, which reads it to count cells."""
         return tuple(map(self.group.from_word, self.words))
-
-    def basis_index(self, w: WeylElement) -> Optional[int]:
-        return self._index.get(w.word)
 
     def zero(self) -> CohomologyElement:
         return CohomologyElement(self, {})
 
     def one(self) -> CohomologyElement:
         return CohomologyElement(self, {0: 1})
-
-    def sigma(self, w: WeylElement) -> CohomologyElement:
-        k = self.basis_index(w)
-        if k is None:
-            raise ValueError(f"{w.name} is not a minimal representative here")
-        return CohomologyElement(self, {k: 1})
 
     def point_class(self) -> CohomologyElement:
         return CohomologyElement(self, {self._top: 1})
@@ -221,12 +204,14 @@ class SchubertRing:
             )
 
     def from_divisor(self, d: DivisorClass) -> CohomologyElement:
+        """sum_i d_i sigma[s_i]: the walk lists the cells (i,) of the free
+        nodes i in order, right after the identity."""
         self.check_divisor(d)
         out: dict[int, int] = {}
-        for i in self.free_nodes:
+        for k, i in enumerate(self.free_nodes, start=1):
             c = d.weights[i - 1]
             if c:
-                out[self._index[(i,)]] = c
+                out[k] = c
         return CohomologyElement(self, out)
 
     def ample_generator(self) -> DivisorClass:
@@ -312,17 +297,20 @@ def divisor_from_degree_one(x: CohomologyElement) -> DivisorClass:
 
 
 def pullback(x: CohomologyElement, to_ring: SchubertRing) -> CohomologyElement:
-    """Along G/Q -> G/P with Q inside P: basis classes map to themselves,
-    found by their canonical words."""
-    if to_ring.group is not x.ring.group:
+    """Along G/Q -> G/P with Q inside P: basis classes map to themselves.
+    The cell of w upstairs is at the point w(omega_Q), the word folded
+    onto omega_Q, found by its code; its canonical word must be w's."""
+    group = to_ring.group
+    if group is not x.ring.group:
         raise ValueError("rings must share the Weyl group")
     if not set(to_ring.parabolic) <= set(x.ring.parabolic):
         raise ValueError("pullback goes to a finer quotient only")
+    powers, omega = group.point_codes[0], to_ring.points[0]
     out: dict[int, int] = {}
     for k, c in x.coefficients().items():
         word = x.ring.words[k]
-        j = to_ring._index.get(word)
-        if j is None:
+        j = to_ring._at[sum(map(mul, group._fold(word, omega), powers))]
+        if to_ring.words[j] != word:
             raise ConventionError(f"{word_name(word)} lost under pullback")
         out[j] = c
     return CohomologyElement(to_ring, out)

@@ -33,16 +33,17 @@ Schubert ring's per-cell data (pairings, point codes) are read off the
 parent's through that link.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
-constructor makes every element from y and keeps it per group, so equal
+constructor makes an element from y and keeps it per group, so equal
 elements are the same object.  It reads the canonical word off y by
 reflecting at the first negative coordinate until none is left, which
-ends at rho exactly when y is in the orbit.  Words, products (u's word
-folded onto y(v)), inverses, reflections and the longest element (-rho)
-are points handed to it; none enumerates W.  x = w^-1(rho) is computed
-on first use:
-
-  * left descents: l(s_i w) < l(w) exactly when y_i < 0;
-  * right descents: l(w s_i) < l(w) exactly when x_i < 0.
+ends at rho exactly when y is in the orbit.  No verb makes an element:
+cosets, certificates and Schubert rings read words, points, parent links
+and codes.  WeylElement and its product, ``min_coset_reps`` and
+``reflections`` stay only because the benchmark's tracer
+(perfbench/tracer.py) wraps them, and ``from_word`` because they and
+SchubertRing.basis, which the tracer reads, make elements with it.  The
+rest of the element API (the listed group, inverses, right descents,
+orders, the longest element) lives in the tests' oracles.
 
 |W| is the product of the degrees d_i of W, which are one more than the
 parts of the partition dual to the numbers of positive roots of each
@@ -51,10 +52,10 @@ height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
 every layer, so the cap is checked before anything is enumerated and the
 order needs no enumeration.  The same rule, applied to the roots
 supported on P, gives the degrees of W_P, from which motive counts the
-cells of G/P without a walk.  Only ``elements`` walks the orbit of rho;
-coset words and Schubert rings read only the walk of omega_P.  Each
-word of W^P is a letter followed by its parent's word, so a whole list
-is named in one pass, each name from the name its parent link points to.
+cells of G/P without a walk.  Nothing here lists W: coset words and
+Schubert rings read only the walk of omega_P.  Each word of W^P is a
+letter followed by its parent's word, so a whole list is named in one
+pass, each name from the name its parent link points to.
 No element is ever turned into a matrix; the tests derive matrices from
 the words as an independent cross-check.
 """
@@ -66,7 +67,7 @@ import math
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
 from .rootsys import Root, RootSystem, check_cap, check_node, matvec
@@ -114,15 +115,15 @@ def _reflect(v: Point, i: int, column: tuple[tuple[int, int], ...]) -> Point:
 
 class WeylElement:
     """One group element: its canonical word and its point y = w(rho),
-    made only by its group's constructor."""
+    made only by its group's constructor.  Kept for the benchmark's
+    tracer, which wraps ``__mul__``; no library path makes one."""
 
-    __slots__ = ("word", "y", "group", "_x")
+    __slots__ = ("word", "y", "group")
 
     def __init__(self, word: Word, y: Point, group: "WeylGroup"):
         self.word = word
         self.y = y
         self.group = group
-        self._x: Point | None = None
 
     @property
     def length(self) -> int:
@@ -148,33 +149,11 @@ class WeylElement:
     def __hash__(self) -> int:
         return hash(self.y)
 
-    @property
-    def x(self) -> Point:
-        """w^-1(rho), the point of the reversed word."""
-        if self._x is None:
-            self._x = self.group._fold(self.word[::-1], self.group._rho)
-        return self._x
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         """Fold the word of u onto y(v): y(uv) = u(y(v))."""
         if self.group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
         return self.group._at(self.group._fold(self.word, other.y))
-
-    def inverse(self) -> "WeylElement":
-        return self.group._at(self.x)
-
-    def order(self) -> int:
-        k, cur = 1, self
-        while cur.word:
-            cur = cur * self
-            k += 1
-        return k
-
-    def has_right_descent(self, i: int) -> bool:
-        """l(w s_i) < l(w), i.e. w sends alpha_i to a negative root, i.e.
-        <w^-1 rho, alpha_i_check> < 0."""
-        return self.x[i - 1] < 0
 
 
 class Reflection(NamedTuple):
@@ -185,24 +164,6 @@ class Reflection(NamedTuple):
     root: Root
     coroot: Root
     weight: Point
-
-
-class LengthBijection(NamedTuple):
-    """Pairing of two coset-representative lists by sorted position.
-
-    ``pairs`` is None when the length multisets disagree; the two length
-    tuples stay available either way so a failure names the mismatch.
-    """
-
-    left: tuple[WeylElement, ...]
-    right: tuple[WeylElement, ...]
-    lengths_left: tuple[int, ...]
-    lengths_right: tuple[int, ...]
-    pairs: tuple[tuple[WeylElement, WeylElement], ...] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.pairs is not None
 
 
 def _degrees(roots: Iterable[Root], rank: int) -> tuple[int, ...]:
@@ -246,11 +207,11 @@ class WeylGroup:
     """Finite Weyl group of a root system.
 
     The order comes from the degrees, and CapExceededError is raised at
-    once when it passes ``cap``.  ``_at`` makes each element from its
-    point w(rho) once, on first use, and keeps it; only ``elements``,
-    sorted by (length, word), walks the whole group.  Coset words and
-    their parent links come from the walk of omega_P, kept per
-    parabolic: one request asks for the same quotients many times.
+    once when it passes ``cap``.  Coset words and their parent links come
+    from the walk of omega_P, kept per parabolic: one request asks for
+    the same quotients many times.  ``_at``, kept for the methods the
+    benchmark's tracer wraps, makes an element from its point w(rho) once,
+    on first use, and keeps it in ``_made``; nothing lists the group.
     """
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
@@ -269,22 +230,20 @@ class WeylGroup:
         self._rho: Point = (1,) * rank
         self._made: dict[Point, WeylElement] = {}
 
-    def _at(self, y: Point, word: Word | None = None) -> WeylElement:
+    def _at(self, y: Point) -> WeylElement:
         """The element w with w(rho) = y, made on first use.  Its canonical
-        word is ``word`` when a walk of rho has it, else the sequence of
-        first negative coordinates peeled off y; each peel adds a positive
-        multiple of a simple root, so peeling ends."""
+        word is the sequence of first negative coordinates peeled off y;
+        each peel adds a positive multiple of a simple root, so peeling
+        ends."""
         found = self._made.get(y)
         if found is None:
-            if word is None:
-                cols, letters, t = self._columns, [], y
-                while (i := next((k for k, c in enumerate(t) if c < 0), -1)) >= 0:
-                    letters.append(i + 1)
-                    t = _reflect(t, i, cols[i])
-                if t != self._rho:
-                    raise ValueError(f"{y} is not in the orbit of rho")
-                word = tuple(letters)
-            found = self._made[y] = WeylElement(word, y, self)
+            cols, letters, t = self._columns, [], y
+            while (i := next((k for k, c in enumerate(t) if c < 0), -1)) >= 0:
+                letters.append(i + 1)
+                t = _reflect(t, i, cols[i])
+            if t != self._rho:
+                raise ValueError(f"{y} is not in the orbit of rho")
+            found = self._made[y] = WeylElement(tuple(letters), y, self)
         return found
 
     def _fold(self, letters: Word, y: Point) -> Point:
@@ -330,40 +289,16 @@ class WeylGroup:
             start = end
         return words, points, parents
 
-    @cached_property
-    def elements(self) -> tuple[WeylElement, ...]:
-        """Every element, from the walk of rho, in (length, word) order."""
-        words, ys, _ = self.orbit(())
-        elements = tuple(map(self._at, ys, words))
-        if len(elements) != self.order:
-            raise AssertionError(
-                f"orbit of rho has {len(elements)} points, the degrees give {self.order}"
-            )
-        if len(elements) > 1 and elements[-2].length == elements[-1].length:
-            raise AssertionError("longest element is not unique; group is not finite Weyl")
-        return elements
-
     @property
     def rank(self) -> int:
         return self.root_system.rank
 
-    def __iter__(self) -> Iterator[WeylElement]:
-        return iter(self.elements)
-
     def __repr__(self) -> str:
         return f"WeylGroup(rank {self.rank}, order {self.order})"
 
-    @property
-    def identity(self) -> WeylElement:
-        return self._at(self._rho)
-
-    def generator(self, i: int) -> WeylElement:
-        check_node(i, self.rank)
-        return self._at(_reflect(self._rho, i - 1, self._columns[i - 1]))
-
     def from_word(self, letters: Iterable[int]) -> WeylElement:
         """The element of a word in 1..rank, reduced or not; it carries its
-        canonical word."""
+        canonical word.  Kept for ``min_coset_reps`` and SchubertRing.basis."""
         letters = tuple(check_node(i, self.rank, "letter") for i in letters)
         return self._at(self._fold(letters, self._rho))
 
@@ -400,20 +335,9 @@ class WeylGroup:
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by
         ``nodes``, as elements of this group, made from the words of the
-        walk of omega_P.  Sorted by (length, word) like everything else."""
+        walk of omega_P.  Sorted by (length, word) like everything else.
+        Kept for the benchmark's tracer, which wraps it."""
         return tuple(map(self.from_word, self.coset_words(nodes)))
-
-    def length_bijection(self, left_nodes: Iterable[int], right_nodes: Iterable[int]) -> LengthBijection:
-        left = self.min_coset_reps(left_nodes)
-        right = self.min_coset_reps(right_nodes)
-        ll = tuple(map(len, self.coset_words(left_nodes)))
-        lr = tuple(map(len, self.coset_words(right_nodes)))
-        pairs = tuple(zip(left, right)) if ll == lr else None
-        return LengthBijection(left=left, right=right, lengths_left=ll, lengths_right=lr, pairs=pairs)
-
-    def longest_element(self) -> WeylElement:
-        """w0, the element with w0(rho) = -rho."""
-        return self._at(tuple(-c for c in self._rho))
 
     @cached_property
     def reflection_data(self) -> tuple[Reflection, ...]:
@@ -458,7 +382,8 @@ class WeylGroup:
 
     def reflections(self) -> dict[Root, WeylElement]:
         """Map positive root -> the reflection it defines (a fresh dict).
-        s_beta has y-point rho - <rho, beta_check> beta."""
+        s_beta has y-point rho - <rho, beta_check> beta.  Kept for the
+        benchmark's tracer, which wraps it."""
         return {
             r.root: self._at(tuple(1 - sum(r.coroot) * c for c in r.weight))
             for r in self.reflection_data

@@ -21,7 +21,14 @@ from g2pair.schubert import (
     pushforward,
 )
 from g2pair.weyl import WeylGroup
-from weyl_oracles import parabolic_elements
+from weyl_oracles import (
+    elements,
+    generator,
+    length_bijection,
+    order,
+    parabolic_elements,
+    sigma,
+)
 
 atom = MotivicClass.atom
 
@@ -41,8 +48,8 @@ def test_criterion_1_group_order():
     t0 = time.perf_counter()
     g = make_group("G2")
     elapsed = time.perf_counter() - t0
-    rotation = g.generator(1) * g.generator(2)
-    ok = g.order == 12 and rotation.order() == 6 and elapsed < 1.0
+    rotation = generator(g, 1) * generator(g, 2)
+    ok = g.order == 12 and order(rotation) == 6 and elapsed < 1.0
     report(1, "W(G2) has order 12, s1*s2 has order 6, enumerated under 1s", ok)
 
 
@@ -50,7 +57,7 @@ def test_criterion_2_coset_lists():
     g = make_group("G2")
     names1 = [w.name for w in g.min_coset_reps((1,))]
     names2 = [w.name for w in g.min_coset_reps((2,))]
-    bij = g.length_bijection((1,), (2,))
+    bij = length_bijection(g, (1,), (2,))
     ok = (
         names1
         == ["e", "s2", "s1*s2", "s2*s1*s2", "s1*s2*s1*s2", "s2*s1*s2*s1*s2"]
@@ -129,12 +136,12 @@ def test_criterion_6_oracle_suites():
     checks = 0
     for n in (1, 2, 3, 4):
         g = make_group(f"A{n}")
-        perms = {w: perm_of(w, n + 1) for w in g.elements}
+        perms = {w: perm_of(w, n + 1) for w in elements(g)}
         iso_ok = iso_ok and len(set(perms.values())) == factorial[n + 1]
         iso_ok = iso_ok and g.order == factorial[n + 1]
         for _ in range(250):
-            u = rng.choice(g.elements)
-            v = rng.choice(g.elements)
+            u = rng.choice(elements(g))
+            v = rng.choice(elements(g))
             iso_ok = iso_ok and perms[u * v] == compose(perms[u], perms[v])
             checks += 1
 
@@ -180,7 +187,7 @@ def test_criterion_7_property_suites():
         base = SchubertRing(g2, (fiber,))
         d = base.ample_generator()
         for w in flag.basis:
-            x = flag.sigma(w)
+            x = sigma(flag, w)
             left = pushforward(flag.chevalley(d, x), fiber, base)
             right = base.chevalley(d, pushforward(x, fiber, base))
             projection_ok = projection_ok and left == right

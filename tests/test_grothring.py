@@ -1,9 +1,12 @@
 """Formal class arithmetic, rewriting, certificates, and replay checking."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
+from g2pair.cli import run
 from g2pair.errors import (
     CircularRuleError,
     PoincareMismatchError,
@@ -320,6 +323,57 @@ def test_replay_rejects_difference_tampering():
 
     with pytest.raises(ReplayError):
         check_certificate(tampered(cert, zero_difference))
+
+
+def g2_certificate_document():
+    """The certificate of ``g2pair verify-identity G2 --format json``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["verify-identity", "G2", "--format", "json"]) == 0
+    return json.loads(out.getvalue())["certificate"]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    (
+        [["F1", 0, 1.9], ["X", "1", True]],
+        [["F1", 0, 1.9], ["X", 1, 1]],
+        [["F1", 0, 1], ["X", "1", 1]],
+        [["F1", 0, 1], ["X", 1, True]],
+        [["F1", 0, 1], ["X", True, 1]],
+        [["F1", 0, 1], ["X", 1.0, 1]],
+        [["F1", 0, 1], [5, 1, 1]],
+    ),
+)
+@pytest.mark.parametrize("where", ("after", "rhs"))
+def test_certificate_json_is_read_without_coercion(terms, where):
+    doc = g2_certificate_document()
+    step = doc["left"]["steps"][0]
+    assert step["after"]["terms"] == step["rule"]["rhs"]["terms"] == [["F1", 0, 1], ["X", 1, 1]]
+    assert check_certificate(IdentityCertificate.from_json(doc)) == atom("X", 1) - atom("Y", 1)
+    (step["after"] if where == "after" else step["rule"]["rhs"])["terms"] = terms
+    with pytest.raises(ValueError):
+        IdentityCertificate.from_json(doc)
+
+
+@pytest.mark.parametrize("lhs", (7, True, ["D"], None, ""))
+def test_rule_symbols_must_be_strings(lhs):
+    rhs = {"terms": [["F1", 0, 1], ["X", 1, 1]]}
+    assert RewriteRule.from_json({"lhs": "7", "rhs": rhs}).lhs == "7"
+    with pytest.raises(ValueError, match="rule symbol must be a nonempty string"):
+        RewriteRule.from_json({"lhs": lhs, "rhs": rhs})
+    with pytest.raises(ValueError, match="rule symbol must be a nonempty string"):
+        RewriteRule(lhs, MotivicClass.from_json(rhs))
+
+
+def test_motivic_keys_refuse_bools():
+    assert MotivicClass({("X", 1): 1}) == atom("X", 1)
+    with pytest.raises(ValueError, match="L-power"):
+        MotivicClass({("X", True): 1})
+    with pytest.raises(ValueError, match="coefficients"):
+        MotivicClass({("X", 1): True})
+    with pytest.raises(ValueError, match="symbol"):
+        MotivicClass({(1, 1): 1})
 
 
 def test_replay_rejects_forged_step():

@@ -72,6 +72,20 @@ def test_pairs_round_trip():
     assert LPolynomial.from_pairs(p.to_pairs()) == p
 
 
+@pytest.mark.parametrize("pairs", ([[1.5, 2]], [[1, 2.0]], [["1", 2]], [[True, 2]], [[1, False]]))
+def test_pairs_are_read_without_coercion(pairs):
+    # int() would read [[1.5, 2]] as 2*L
+    with pytest.raises(ValueError, match="degrees and coefficients must be integers"):
+        LPolynomial.from_pairs(pairs)
+
+
+def test_polynomial_keys_refuse_bools():
+    assert LPolynomial({1: 2}) == 2 * L
+    for bad in ({True: 2}, {1: True}):
+        with pytest.raises(ValueError, match="degrees and coefficients must be integers"):
+            LPolynomial(bad)
+
+
 def test_evaluate_exact():
     assert P5.evaluate(2) == 63
     q = 10**6

@@ -38,7 +38,18 @@ from g2pair.schubert import (
     pushforward,
 )
 from g2pair.weyl import WeylGroup
-from weyl_oracles import element_by_matrix, element_matrix
+from test_weyl_walk import SMALL
+from weyl_oracles import (
+    basis_index,
+    coefficient,
+    element_by_matrix,
+    element_matrix,
+    generator,
+    identity,
+    inverse_point,
+    sigma,
+    terms,
+)
 
 
 def make_group(name):
@@ -130,7 +141,7 @@ def oracle_pushforward(group, fiber, parabolic_to, coeffs):
 
 
 def as_dict(x):
-    return dict(x.terms())
+    return dict(terms(x))
 
 
 def oracle_degree_closed_form(group, parabolic, weights):
@@ -156,11 +167,11 @@ def oracle_degree_zero_locus(group, side):
     fiber = 3 - side
     reps = group.min_coset_reps((fiber,))
     zeta = (1,) * group.rank
-    one_up = {group.identity: 1}
+    one_up = {identity(group): 1}
     z1 = oracle_multiply(group, (), zeta, one_up)
     z2 = oracle_multiply(group, (), zeta, z1)
     z3 = oracle_multiply(group, (), zeta, z2)
-    assert oracle_pushforward(group, fiber, (fiber,), z1) == {group.identity: 1}
+    assert oracle_pushforward(group, fiber, (fiber,), z1) == {identity(group): 1}
     c1 = oracle_pushforward(group, fiber, (fiber,), z2)
     c1_weights = [0] * group.rank
     for w, c in c1.items():
@@ -205,7 +216,7 @@ def test_chevalley_matches_oracle_exhaustively():
         for weights in weight_choices:
             d = DivisorClass(weights)
             for w in ring.basis:
-                got = as_dict(ring.chevalley(d, ring.sigma(w)))
+                got = as_dict(ring.chevalley(d, sigma(ring, w)))
                 want = oracle_multiply(g, parabolic, weights, {w: 1})
                 assert got == want, (name, parabolic, weights, w.name)
 
@@ -272,8 +283,8 @@ def test_g2_zeta_powers_frozen():
     assert str(z2) == "3*sigma[s1*s2] + 5*sigma[s2*s1]"
     z3 = flag.chevalley(zeta, z2)
     assert str(z3) == "18*sigma[s1*s2*s1] + 20*sigma[s2*s1*s2]"
-    assert z2.coefficient(g.from_word([1, 2])) == 3
-    assert z3.coefficient(g.from_word([2, 1, 2])) == 20
+    assert coefficient(z2, g.from_word([1, 2])) == 3
+    assert coefficient(z3, g.from_word([2, 1, 2])) == 20
 
 
 def test_pushforward_pullback_basics():
@@ -287,12 +298,12 @@ def test_pushforward_pullback_basics():
         assert pullback(base.one(), flag) == flag.one()
         # pushforward annihilates every pullback (fiber-degree 0)
         for w in base.basis:
-            lifted = pullback(base.sigma(w), flag)
+            lifted = pullback(sigma(base, w), flag)
             assert pushforward(lifted, fiber, base).is_zero
         # pullback of the ample generator is the Schubert divisor of the
         # node outside the Levi
         h = base.from_divisor(base.ample_generator())
-        assert pullback(h, flag) == flag.sigma(g.generator(3 - fiber))
+        assert pullback(h, flag) == sigma(flag, generator(g, 3 - fiber))
         point = base.point_class()
         assert pullback(point, flag).degree() == 5
 
@@ -304,7 +315,7 @@ def test_pushforward_matches_oracle():
         for fiber in (1, 2):
             base = SchubertRing(g, (fiber,))
             for w in flag.basis:
-                got = as_dict(pushforward(flag.sigma(w), fiber, base))
+                got = as_dict(pushforward(sigma(flag, w), fiber, base))
                 want = oracle_pushforward(g, fiber, (fiber,), {w: 1})
                 assert got == want, (name, fiber, w.name)
 
@@ -321,7 +332,7 @@ def test_projection_formula_exhaustive():
             )
             for d in divisors:
                 for w in flag.basis:
-                    x = flag.sigma(w)
+                    x = sigma(flag, w)
                     left = pushforward(flag.chevalley(d, x), fiber, base)
                     right = base.chevalley(d, pushforward(x, fiber, base))
                     assert left == right, (name, fiber, w.name)
@@ -335,7 +346,7 @@ def test_divisor_commutativity():
         d2 = DivisorClass((0, 1))
         d3 = DivisorClass((2, 3))
         for w in flag.basis:
-            x = flag.sigma(w)
+            x = sigma(flag, w)
             for a, b in ((d1, d2), (d1, d3), (d2, d3)):
                 assert flag.chevalley(a, flag.chevalley(b, x)) == flag.chevalley(
                     b, flag.chevalley(a, x)
@@ -364,15 +375,15 @@ def test_chern_classes_g2_frozen():
     c1, c2 = chern_of_pushforward_bundle(g, 1)
     base = c1.ring
     assert base.parabolic == (1,)
-    assert c1 == 5 * base.sigma(g.generator(2))
-    assert c2 == 7 * base.sigma(g.from_word([1, 2]))
+    assert c1 == 5 * sigma(base, generator(g, 2))
+    assert c2 == 7 * sigma(base, g.from_word([1, 2]))
     assert str(c1) == "5*sigma[s2]"
     assert str(c2) == "7*sigma[s1*s2]"
     # fiber through node 2
     c1, c2 = chern_of_pushforward_bundle(g, 2)
     base = c1.ring
-    assert c1 == 3 * base.sigma(g.generator(1))
-    assert c2 == 7 * base.sigma(g.from_word([2, 1]))
+    assert c1 == 3 * sigma(base, generator(g, 1))
+    assert c2 == 7 * sigma(base, g.from_word([2, 1]))
 
 
 def test_chern_relation_closes_for_small_types():
@@ -390,7 +401,7 @@ def test_chern_product_flag():
     g = make_group("[[2,0],[0,2]]")
     c1, c2 = chern_of_pushforward_bundle(g, 1)
     base = c1.ring
-    assert c1 == 2 * base.sigma(g.generator(2))
+    assert c1 == 2 * sigma(base, generator(g, 2))
     assert c2.is_zero
 
 
@@ -409,8 +420,8 @@ def test_chern_custom_zeta():
     g = make_group("G2")
     c1t, c2t = chern_of_pushforward_bundle(g, 1, zeta=DivisorClass((1, 2)))
     base = c1t.ring
-    s2 = base.sigma(g.generator(2))
-    s12 = base.sigma(g.from_word([1, 2]))
+    s2 = sigma(base, generator(g, 2))
+    s12 = sigma(base, g.from_word([1, 2]))
     assert c1t == 7 * s2  # 5 + 2
     assert c2t == 13 * s12  # 7 + 5 + 1
 
@@ -458,7 +469,7 @@ def test_poincare_pairing_nondegenerate():
         ring = SchubertRing(g, parabolic)
         h = ring.ample_generator()
         for w in ring.basis:
-            x = ring.sigma(w)
+            x = sigma(ring, w)
             for _ in range(ring.dimension - w.length):
                 x = ring.chevalley(h, x)
             assert ring.integrate(x) != 0, (parabolic, w.name)
@@ -500,7 +511,7 @@ def test_basis_membership():
     g = make_group("G2")
     base = SchubertRing(g, (1,))
     with pytest.raises(ValueError):
-        base.sigma(g.generator(1))  # has a right descent in the Levi
+        sigma(base, generator(g, 1))  # has a right descent in the Levi
     assert len(base) == 6
     assert base.dimension == 5
 
@@ -529,16 +540,16 @@ def test_pushforward_collapsed_node_rejected():
 def test_cohomology_element_api():
     g = make_group("G2")
     flag = SchubertRing(g, ())
-    a = flag.sigma(g.from_word([1, 2]))
-    b = flag.sigma(g.from_word([2, 1]))
+    a = sigma(flag, g.from_word([1, 2]))
+    b = sigma(flag, g.from_word([2, 1]))
     assert str(3 * a + 5 * b) == "3*sigma[s1*s2] + 5*sigma[s2*s1]"
     assert str(a - b) == "sigma[s1*s2] - sigma[s2*s1]"
     assert str(-a) == "-sigma[s1*s2]"
     assert str(flag.zero()) == "0"
     assert (a - a).is_zero
     assert 2 * a == a + a
-    assert a.coefficient(g.from_word([1, 2])) == 1
-    assert a.coefficient(g.identity) == 0
+    assert coefficient(a, g.from_word([1, 2])) == 1
+    assert coefficient(a, identity(g)) == 0
     assert a != b
 
 
@@ -569,7 +580,7 @@ def test_orbit_products_match_oracle_on_rank3(name, data):
         ring = SchubertRing(g, parabolic)
         lam = free_weights(weights, parabolic)
         for w in ring.basis:
-            got = as_dict(ring.chevalley(DivisorClass(lam), ring.sigma(w)))
+            got = as_dict(ring.chevalley(DivisorClass(lam), sigma(ring, w)))
             assert got == oracle_multiply(g, parabolic, lam, {w: 1}), (parabolic, lam, w.name)
 
 
@@ -589,7 +600,7 @@ def test_orbit_products_match_oracle_on_drawn_parabolics(case):
     g, ring, d, cells = case
     for k in cells:
         w = ring.basis[k]
-        got = as_dict(ring.chevalley(d, ring.sigma(w)))
+        got = as_dict(ring.chevalley(d, sigma(ring, w)))
         assert got == oracle_multiply(g, ring.parabolic, d.weights, {w: 1}), (
             ring.parabolic, d, w.name,
         )
@@ -603,7 +614,7 @@ def test_divisors_commute_on_quotients(case, data):
         data.draw(st.tuples(*[st.integers(-2, 3)] * ring.rank)), ring.parabolic
     ))
     for k in cells:
-        x = ring.sigma(ring.basis[k])
+        x = sigma(ring, ring.basis[k])
         assert ring.chevalley(d1, ring.chevalley(d2, x)) == ring.chevalley(
             d2, ring.chevalley(d1, x)
         ), (ring.parabolic, d1, d2, k)
@@ -630,7 +641,7 @@ def test_projection_formula_on_rank3_fibrations(name):
                 for w in ((1,) * g.rank, (2, 1, 3), (0, 3, 1))
             ]
             for w in source.basis:
-                x = source.sigma(w)
+                x = sigma(source, w)
                 pushed = pushforward(x, node, base)
                 if line:
                     want = oracle_pushforward(g, node, base.parabolic, {w: 1})
@@ -655,10 +666,50 @@ def test_rings_leave_the_group_unbuilt():
                 x = ring.chevalley(d, x)
             assert ring.integrate(x) > 0
             rings.append(ring)
-        assert "elements" not in g.__dict__, name
+        assert not g._made, name
         assert g._walks == walks and all(g._walks[p] is w for p, w in walks.items())
         for ring in rings:
             assert ring.words == g.coset_words(ring.parabolic)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_divisors_are_the_cells_of_one_letter(name):
+    g = shared_group(name)
+    for parabolic in all_parabolics(g.rank):
+        ring = SchubertRing(g, parabolic)
+        for i in ring.free_nodes:
+            omega = DivisorClass(int(j == i) for j in range(1, g.rank + 1))
+            (k,) = ring.from_divisor(omega).coefficients()
+            assert ring.words[k] == (i,), (parabolic, i)
+        weights = free_weights(range(2, g.rank + 2), parabolic)
+        got = ring.from_divisor(DivisorClass(weights)).coefficients()
+        assert got == {ring.words.index((i,)): weights[i - 1] for i in ring.free_nodes}
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_pullback_keeps_every_word(name):
+    g = shared_group(name)
+    rings = {p: SchubertRing(g, p) for p in all_parabolics(g.rank)}
+    index = {p: {w: k for k, w in enumerate(ring.words)} for p, ring in rings.items()}
+    for p, ring in rings.items():
+        # every cell at once, each with its own coefficient
+        x = CohomologyElement(ring, {k: k + 1 for k in range(len(ring))})
+        for q in all_parabolics(g.rank):
+            if set(q) <= set(p):
+                got = pullback(x, rings[q]).coefficients()
+                want = {index[q][w]: k + 1 for k, w in enumerate(ring.words)}
+                assert got == want, (p, q)
+
+
+def test_pullback_refuses_a_cell_whose_word_differs():
+    g = make_group("G2")
+    flag, base = SchubertRing(g, ()), SchubertRing(g, (1,))
+    words = list(flag.words)
+    words[3], words[4] = words[4], words[3]  # s1*s2 and s2*s1 trade places
+    flag.words = tuple(words)
+    assert pullback(CohomologyElement(base, {1: 1}), flag).coefficients() == {2: 1}
+    with pytest.raises(ConventionError, match=r"s1\*s2 lost under pullback"):
+        pullback(CohomologyElement(base, {2: 1}), flag)
 
 
 def test_basis_elements_are_the_groups_cells():
@@ -666,14 +717,15 @@ def test_basis_elements_are_the_groups_cells():
         g = make_group(name)
         rings = [SchubertRing(g, p) for p in all_parabolics(g.rank)]
         bases = [ring.basis for ring in rings]
-        assert "elements" not in g.__dict__
+        # only the cells were made
+        assert set(g._made.values()) == set().union(*bases)
         for ring, basis in zip(rings, bases):
             parabolic = ring.parabolic
             assert basis == g.min_coset_reps(parabolic)
             for k, w in enumerate(g.min_coset_reps(parabolic)):
-                assert ring.basis[k].x == w.x
-                assert ring.basis_index(w) == k
-                assert ring.sigma(w).coefficient(w) == 1
+                assert inverse_point(ring.basis[k]) == inverse_point(w)
+                assert basis_index(ring, w) == k
+                assert coefficient(sigma(ring, w), w) == 1
 
 
 def top_degree(g, parabolic):
@@ -698,7 +750,7 @@ def test_e_series_degrees_through_the_ring(name, free, expected):
     start = time.perf_counter()
     assert top_degree(g, parabolic) == expected
     assert time.perf_counter() - start < 1.0
-    assert "elements" not in g.__dict__
+    assert not g._made
 
 
 # --- integer point codes ----------------------------------------------
@@ -853,7 +905,7 @@ def test_bools_and_non_ints_are_refused():
     with pytest.raises(ValueError, match="out of range 1..2"):
         g.normalize_parabolic([3])
     with pytest.raises(ValueError, match="node index must be an int"):
-        g.generator(True)
+        generator(g, True)
     with pytest.raises(ValueError, match="letter must be an int"):
         g.from_word([1, True])
     with pytest.raises(ValueError, match="must be an int"):

@@ -1,7 +1,18 @@
-"""Test oracles on the whole enumerated group and on root-lattice matrices.
+"""Test oracles: the element API the library no longer carries, the
+whole enumerated group, and root-lattice matrices.
+
+The library makes an element only where the benchmark's tracer needs
+one; no verb lists W, inverts, orders or tests a right descent.  Those
+live here, on the library's constructor ``WeylGroup._at`` and its
+folding of words onto points: ``elements`` lists W from the walk of rho,
+handing the walk's words to the group's table of made elements so that
+equal elements stay the same object, and ``inverse_point`` gives
+w^-1(rho), on whose signs the right descents are read.  The Schubert
+lookups by element (``basis_index``, ``sigma``, ``terms``,
+``coefficient``) find cells by their canonical words.
 
 The library counts W_P through the degrees and never lists it; these
-list it by filtering ``WeylGroup.elements``, so the factorization
+list it by filtering ``elements``, so the factorization
 W(L) = W^P(L) W_P(L) and |W^P| |W_P| = |W| are checked against an
 enumeration that shares no code with ``parabolic_degrees``.
 
@@ -14,16 +25,128 @@ checked against matrix arithmetic.
 """
 
 from functools import cache
+from typing import NamedTuple
 
 from g2pair.motive import LPolynomial
-from g2pair.rootsys import matvec
+from g2pair.rootsys import check_node, matvec
+from g2pair.schubert import CohomologyElement
+from g2pair.weyl import WeylElement
+
+
+@cache
+def elements(group):
+    """Every element, from the walk of rho, in (length, word) order.  An
+    element the group has already made must carry the walk's word."""
+    words, ys, _ = group.orbit(())
+    made = group._made
+    for word, y in zip(words, ys):
+        if y not in made:
+            made[y] = WeylElement(word, y, group)
+        assert made[y].word == word, (made[y], word)
+    out = tuple(made[y] for y in ys)
+    if len(out) != group.order:
+        raise AssertionError(f"orbit of rho has {len(out)} points, the degrees give {group.order}")
+    if len(out) > 1 and out[-2].length == out[-1].length:
+        raise AssertionError("longest element is not unique; group is not finite Weyl")
+    return out
+
+
+def identity(group):
+    return group._at(group._rho)
+
+
+def generator(group, i):
+    check_node(i, group.rank)
+    return group.from_word((i,))
+
+
+def longest_element(group):
+    """w0, the element with w0(rho) = -rho."""
+    return group._at(tuple(-c for c in group._rho))
+
+
+@cache
+def _inverse_point(group, word):
+    return group._fold(word[::-1], group._rho)
+
+
+def inverse_point(w):
+    """w^-1(rho), the point of the reversed word."""
+    return _inverse_point(w.group, w.word)
+
+
+def inverse(w):
+    return w.group._at(inverse_point(w))
+
+
+def order(w):
+    k, cur = 1, w
+    while cur.word:
+        cur = cur * w
+        k += 1
+    return k
+
+
+def has_right_descent(w, i):
+    """l(w s_i) < l(w), i.e. w sends alpha_i to a negative root, i.e.
+    <w^-1 rho, alpha_i_check> < 0."""
+    return inverse_point(w)[i - 1] < 0
+
+
+class LengthBijection(NamedTuple):
+    """Pairing of two coset-representative lists by sorted position.
+
+    ``pairs`` is None when the length multisets disagree; the two length
+    tuples stay available either way so a failure names the mismatch.
+    """
+
+    left: tuple
+    right: tuple
+    lengths_left: tuple
+    lengths_right: tuple
+    pairs: tuple | None
+
+    @property
+    def ok(self):
+        return self.pairs is not None
+
+
+def length_bijection(group, left_nodes, right_nodes):
+    left = group.min_coset_reps(left_nodes)
+    right = group.min_coset_reps(right_nodes)
+    ll = tuple(map(len, group.coset_words(left_nodes)))
+    lr = tuple(map(len, group.coset_words(right_nodes)))
+    pairs = tuple(zip(left, right)) if ll == lr else None
+    return LengthBijection(left=left, right=right, lengths_left=ll, lengths_right=lr, pairs=pairs)
+
+
+def basis_index(ring, w):
+    """The cell of w in a Schubert ring, by its canonical word, or None."""
+    return ring.words.index(w.word) if w.word in ring.words else None
+
+
+def sigma(ring, w):
+    k = basis_index(ring, w)
+    if k is None:
+        raise ValueError(f"{w.name} is not a minimal representative here")
+    return CohomologyElement(ring, {k: 1})
+
+
+def terms(x):
+    """(cell as an element, coefficient) pairs of a cohomology class."""
+    return tuple((x.ring.basis[k], c) for k, c in x.coefficients().items())
+
+
+def coefficient(x, w):
+    k = basis_index(x.ring, w)
+    return 0 if k is None else x.coefficients().get(k, 0)
 
 
 def parabolic_elements(group, nodes):
     """Elements of the standard parabolic subgroup W_P.  Canonical words
     of W_P elements only use letters of P, so membership is a word test."""
     p = set(group.normalize_parabolic(nodes))
-    return tuple(w for w in group.elements if set(w.word) <= p)
+    return tuple(w for w in elements(group) if set(w.word) <= p)
 
 
 def subgroup_length_poly(group, nodes):
