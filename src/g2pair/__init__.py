@@ -46,8 +46,6 @@ from .schubert import (
     SchubertRing,
     chern_of_pushforward_bundle,
     degree_of_zero_locus,
-    divisor_from_degree_one,
-    pullback,
     pushforward,
 )
 from .cli import run
@@ -85,12 +83,10 @@ __all__ = [
     "check_step",
     "chern_of_pushforward_bundle",
     "degree_of_zero_locus",
-    "divisor_from_degree_one",
     "normal_form",
     "parse_cartan",
     "poincare_polynomial",
     "projective_bundle_poly",
-    "pullback",
     "pushforward",
     "root_system",
     "run",

@@ -126,6 +126,15 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("type", help="Cartan type name (A1..G2) or JSON matrix literal")
+    common.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+    common.add_argument(
+        "--cap", type=int, default=None, metavar="N",
+        help="enumeration cap for roots and group elements",
+    )
     parser = argparse.ArgumentParser(
         prog="g2pair",
         description=(
@@ -134,59 +143,34 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("type", help="Cartan type name (A1..G2) or JSON matrix literal")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
+    verbs = {
+        name: sub.add_parser(name, help=text, parents=[common])
+        for name, text in (
+            ("roots", "positive roots in simple-root coordinates"),
+            ("weyl-order", "order of the Weyl group"),
+            ("cosets", "minimal coset representatives of W/W_P"),
+            ("poincare", "cell-count polynomial of G/P in L"),
+            ("verify-identity", "derive and replay-check the relation L*([X] - [Y]) = 0"),
+            ("degree", "degree of the 3-fold zero locus on one side"),
+            ("certificate", "full report: cosets, cell counts, identity derivation, degrees"),
         )
-        p.add_argument(
-            "--cap", type=int, default=None, metavar="N",
-            help="enumeration cap for roots and group elements",
-        )
-
-    p = sub.add_parser("roots", help="positive roots in simple-root coordinates")
-    common(p)
-
-    p = sub.add_parser("weyl-order", help="order of the Weyl group")
-    common(p)
-
-    p = sub.add_parser("cosets", help="minimal coset representatives of W/W_P")
-    common(p)
-    p.add_argument(
+    }
+    verbs["cosets"].add_argument(
         "--parabolic", type=_parse_nodes, required=True, metavar="i[,j...]",
         help="nodes generating the parabolic subgroup",
     )
-
-    p = sub.add_parser("poincare", help="cell-count polynomial of G/P in L")
-    common(p)
-    p.add_argument(
+    verbs["poincare"].add_argument(
         "--parabolic", type=_parse_nodes, default=(), metavar="i[,j...]",
         help="nodes generating the parabolic subgroup (default: none, full flag)",
     )
-    p.add_argument(
+    verbs["poincare"].add_argument(
         "--at", type=int, default=None, metavar="q",
         help="evaluate at L = q (point count over a field with q elements)",
     )
-
-    p = sub.add_parser(
-        "verify-identity",
-        help="derive and replay-check the relation L*([X] - [Y]) = 0",
-    )
-    common(p)
-
-    p = sub.add_parser("degree", help="degree of the 3-fold zero locus on one side")
-    common(p)
-    p.add_argument(
+    verbs["degree"].add_argument(
         "--side", type=int, required=True, choices=(1, 2),
         help="which 5-dimensional quotient carries the zero locus",
     )
-
-    p = sub.add_parser(
-        "certificate",
-        help="full report: cosets, cell counts, identity derivation, degrees",
-    )
-    common(p)
     return parser
 
 

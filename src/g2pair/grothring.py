@@ -81,7 +81,7 @@ class MotivicClass(Combination):
         return LPolynomial({p: c for (s, p), c in self._terms.items() if s == PURE})
 
     def times_L(self, power: int) -> "MotivicClass":
-        if not isinstance(power, int) or power < 0:
+        if isinstance(power, bool) or not isinstance(power, int) or power < 0:
             raise ValueError("L-power must be a nonnegative integer")
         return self._with({(s, p + power): c for (s, p), c in self._terms.items()})
 
@@ -142,6 +142,8 @@ class RewriteRule(
             raise ValueError("the pure symbol cannot head a rewrite rule")
         if lhs in rhs.symbols():
             raise ValueError(f"rule right side mentions its own symbol [{lhs}]")
+        if not isinstance(justification, str):
+            raise ValueError("rule justification must be a string")
         return super().__new__(cls, lhs, rhs, justification)
 
     @property
@@ -160,7 +162,7 @@ class RewriteRule(
         return cls(
             lhs=doc["lhs"],
             rhs=MotivicClass.from_json(doc["rhs"]),
-            justification=str(doc.get("justification", "")),
+            justification=doc.get("justification", ""),
         )
 
 

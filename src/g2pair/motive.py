@@ -92,7 +92,7 @@ class Combination:
         return (-self).__add__(other)
 
     def times_int(self, n: int):
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError("coefficients must be integers")
         return self._with({k: n * c for k, c in self._terms.items()})
 
@@ -138,10 +138,6 @@ class LPolynomial(Combination):
     def lefschetz(cls, power: int = 1) -> "LPolynomial":
         return cls({power: 1})
 
-    @classmethod
-    def from_pairs(cls, pairs: PairList) -> "LPolynomial":
-        return cls(pairs)
-
     def to_pairs(self) -> PairList:
         return [[d, c] for d, c in self._terms.items()]
 
@@ -160,7 +156,7 @@ class LPolynomial(Combination):
         return all(self.coefficient(k) == self.coefficient(d - k) for k in range(d + 1))
 
     def evaluate(self, q: int) -> int:
-        if not isinstance(q, int):
+        if isinstance(q, bool) or not isinstance(q, int):
             raise ValueError("evaluation point must be an integer")
         return sum(c * q**d for d, c in self._terms.items())
 
@@ -183,7 +179,7 @@ class LPolynomial(Combination):
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = LPolynomial.one()
         for _ in range(n):
@@ -233,6 +229,6 @@ def poincare_polynomial(group: WeylGroup, parabolic: Iterable[int] = ()) -> LPol
 
 def projective_bundle_poly(base: LPolynomial, rank: int) -> LPolynomial:
     """Class of a projectivized rank-r bundle: base * (1 + L + ... + L^(r-1))."""
-    if not isinstance(rank, int) or rank < 1:
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
         raise ValueError("bundle rank must be a positive integer")
     return base * LPolynomial((k, 1) for k in range(rank))

@@ -31,14 +31,15 @@ codes are distinct when it is built and raises ConventionError if two
 collide, so a radix too small fails before any product.  The
 projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
 point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
-layers lower, and to zero otherwise; pullback keeps each cell (canonical
-words of W^P' are words of W^P).  Together they compute the
-Chern classes of the rank-2 bundle V with P(V) = G/B over G/P, and from
-those the degree of the anticanonical zero locus of a section of V.
+layers lower, and to zero otherwise.  With Chevalley products on G/B
+it computes the Chern classes of the rank-2 bundle V with P(V) = G/B
+over G/P from its Chern roots zeta and zeta - alpha_j, and from those
+the degree of the anticanonical zero locus of a section of V.
 
-The bundle conventions are self-checked: zeta (the tautological divisor
-upstairs) must push to 1, and c1, c2 must satisfy the rank-2 relation
-zeta^2 - p*(c1).zeta + p*(c2) = 0 exactly, term by term.
+The bundle conventions are self-checked by pushforward alone: zeta (the
+tautological divisor upstairs) must push to 1, and the product of the
+two roots must push to 0 and, times zeta, to c2, which together are the
+rank-2 relation zeta^2 - p*(c1).zeta + p*(c2) = 0, exactly.
 
 A CohomologyElement is a Combination (motive.py) keyed by cell index:
 sums, multiples and rendering are the ones L-polynomials and motivic
@@ -48,7 +49,7 @@ classes use, while equality and sums also require the same ring.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
@@ -285,37 +286,6 @@ class SchubertRing:
         return x.coefficients().get(self._top, 0)
 
 
-def divisor_from_degree_one(x: CohomologyElement) -> DivisorClass:
-    """Read a degree-1 element as a divisor in weight coordinates."""
-    weights = [0] * x.ring.rank
-    for k, c in x.coefficients().items():
-        word = x.ring.words[k]
-        if len(word) != 1:
-            raise ValueError(f"{x} is not of pure degree 1")
-        weights[word[0] - 1] = c
-    return DivisorClass(tuple(weights))
-
-
-def pullback(x: CohomologyElement, to_ring: SchubertRing) -> CohomologyElement:
-    """Along G/Q -> G/P with Q inside P: basis classes map to themselves.
-    The cell of w upstairs is at the point w(omega_Q), the word folded
-    onto omega_Q, found by its code; its canonical word must be w's."""
-    group = to_ring.group
-    if group is not x.ring.group:
-        raise ValueError("rings must share the Weyl group")
-    if not set(to_ring.parabolic) <= set(x.ring.parabolic):
-        raise ValueError("pullback goes to a finer quotient only")
-    powers, omega = group.point_codes[0], to_ring.points[0]
-    out: dict[int, int] = {}
-    for k, c in x.coefficients().items():
-        word = x.ring.words[k]
-        j = to_ring._at[sum(map(mul, group._fold(word, omega), powers))]
-        if to_ring.words[j] != word:
-            raise ConventionError(f"{word_name(word)} lost under pullback")
-        out[j] = c
-    return CohomologyElement(to_ring, out)
-
-
 def pushforward(
     x: CohomologyElement,
     fiber_node: int,
@@ -355,11 +325,16 @@ def chern_of_pushforward_bundle(
     zeta: Optional[DivisorClass] = None,
 ) -> tuple[CohomologyElement, CohomologyElement]:
     """Chern classes c1, c2 of the rank-2 bundle V on G/P with
-    P(V) = G/B, fibered through the given node.
+    P(V) = G/B, fibered through the node j = ``fiber_node``.
 
     zeta is the divisor upstairs normalized by p_* zeta = 1; by default
-    every fundamental weight appears once.  Both defining identities are
-    re-checked exactly: the normalization, and the rank-2 relation
+    every fundamental weight appears once.  The Chern roots of p*V are
+    zeta and s = s_j zeta = zeta - alpha_j (splitting principle), so
+    c1 = zeta + s, a divisor that descends, p*c2 = s.zeta and, by the
+    projection formula, c2 = p_*(s.zeta^2).  Checked exactly: the
+    normalization; p_*(s.zeta) = 0, so s.zeta lies on the W^P cells,
+    the image of p*; and p_*(zeta.(s.zeta)) = c2, so s.zeta = p*c2.  By
+    linearity in the divisor these are the rank-2 relation
     zeta^2 - p*(c1).zeta + p*(c2) = 0 in H*(G/B).
     """
     flag = SchubertRing(group, ())
@@ -371,14 +346,15 @@ def chern_of_pushforward_bundle(
         raise ConventionError(
             f"divisor {zeta} does not push to 1 through node {fiber_node}"
         )
-    z2 = flag.chevalley(zeta, zeta_elem)
-    z3 = flag.chevalley(zeta, z2)
-    c1 = pushforward(z2, fiber_node, base)
-    d1 = divisor_from_degree_one(c1)
-    c2 = base.chevalley(d1, c1) - pushforward(z3, fiber_node, base)
-    residual = z2 - flag.chevalley(zeta, pullback(c1, flag)) + pullback(c2, flag)
-    if not residual.is_zero:
-        raise ConventionError(f"rank-2 bundle relation fails by {residual}")
+    alpha = [row[fiber_node - 1] for row in group.root_system.cartan.entries]
+    s = DivisorClass(map(sub, zeta.weights, alpha))
+    c1 = base.from_divisor(DivisorClass(map(add, zeta.weights, s.weights)))
+    c2 = pushforward(flag.chevalley(s, flag.chevalley(zeta, zeta_elem)), fiber_node, base)
+    up = flag.chevalley(s, zeta_elem)
+    if not pushforward(up, fiber_node, base).is_zero:
+        raise ConventionError(f"s.zeta = {up} is not pulled back from G/P")
+    if pushforward(flag.chevalley(zeta, up), fiber_node, base) != c2:
+        raise ConventionError(f"s.zeta = {up} is not the pullback of c2 = {c2}")
     return c1, c2
 
 

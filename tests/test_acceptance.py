@@ -17,7 +17,6 @@ from g2pair.schubert import (
     SchubertRing,
     chern_of_pushforward_bundle,
     degree_of_zero_locus,
-    pullback,
     pushforward,
 )
 from g2pair.weyl import WeylGroup
@@ -25,6 +24,7 @@ from weyl_oracles import (
     elements,
     generator,
     length_bijection,
+    lift,
     order,
     parabolic_elements,
     sigma,
@@ -199,7 +199,7 @@ def test_criterion_7_property_suites():
         z1 = flag.from_divisor(zeta)
         z2 = flag.chevalley(zeta, z1)
         residual = (
-            z2 - flag.chevalley(zeta, pullback(c1, flag)) + pullback(c2, flag)
+            z2 - flag.chevalley(zeta, lift(c1, flag)) + lift(c2, flag)
         )
         relation_ok = relation_ok and residual.is_zero
 

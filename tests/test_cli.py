@@ -4,10 +4,16 @@ run() is called in-process so stdout/stderr land in capsys; one test
 goes through a real subprocess to cover the module entry point.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2pair
 from g2pair.cli import run
@@ -252,6 +258,46 @@ def test_root_cap_error_reports_progress(capsys):
     code, out, err = invoke(capsys, "roots", "G2", "--cap", "5")
     assert (code, out) == (1, "")
     assert err == "error: positive root generation exceeded cap 5 (6 roots through height 5)\n"
+
+
+@st.composite
+def cartan_literals(draw):
+    """Rank 1-4, off-diagonal entries in 0..-4 with zeros placed
+    symmetrically, and one time in five a diagonal entry other than 2."""
+    n = draw(st.integers(1, 4))
+    rows = [[2] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.sampled_from((-1, -2, -3, -4, 0)))
+            rows[j][i] = draw(st.sampled_from((-1, -2, -3, -4))) if rows[i][j] else 0
+    if draw(st.integers(0, 4)) == 4:
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = draw(st.sampled_from((0, 1, 3)))
+    return json.dumps(rows, separators=(",", ":"))
+
+
+VERB_ARGS = (
+    ("roots",), ("weyl-order",), ("cosets", "--parabolic", "1"), ("poincare",),
+    ("verify-identity",), ("degree", "--side", "1"), ("certificate",),
+)
+
+
+@given(cartan_literals())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_random_literals_exit_cleanly(literal):
+    # every verb under a small cap: a result, or one error line and nothing else
+    for verb, *extra in VERB_ARGS:
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([verb, literal, *extra, "--cap", "60"])
+        assert time.perf_counter() - start < 1.0, (verb, literal)
+        if code == 0:
+            assert out.getvalue() and not err.getvalue(), (verb, literal)
+        else:
+            assert code == 1, (verb, literal, err.getvalue())
+            assert out.getvalue() == "", (verb, literal)
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

@@ -8,7 +8,7 @@ that sharing the code does not widen or narrow what they combine with.
 import pytest
 
 from g2pair.grothring import MotivicClass
-from g2pair.motive import L, LPolynomial
+from g2pair.motive import L, LPolynomial, projective_bundle_poly
 from g2pair.rootsys import root_system
 from g2pair.schubert import SchubertRing
 from g2pair.weyl import WeylGroup
@@ -56,6 +56,25 @@ def test_non_integer_operands_rejected():
         ring.one() * 1.5
     with pytest.raises(TypeError):
         L * 1.5
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    (
+        (lambda n: atom("X") * n, "coefficients must be integers"),
+        (lambda n: SchubertRing(WeylGroup(root_system("G2")), ()).one() * n,
+         "coefficients must be integers"),
+        (lambda n: L**n, "exponent must be a nonnegative integer"),
+        (lambda n: (1 + L).evaluate(n), "evaluation point must be an integer"),
+        (lambda n: projective_bundle_poly(L, n), "bundle rank must be a positive integer"),
+        (lambda n: atom("X").times_L(n), "L-power must be a nonnegative integer"),
+    ),
+)
+def test_bool_operands_rejected(op, message):
+    # True is an int to isinstance; read as 1 it would pass unnoticed
+    op(1)
+    with pytest.raises(ValueError, match=message):
+        op(True)
 
 
 def test_equal_values_hash_equal():

@@ -366,6 +366,17 @@ def test_rule_symbols_must_be_strings(lhs):
         RewriteRule(lhs, MotivicClass.from_json(rhs))
 
 
+@pytest.mark.parametrize("justification", (5, None, True, ["why"]))
+def test_rule_justification_must_be_a_string(justification):
+    rhs = {"terms": [["F1", 0, 1], ["X", 1, 1]]}
+    assert RewriteRule.from_json({"lhs": "A", "rhs": rhs}).justification == ""
+    assert RewriteRule.from_json({"lhs": "A", "rhs": rhs, "justification": "5"}).justification == "5"
+    with pytest.raises(ValueError, match="rule justification must be a string"):
+        RewriteRule.from_json({"lhs": "A", "rhs": rhs, "justification": justification})
+    with pytest.raises(ValueError, match="rule justification must be a string"):
+        RewriteRule("A", atom("1"), justification)
+
+
 def test_motivic_keys_refuse_bools():
     assert MotivicClass({("X", 1): 1}) == atom("X", 1)
     with pytest.raises(ValueError, match="L-power"):

@@ -69,14 +69,14 @@ def test_str_formats():
 
 def test_pairs_round_trip():
     p = 3 - 2 * L**4 + L**7
-    assert LPolynomial.from_pairs(p.to_pairs()) == p
+    assert LPolynomial(p.to_pairs()) == p
 
 
 @pytest.mark.parametrize("pairs", ([[1.5, 2]], [[1, 2.0]], [["1", 2]], [[True, 2]], [[1, False]]))
 def test_pairs_are_read_without_coercion(pairs):
     # int() would read [[1.5, 2]] as 2*L
     with pytest.raises(ValueError, match="degrees and coefficients must be integers"):
-        LPolynomial.from_pairs(pairs)
+        LPolynomial(pairs)
 
 
 def test_polynomial_keys_refuse_bools():

@@ -33,8 +33,6 @@ from g2pair.schubert import (
     check_rank2_pair,
     chern_of_pushforward_bundle,
     degree_of_zero_locus,
-    divisor_from_degree_one,
-    pullback,
     pushforward,
 )
 from g2pair.weyl import WeylGroup
@@ -47,6 +45,7 @@ from weyl_oracles import (
     generator,
     identity,
     inverse_point,
+    lift,
     sigma,
     terms,
 )
@@ -295,17 +294,17 @@ def test_pushforward_pullback_basics():
         zeta = flag.from_divisor(DivisorClass((1, 1)))
         assert pushforward(flag.one(), fiber, base).is_zero
         assert pushforward(zeta, fiber, base) == base.one()
-        assert pullback(base.one(), flag) == flag.one()
+        assert lift(base.one(), flag) == flag.one()
         # pushforward annihilates every pullback (fiber-degree 0)
         for w in base.basis:
-            lifted = pullback(sigma(base, w), flag)
+            lifted = lift(sigma(base, w), flag)
             assert pushforward(lifted, fiber, base).is_zero
         # pullback of the ample generator is the Schubert divisor of the
         # node outside the Levi
         h = base.from_divisor(base.ample_generator())
-        assert pullback(h, flag) == sigma(flag, generator(g, 3 - fiber))
+        assert lift(h, flag) == sigma(flag, generator(g, 3 - fiber))
         point = base.point_class()
-        assert pullback(point, flag).degree() == 5
+        assert lift(point, flag).degree() == 5
 
 
 def test_pushforward_matches_oracle():
@@ -362,7 +361,7 @@ def test_grading_shifts():
     assert x.degree() == 1
     assert flag.chevalley(zeta, x).degree() == 2
     assert pushforward(flag.chevalley(zeta, x), 1, base).degree() == 1
-    assert pullback(base.one(), flag).degree() == 0
+    assert lift(base.one(), flag).degree() == 0
     mixed = flag.one() + x
     with pytest.raises(ValueError):
         mixed.degree()
@@ -426,6 +425,62 @@ def test_chern_custom_zeta():
     assert c2t == 13 * s12  # 7 + 5 + 1
 
 
+@pytest.mark.parametrize("name", ("A2", "B2", "C2", "G2"))
+def test_chern_catches_every_corrupted_product(name, monkeypatch):
+    # Add +-sigma[v] to one Chevalley product on G/B, for every cell v and
+    # every such product the call makes: the call must return the true
+    # (c1, c2) or raise ConventionError.
+    g = make_group(name)
+    chevalley = SchubertRing.chevalley
+    products = []  # the G/B products of the current call
+    fault = None  # (n, cell, sign): add sign*sigma[cell] to product n
+
+    def tampered(ring, d, x):
+        out = chevalley(ring, d, x)
+        if not ring.parabolic:
+            if fault and fault[0] == len(products):
+                out = out + CohomologyElement(ring, {fault[1]: fault[2]})
+            products.append(out)
+        return out
+
+    monkeypatch.setattr(SchubertRing, "chevalley", tampered)
+    cells = range(len(SchubertRing(g, ())))
+    for fiber in (1, 2):
+        fault = None
+        products.clear()
+        want = tuple(map(str, chern_of_pushforward_bundle(g, fiber)))
+        count, caught = len(products), 0
+        assert count > 0
+        for fault in itertools.product(range(count), cells, (1, -1)):
+            products.clear()
+            try:
+                got = chern_of_pushforward_bundle(g, fiber)
+            except ConventionError:
+                caught += 1
+                continue
+            assert tuple(map(str, got)) == want, (fiber, fault)
+        assert caught > 0, fiber
+
+
+def test_chern_refuses_a_root_product_off_the_base(monkeypatch):
+    # On G2 over node 1 the second root is s = zeta - alpha_1 = -w1 + 4 w2.
+    # Adding 3 sigma[s1*s2] - sigma[s2*s1] to s.zeta leaves p_*(zeta.s.zeta)
+    # and so c2 unchanged; only p_*(s.zeta) = 0 sees that s.zeta is no
+    # longer a pullback, i.e. that the rank-2 relation fails.
+    g = make_group("G2")
+    chevalley = SchubertRing.chevalley
+
+    def tampered(ring, d, x):
+        out = chevalley(ring, d, x)
+        if not ring.parabolic and d == DivisorClass((-1, 4)) and x.degree() == 1:
+            out = out + 3 * sigma(ring, g.from_word([1, 2])) - sigma(ring, g.from_word([2, 1]))
+        return out
+
+    monkeypatch.setattr(SchubertRing, "chevalley", tampered)
+    with pytest.raises(ConventionError, match="is not pulled back from G/P"):
+        chern_of_pushforward_bundle(g, 1)
+
+
 def test_degrees_42_and_14():
     g = make_group("G2")
     assert degree_of_zero_locus(g, 1) == 42
@@ -483,15 +538,6 @@ def test_integrate_degree_sensitivity():
     assert ring.integrate(ring.zero()) == 0
 
 
-def test_divisor_round_trip():
-    g = make_group("G2")
-    flag = SchubertRing(g, ())
-    d = DivisorClass((4, -3))
-    assert divisor_from_degree_one(flag.from_divisor(d)) == d
-    with pytest.raises(ValueError):
-        divisor_from_degree_one(flag.point_class())
-
-
 def test_picard_validation():
     g = make_group("G2")
     base = SchubertRing(g, (1,))
@@ -524,10 +570,6 @@ def test_ring_mixing_rejected():
         r1.one() + r2.one()
     with pytest.raises(ValueError):
         r1.chevalley(r1.ample_generator(), r2.one())
-    with pytest.raises(ValueError):
-        pullback(SchubertRing(make_group("A2"), ()).one(), r1)
-    with pytest.raises(ValueError):
-        pullback(r1.one(), r2)
 
 
 def test_pushforward_collapsed_node_rejected():
@@ -688,28 +730,14 @@ def test_divisors_are_the_cells_of_one_letter(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_pullback_keeps_every_word(name):
+    # p* along G/Q -> G/P keeps each cell by its word (``lift``): every
+    # canonical word of W^P is a canonical word of each finer W^Q
     g = shared_group(name)
     rings = {p: SchubertRing(g, p) for p in all_parabolics(g.rank)}
-    index = {p: {w: k for k, w in enumerate(ring.words)} for p, ring in rings.items()}
     for p, ring in rings.items():
-        # every cell at once, each with its own coefficient
-        x = CohomologyElement(ring, {k: k + 1 for k in range(len(ring))})
         for q in all_parabolics(g.rank):
             if set(q) <= set(p):
-                got = pullback(x, rings[q]).coefficients()
-                want = {index[q][w]: k + 1 for k, w in enumerate(ring.words)}
-                assert got == want, (p, q)
-
-
-def test_pullback_refuses_a_cell_whose_word_differs():
-    g = make_group("G2")
-    flag, base = SchubertRing(g, ()), SchubertRing(g, (1,))
-    words = list(flag.words)
-    words[3], words[4] = words[4], words[3]  # s1*s2 and s2*s1 trade places
-    flag.words = tuple(words)
-    assert pullback(CohomologyElement(base, {1: 1}), flag).coefficients() == {2: 1}
-    with pytest.raises(ConventionError, match=r"s1\*s2 lost under pullback"):
-        pullback(CohomologyElement(base, {2: 1}), flag)
+                assert set(ring.words) <= set(rings[q].words), (p, q)
 
 
 def test_basis_elements_are_the_groups_cells():

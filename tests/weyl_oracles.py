@@ -9,7 +9,8 @@ handing the walk's words to the group's table of made elements so that
 equal elements stay the same object, and ``inverse_point`` gives
 w^-1(rho), on whose signs the right descents are read.  The Schubert
 lookups by element (``basis_index``, ``sigma``, ``terms``,
-``coefficient``) find cells by their canonical words.
+``coefficient``) find cells by their canonical words, and ``lift`` pulls
+a class back to a finer quotient the same way.
 
 The library counts W_P through the degrees and never lists it; these
 list it by filtering ``elements``, so the factorization
@@ -140,6 +141,13 @@ def terms(x):
 def coefficient(x, w):
     k = basis_index(x.ring, w)
     return 0 if k is None else x.coefficients().get(k, 0)
+
+
+def lift(x, flag):
+    """Pullback of x to the finer ring ``flag``: each cell keeps its
+    canonical word."""
+    index = {w: k for k, w in enumerate(flag.words)}
+    return CohomologyElement(flag, {index[x.ring.words[k]]: c for k, c in x.coefficients().items()})
 
 
 def parabolic_elements(group, nodes):
