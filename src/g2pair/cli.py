@@ -19,9 +19,9 @@ from .errors import DomainError
 from .grothring import IdentityCertificate
 from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
-from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system
+from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system, series_exponents
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, check_order
 from . import grothring
 
 
@@ -181,6 +181,10 @@ def _root_system(ns: argparse.Namespace) -> RootSystem:
 
 def _group(ns: argparse.Namespace) -> WeylGroup:
     cap = ns.cap if ns.cap is not None else DEFAULT_GROUP_CAP
+    exponents = series_exponents(ns.type, ns.cap if ns.cap is not None else DEFAULT_ROOT_CAP)
+    if exponents is not None:
+        # |W| = prod (m_i + 1): refuse a large rank before making its roots
+        check_order(tuple(m + 1 for m in exponents), cap)
     return WeylGroup(_root_system(ns), cap=cap)
 
 

@@ -17,11 +17,13 @@ integers; nothing here floats.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
+from collections import Counter
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, NotFiniteTypeError, UnknownTypeError
 
@@ -202,7 +204,7 @@ def parse_cartan(name: str) -> CartanMatrix:
     if name.startswith("["):
         try:
             data = json.loads(name)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UnknownTypeError(f"bad matrix literal: {exc}") from None
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise UnknownTypeError("matrix literal must be a list of rows")
@@ -268,19 +270,6 @@ class RootSystem(
             coords.append(num // nb)
         return tuple(coords)
 
-    def coroot_pairing(self, v: Root, beta: Root) -> int:
-        """<v, beta_check> = 2 (v, beta) / (beta, beta) for a root beta."""
-        beta = tuple(beta)
-        if not self.is_root(beta):
-            raise ValueError(f"{beta} is not a root of this system")
-        if len(v) != self.rank:
-            raise ValueError("vector length does not match the rank")
-        cc = self.coroot_coordinates(beta)
-        # <alpha_j, beta_check> expands through the Cartan pairings of the
-        # simple coroots: <alpha_j, alpha_i_check> = a[i][j].
-        a = self.cartan.entries
-        return sum(v[j] * sum(cc[i] * a[i][j] for i in range(self.rank)) for j in range(self.rank))
-
 
 def _check_finite_type(cartan: CartanMatrix) -> None:
     """Raise NotFiniteTypeError unless the symmetrized matrix (d_i a[i][j])
@@ -328,10 +317,7 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
         layer = sorted(layers.pop(h))
         found += layer
         if len(found) > cap:
-            raise CapExceededError(
-                f"positive root generation exceeded cap {cap} "
-                f"({len(found)} roots through height {h})"
-            )
+            raise _root_cap_error(cap, len(found), h)
         for v in layer:
             for i, row in enumerate(a):
                 # s_i(v) = v - c alpha_i lies higher exactly when c < 0.
@@ -342,6 +328,40 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     return RootSystem(cartan, tuple(found))
 
 
+def _root_cap_error(cap: int, total: int, height: int) -> CapExceededError:
+    return CapExceededError(
+        f"positive root generation exceeded cap {cap} ({total} roots through height {height})"
+    )
+
+
+def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
+    """The exponents m_i of a type A_n, B_n, C_n or D_n named by ``name``,
+    None for any other string (a literal, an exceptional or unsupported
+    name), read off the name alone.  The roots of height h number
+    #{i: m_i >= h} (Kostant), so when they pass ``cap`` this raises the
+    error generate_root_system would, before any matrix is built."""
+    match = _TYPE_RE.match(name.strip())
+    letter, n = (match.group(1), int(match.group(2))) if match else ("", 0)
+    if letter == "A" and n >= 1:
+        exponents = tuple(range(1, n + 1))
+    elif letter in ("B", "C") and n >= 2:
+        exponents = tuple(range(1, 2 * n, 2))
+    elif letter == "D" and n >= 3:
+        exponents = (*range(1, 2 * n - 2, 2), n - 1)
+    else:
+        return None
+    if sum(exponents) > check_cap(cap):
+        per_height, left, total = Counter(exponents), n, 0
+        for h in itertools.count(1):
+            total += left
+            if total > cap:
+                raise _root_cap_error(cap, total, h)
+            left -= per_height[h]
+    return exponents
+
+
 def root_system(name: str, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
-    """Convenience: parse a type string and generate its root system."""
+    """Parse a type string and generate its root system; a named series
+    type past the cap is refused by ``series_exponents`` first."""
+    series_exponents(name, cap)
     return generate_root_system(parse_cartan(name), cap=cap)

@@ -4,10 +4,11 @@ The integral cohomology of G/P has a basis of Schubert classes sigma[w]
 indexed by minimal coset representatives, with sigma[w] sitting in
 degree 2*length(w).  A ring is built from the orbit of omega_P alone
 (weyl): the cell of w is the point mu = w(omega_P), at layer length(w),
-and the group is never enumerated.  Full products are not implemented;
-everything the degree computations need follows from Chevalley's divisor
-rule (Fulton-Woodward, "On the quantum product of Schubert classes"),
-read on the orbit:
+and the group is never enumerated: every ring of a quotient reads the
+group's one walk of it, and only the per-cell codes and pairings below
+are its own.  Full products are not implemented; everything the degree
+computations need follows from Chevalley's divisor rule (Fulton-Woodward,
+"On the quantum product of Schubert classes"), read on the orbit:
 
     sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
@@ -54,7 +55,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .weyl import Word, WeylElement, WeylGroup, word_name
+from .weyl import WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
@@ -142,9 +143,7 @@ class SchubertRing:
             i for i in range(1, group.rank + 1) if i not in self.parabolic
         )
         words, points, parents = group.orbit(self.parabolic)
-        self.words: tuple[Word, ...] = tuple(words)
-        self.points: tuple[tuple[int, ...], ...] = tuple(points)
-        self._parents = parents
+        self.words, self.points, self._parents = words, points, parents
         # per cell, made on first use: <w(omega_j), gamma_check> per free
         # node j; at the identity, the coefficient of alpha_j_check in gamma_check
         self._pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)

@@ -52,10 +52,11 @@ height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
 every layer, so the cap is checked before anything is enumerated and the
 order needs no enumeration.  The same rule, applied to the roots
 supported on P, gives the degrees of W_P, from which motive counts the
-cells of G/P without a walk.  Nothing here lists W: coset words and
-Schubert rings read only the walk of omega_P.  Each word of W^P is a
-letter followed by its parent's word, so a whole list is named in one
-pass, each name from the name its parent link points to.
+cells of G/P without a walk.  Nothing here lists W: coset words, names
+and Schubert rings read one walk of omega_P per parabolic, kept by the
+group.  Each word of W^P is a letter followed by its parent's word, so
+a whole list is named in one pass, each name from the name its parent
+link points to.
 No element is ever turned into a matrix; the tests derive matrices from
 the words as an independent cross-check.
 """
@@ -67,7 +68,7 @@ import math
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceededError
 from .rootsys import Root, RootSystem, check_cap, check_node, matvec
@@ -76,6 +77,7 @@ DEFAULT_GROUP_CAP = 1_000_000
 
 Word = tuple[int, ...]
 Point = tuple[int, ...]
+Walk = tuple[tuple[Word, ...], tuple[Point, ...], tuple[int, ...]]
 
 
 def word_name(word: Word) -> str:
@@ -178,40 +180,46 @@ def _degrees(roots: Iterable[Root], rank: int) -> tuple[int, ...]:
     )
 
 
-def q_product(degrees: Iterable[int]) -> list[int]:
-    """Coefficients of prod [d]_t over ``degrees``, [d]_t = 1 + t + ... + t^(d-1):
-    for the degrees of W, the number of elements of each length."""
+def q_product(degrees: Iterable[int], terms: Optional[int] = None) -> list[int]:
+    """Coefficients of prod [d]_t over ``degrees``, [d]_t = 1 + t + ... + t^(d-1),
+    all of them or the first ``terms``: for the degrees of W, the number
+    of elements of each length."""
     out = [1]
     for d in degrees:
         # Multiply by [d]_t = (1 - t^d) / (1 - t): divide by 1 - t as a
         # running sum, then multiply by 1 - t^d.
-        sums = list(itertools.accumulate(out + [0] * (d - 1)))
+        sums = list(itertools.accumulate(out + [0] * (d - 1)))[:terms]
         out = [c - (sums[k - d] if k >= d else 0) for k, c in enumerate(sums)]
     return out
 
 
-def _cap_error(degrees: tuple[int, ...], cap: int) -> CapExceededError:
-    """For an order above the cap: the error a breadth-first enumeration
-    would meet at the end of the first layer whose running total passes
-    the cap, with the layer sizes read off prod [d_i]_t."""
-    length, total = next(
-        (k, t) for k, t in enumerate(itertools.accumulate(q_product(degrees))) if t > cap
-    )
-    return CapExceededError(
-        f"Weyl group enumeration exceeded cap {cap} "
-        f"({total} elements through length {length})"
-    )
+def check_order(degrees: tuple[int, ...], cap: int) -> int:
+    """The order prod(degrees) of W; above ``cap``, the CapExceededError a
+    breadth-first enumeration would meet at the end of the first layer
+    whose running total passes the cap.  The layer sizes are read off
+    prod [d_i]_t, multiplied out only as far as that layer."""
+    order, terms = math.prod(degrees), 1
+    while order > cap:
+        terms *= 2
+        totals = enumerate(itertools.accumulate(q_product(degrees, terms)))
+        hit = next(((k, t) for k, t in totals if t > cap), None)
+        if hit:
+            raise CapExceededError(
+                f"Weyl group enumeration exceeded cap {cap} "
+                f"({hit[1]} elements through length {hit[0]})"
+            )
+    return order
 
 
 class WeylGroup:
     """Finite Weyl group of a root system.
 
     The order comes from the degrees, and CapExceededError is raised at
-    once when it passes ``cap``.  Coset words and their parent links come
-    from the walk of omega_P, kept per parabolic: one request asks for
-    the same quotients many times.  ``_at``, kept for the methods the
-    benchmark's tracer wraps, makes an element from its point w(rho) once,
-    on first use, and keeps it in ``_made``; nothing lists the group.
+    once when it passes ``cap``.  ``orbit`` keeps one walk of omega_P per
+    parabolic in ``_walks``, which coset words and Schubert rings read.
+    ``_at``, kept for the methods the benchmark's tracer wraps, makes an
+    element from its point w(rho) once, on first use, and keeps it in
+    ``_made``; nothing lists the group.
     """
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
@@ -223,10 +231,8 @@ class WeylGroup:
             tuple((j, a[j][i]) for j in range(rank) if a[j][i]) for i in range(rank)
         )
         self.degrees = _degrees(root_system.positive_roots, rank)
-        self.order = math.prod(self.degrees)
-        if self.order > cap:
-            raise _cap_error(self.degrees, cap)
-        self._walks: dict[tuple[int, ...], tuple[tuple[Word, ...], tuple[int, ...]]] = {}
+        self.order = check_order(self.degrees, cap)
+        self._walks: dict[tuple[int, ...], Walk] = {}
         self._rho: Point = (1,) * rank
         self._made: dict[Point, WeylElement] = {}
 
@@ -255,16 +261,21 @@ class WeylGroup:
                 v[j] -= c * a
         return tuple(v)
 
-    def orbit(self, nodes: tuple[int, ...]) -> tuple[list[Word], list[Point], list[int]]:
-        """The orbit of omega_P, P = ``nodes`` (normalized), breadth first
+    def orbit(self, nodes: Iterable[int]) -> Walk:
+        """The orbit of omega_P, P = ``nodes`` in any order, breadth first
         in (length, word) order: the canonical words, the points and the
-        index of each point's canonical parent (-1 for omega_P).  A
-        candidate s_i mu is accepted when mu has no first descent f < i,
-        rejected when f < i and mu_f - mu_i a_fi < 0, and only otherwise
-        reflected and checked."""
+        index of each point's canonical parent (-1 for omega_P).  Walked
+        once per parabolic and kept in ``_walks``, so every spelling of P
+        gets the same tuple.  A candidate s_i mu is accepted when mu has no
+        first descent f < i, rejected when f < i and mu_f - mu_i a_fi < 0,
+        and only otherwise reflected and checked."""
+        p = self.normalize_parabolic(nodes)
+        walk = self._walks.get(p)
+        if walk is not None:
+            return walk
         rank, cols, a = self.rank, self._columns, self.root_system.cartan.entries
         words: list[Word] = [()]
-        points: list[Point] = [tuple(0 if i in nodes else 1 for i in range(1, rank + 1))]
+        points: list[Point] = [tuple(0 if i in p else 1 for i in range(1, rank + 1))]
         parents = [-1]
         start = 0
         while start < len(points):
@@ -287,7 +298,8 @@ class WeylGroup:
                         points.append(t)
                         parents.append(k)
             start = end
-        return words, points, parents
+        walk = self._walks[p] = (tuple(words), tuple(points), tuple(parents))
+        return walk
 
     @property
     def rank(self) -> int:
@@ -313,24 +325,16 @@ class WeylGroup:
         roots = (b for b in self.root_system.positive_roots if not any(b[i] for i in outside))
         return _degrees(roots, len(p))
 
-    def _coset_walk(self, nodes: Iterable[int]) -> tuple[tuple[Word, ...], tuple[int, ...]]:
-        """Words and parent links of the walk of omega_P, kept per parabolic."""
-        p = self.normalize_parabolic(nodes)
-        walk = self._walks.get(p)
-        if walk is None:
-            words, _, parents = self.orbit(p)
-            walk = self._walks[p] = (tuple(words), tuple(parents))
-        return walk
-
     def coset_words(self, nodes: Iterable[int]) -> tuple[Word, ...]:
         """Canonical words of the minimal representatives of the cosets
-        w W_P, P generated by ``nodes``, sorted by (length, word), without
-        building the group."""
-        return self._coset_walk(nodes)[0]
+        w W_P, P generated by ``nodes``, sorted by (length, word): the
+        words of ``orbit``."""
+        return self.orbit(nodes)[0]
 
     def coset_names(self, nodes: Iterable[int]) -> list[str]:
         """word_name of each word of ``coset_words``, through the walk's links."""
-        return word_names(*self._coset_walk(nodes))
+        words, _, parents = self.orbit(nodes)
+        return word_names(words, parents)
 
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
         """Shortest representatives of the cosets w W_P, P generated by

@@ -8,17 +8,22 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import g2pair
 from g2pair.cli import run
+from g2pair.errors import CapExceededError
 from g2pair.grothring import IdentityCertificate, MotivicClass
 from g2pair.replay import check_certificate
+from g2pair.rootsys import root_system
+from g2pair.weyl import WeylGroup
 
 atom = MotivicClass.atom
 
@@ -27,6 +32,9 @@ FLAG_TEXT = "1 + 2*L + 2*L^2 + 2*L^3 + 2*L^4 + 2*L^5 + L^6"
 COSETS_SIDE1 = "e\ns2\ns1*s2\ns2*s1*s2\ns1*s2*s1*s2\ns2*s1*s2*s1*s2\n"
 COSETS_SIDE2 = "e\ns1\ns2*s1\ns1*s2*s1\ns2*s1*s2*s1\ns1*s2*s1*s2*s1\n"
 FINAL_LINE = "L*([X] - [Y]) = 0"
+
+
+DEEP_LITERAL = "[" * 2000 + "]" * 2000
 
 
 def invoke(capsys, *argv):
@@ -233,12 +241,74 @@ def test_domain_errors_exit_1(capsys):
         ["degree", "[[2,0],[0,2]]", "--side", "1"],
         ["cosets", "G2", "--parabolic", "7"],
         ["poincare", "G2", "--parabolic", "0"],
+        ["roots", DEEP_LITERAL],
     ]
     for argv in cases:
         code, out, err = invoke(capsys, *argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error: ")
+    assert err.startswith("error: bad matrix literal: ") and err.count("\n") == 1
+
+
+def run_module(*argv, seconds=10, memory=1 << 30):
+    """``python -m g2pair *argv`` in a child limited to ``memory`` bytes of
+    address space and ``seconds`` of wall time: (exit code, stdout,
+    stderr, seconds taken)."""
+    src = os.path.dirname(os.path.dirname(g2pair.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "g2pair", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=seconds,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)),
+    )
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def test_deep_literal_leaves_no_traceback():
+    code, out, err, _ = run_module("roots", DEEP_LITERAL)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad matrix literal: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ("A5", "B4", "C4", "D5", "A12", "D9"))
+def test_series_refusals_match_the_library(capsys, name):
+    # the verbs refuse a series type from its exponents, before its roots;
+    # the message is the one building the roots and the group gives
+    for cap in (1, 7, 20, 100, 1000, 10**4, 10**6, 10**8):
+        try:
+            WeylGroup(root_system(name, cap=cap), cap=cap)
+            want = (0, "")
+        except CapExceededError as exc:
+            want = (1, f"error: {exc}\n")
+        code, _, err = invoke(capsys, "weyl-order", name, "--cap", str(cap))
+        assert (code, err) == want, (name, cap)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("weyl-order", "A300"), "Weyl group enumeration exceeded cap 1000000 "
+         "(4590249 elements through length 3)"),
+        (("certificate", "A300"), "Weyl group enumeration exceeded cap 1000000 "
+         "(4590249 elements through length 3)"),
+        (("roots", "A100000"), "positive root generation exceeded cap 100000 "
+         "(199999 roots through height 2)"),
+        (("weyl-order", "A100000"), "positive root generation exceeded cap 100000 "
+         "(199999 roots through height 2)"),
+    ],
+)
+def test_large_ranks_fail_fast(argv, message):
+    # A300 has 45,150 roots, inside the root cap, and 301! elements;
+    # A100000 would need a 10^10-entry Cartan matrix
+    code, out, err, seconds = run_module(*argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert seconds < 1.0, seconds
 
 
 def test_cartan_literals_refuse_json_booleans(capsys):

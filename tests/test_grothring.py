@@ -5,8 +5,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from g2pair.cli import run
+from g2pair.cli import _json, run
 from g2pair.errors import (
     CircularRuleError,
     PoincareMismatchError,
@@ -242,6 +244,19 @@ def test_json_round_trips():
     # documents survive an actual serialization pass
     doc = json.loads(json.dumps(cert.to_json()))
     assert IdentityCertificate.from_json(doc) == cert
+
+
+@given(st.lists(st.integers(-5, 5), max_size=9))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_certificate_documents_round_trip(coefficients):
+    # degree <= 8, zero coefficients (and the zero polynomial) included
+    f = LPolynomial(dict(enumerate(coefficients)))
+    cert = verify_g2_identity(f, f)
+    doc = cert.to_json()
+    again = IdentityCertificate.from_json(json.loads(json.dumps(doc)))
+    assert again == cert
+    assert check_certificate(again) == atom("X", 1) - atom("Y", 1)
+    assert _json(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_replay_accepts_genuine_certificate():

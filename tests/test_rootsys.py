@@ -10,6 +10,7 @@ from g2pair.rootsys import (
     matvec,
     parse_cartan,
     root_system,
+    series_exponents,
 )
 from g2pair.weyl import WeylGroup
 
@@ -24,10 +25,17 @@ def simple_reflection_matrix(rs, i):
     )
 
 
+def coroot_pairing(rs, v, beta):
+    """<v, beta_check> = sum_j v_j sum_i c_i a[i][j], with c the coordinates
+    of beta_check in the simple coroots and a[i][j] = <alpha_j, alpha_i_check>."""
+    c, a, n = rs.coroot_coordinates(beta), rs.cartan.entries, rs.rank
+    return sum(v[j] * sum(c[i] * a[i][j] for i in range(n)) for j in range(n))
+
+
 def reflection_matrix(rs, beta):
     """s_beta on the root lattice: column j is alpha_j - <alpha_j, beta_check> beta."""
     n = rs.rank
-    pair = [rs.coroot_pairing(rs.simple_root(j + 1), beta) for j in range(n)]
+    pair = [coroot_pairing(rs, rs.simple_root(j + 1), beta) for j in range(n)]
     return tuple(
         tuple((1 if r == c else 0) - pair[c] * beta[r] for c in range(n)) for r in range(n)
     )
@@ -191,11 +199,11 @@ def test_reflection_permutes_other_positives():
 
 def test_coroot_pairings():
     a2 = root_system("A2")
-    assert a2.coroot_pairing(a2.simple_root(1), a2.simple_root(2)) == -1
+    assert coroot_pairing(a2, a2.simple_root(1), a2.simple_root(2)) == -1
     g2 = root_system("G2")
     # <alpha_1, alpha_2_check> = a[2][1] = -3 with node 1 long
-    assert g2.coroot_pairing(g2.simple_root(1), g2.simple_root(2)) == -3
-    assert g2.coroot_pairing(g2.simple_root(2), g2.simple_root(1)) == -1
+    assert coroot_pairing(g2, g2.simple_root(1), g2.simple_root(2)) == -3
+    assert coroot_pairing(g2, g2.simple_root(2), g2.simple_root(1)) == -1
 
 
 def test_g2_coroot_coordinates():
@@ -211,15 +219,13 @@ def test_g2_coroot_coordinates():
     for beta, coords in expected.items():
         assert rs.coroot_coordinates(beta) == coords, beta
         # <beta, beta_check> = 2 for every root
-        assert rs.coroot_pairing(beta, beta) == 2, beta
+        assert coroot_pairing(rs, beta, beta) == 2, beta
 
 
 def test_coroot_rejects_non_root():
     rs = root_system("G2")
     with pytest.raises(ValueError):
         rs.coroot_coordinates((2, 0))
-    with pytest.raises(ValueError):
-        rs.coroot_pairing((1, 0), (1, 5))
 
 
 def test_is_root():
@@ -266,3 +272,34 @@ def test_node_index_validation():
         rs.simple_root(0)
     with pytest.raises(ValueError):
         rs.reflect(3, (1, 0))
+
+
+SERIES = (
+    [f"A{n}" for n in range(1, 8)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_series_exponents_match_the_roots(name):
+    # Kostant: roots of height h number #{m_i >= h}, and |W| = prod (m_i + 1)
+    rs = root_system(name)
+    count = len(rs.positive_roots)
+    exponents = series_exponents(name, count)
+    heights = [sum(beta) for beta in rs.positive_roots]
+    for h in range(1, max(heights) + 2):
+        assert heights.count(h) == sum(1 for m in exponents if m >= h), (name, h)
+    assert sorted(m + 1 for m in exponents) == sorted(WeylGroup(rs).degrees)
+    # below the root count the exponents refuse with generation's own message
+    for cap in range(1, count):
+        with pytest.raises(CapExceededError) as generated:
+            generate_root_system(parse_cartan(name), cap=cap)
+        with pytest.raises(CapExceededError) as early:
+            series_exponents(name, cap)
+        assert str(early.value) == str(generated.value), (name, cap)
+
+
+def test_series_exponents_leave_other_names_alone():
+    for name in ("E6", "F4", "G2", "[[2,-1],[-1,2]]", "A0", "B1", "C1", "D2", "Z3", "D"):
+        assert series_exponents(name, 1) is None, name

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2pair import weyl
 from g2pair.errors import ConventionError, PicardError
 from g2pair.rootsys import matvec, root_system
 from g2pair.schubert import (
@@ -709,9 +710,45 @@ def test_rings_leave_the_group_unbuilt():
             assert ring.integrate(x) > 0
             rings.append(ring)
         assert not g._made, name
-        assert g._walks == walks and all(g._walks[p] is w for p, w in walks.items())
+        # rings share the group's walk: the one made before them is kept,
+        # and each ring's cells are the walk of its quotient
+        assert all(g._walks[p] is w for p, w in walks.items())
+        assert len(g._walks) == len(rings)
         for ring in rings:
-            assert ring.words == g.coset_words(ring.parabolic)
+            walk = g._walks[ring.parabolic]
+            assert ring.words is walk[0] and ring.words == g.coset_words(ring.parabolic)
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_rings_read_the_group_walk(name):
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank):
+        ring = SchubertRing(g, parabolic)
+        assert ring.words is g.coset_words(parabolic), parabolic
+        assert ring.points is g.orbit(parabolic)[1], parabolic
+        assert SchubertRing(g, parabolic[::-1]).points is ring.points, parabolic
+
+
+def test_one_walk_per_quotient(monkeypatch):
+    # Every step of a walk reflects through weyl._reflect, so its calls
+    # count the walks: cosets and degrees of both sides of G2 must cost one
+    # walk each of G2/P1, G2/P2 and G2/B (six walks before they shared one).
+    reflections = []
+    real = weyl._reflect
+    monkeypatch.setattr(weyl, "_reflect", lambda *a: reflections.append(1) or real(*a))
+    once = make_group("G2")
+    for parabolic in ((1,), (2,), ()):
+        once.orbit(parabolic)
+    walked = len(reflections)
+    assert walked > 0
+    reflections.clear()
+    g = make_group("G2")
+    for side in (1, 2):
+        g.coset_words((side,))
+        g.coset_names((side,))
+    assert (degree_of_zero_locus(g, 1), degree_of_zero_locus(g, 2)) == (42, 14)
+    assert len(reflections) == walked
+    assert sorted(g._walks) == [(), (1,), (2,)]
 
 
 @pytest.mark.parametrize("name", SMALL)

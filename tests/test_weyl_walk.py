@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from g2pair import cli
 from g2pair.errors import CapExceededError, NotFiniteTypeError
 from g2pair.rootsys import root_system
-from g2pair.weyl import WeylGroup
+from g2pair.weyl import WeylGroup, word_names
 from weyl_oracles import elements, has_right_descent, reflect_then_slice_orbit
 
 EXCEPTIONAL = {
@@ -173,9 +173,19 @@ def test_walk_links_name_the_canonical_parent():
 def test_coset_walks_keep_the_links():
     g = WeylGroup(root_system("F4"))
     for nodes in subsets(4):
-        words, _, parents = g.orbit(nodes)
-        assert g._coset_walk(nodes) == (tuple(words), tuple(parents))
-        assert g._coset_walk(nodes)[0] is g.coset_words(nodes)
+        walk = words, _, parents = g.orbit(nodes)
+        assert g.orbit(nodes) is walk and g.coset_words(nodes) is words
+        assert g.coset_names(nodes) == word_names(words, parents)
+    assert len(g._walks) == 2**4
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_every_spelling_of_a_parabolic_reads_one_walk(name):
+    g = WeylGroup(root_system(name))
+    walk = g.orbit((1, 2))
+    for spelling in ([2, 1, 1], (2, 1), iter((1, 2, 2)), {1: 0, 2: 0}):
+        assert g.orbit(spelling) is walk, spelling
+    assert g.orbit([]) is g.orbit(()) and list(g._walks) == [(1, 2), ()]
 
 
 def test_coset_words_leave_the_group_unbuilt():

@@ -229,4 +229,4 @@ def reflect_then_slice_orbit(group, nodes):
                         words.append((i + 1,) + words[k])
                         points.append(t)
         start = end
-    return words, points
+    return tuple(words), tuple(points)
