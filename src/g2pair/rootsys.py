@@ -303,6 +303,10 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     """Close the simple roots under simple reflections, one height at a
     time.  Every positive root of height above 1 is s_i of a lower one, so
     once the heights below h are done the layer of height h is complete.
+    Each root carries its pairings <v, alpha_j_check> = (a v)_j, those of
+    alpha_i being column i of the matrix; s_i(v) = v - c alpha_i with
+    c = <v, alpha_i_check> has pairings (a v)_j - c a[j][i], updated along
+    the nonzero entries of column i, so a root costs O(rank).
     Raises NotFiniteTypeError before any work for a matrix of infinite
     type, and CapExceededError at the end of the first layer whose running
     total passes ``cap``."""
@@ -310,20 +314,30 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     _check_finite_type(cartan)
     n = cartan.rank
     a = cartan.entries
-    layers: dict[int, set[Root]] = {1: {tuple(1 if k == i else 0 for k in range(n)) for i in range(n)}}
+    columns = [[(j, a[j][i]) for j in range(n) if a[j][i]] for i in range(n)]
+    layers: dict[int, dict[Root, tuple[int, ...]]] = {
+        1: {tuple(int(k == i) for k in range(n)): tuple(row[i] for row in a) for i in range(n)}
+    }
     found: list[Root] = []
     h = 1
     while h in layers:
-        layer = sorted(layers.pop(h))
-        found += layer
+        layer = layers.pop(h)
+        roots = sorted(layer)
+        found += roots
         if len(found) > cap:
             raise _root_cap_error(cap, len(found), h)
-        for v in layer:
-            for i, row in enumerate(a):
+        for v in roots:
+            pairings = layer[v]
+            for i, c in enumerate(pairings):
                 # s_i(v) = v - c alpha_i lies higher exactly when c < 0.
-                c = sum(x * y for x, y in zip(row, v))
                 if c < 0:
-                    layers.setdefault(h - c, set()).add(v[:i] + (v[i] - c,) + v[i + 1:])
+                    up = layers.setdefault(h - c, {})
+                    w = v[:i] + (v[i] - c,) + v[i + 1:]
+                    if w not in up:
+                        moved = list(pairings)
+                        for j, x in columns[i]:
+                            moved[j] -= c * x
+                        up[w] = tuple(moved)
         h += 1
     return RootSystem(cartan, tuple(found))
 

@@ -5,8 +5,9 @@ indexed by minimal coset representatives, with sigma[w] sitting in
 degree 2*length(w).  A ring is built from the orbit of omega_P alone
 (weyl): the cell of w is the point mu = w(omega_P), at layer length(w),
 and the group is never enumerated: every ring of a quotient reads the
-group's one walk of it, and only the per-cell codes and pairings below
-are its own.  Full products are not implemented; everything the degree
+group's one walk of it and one table of the per-cell codes, pairings and
+covers below, both kept by the group and made by the first ring of that
+quotient.  Full products are not implemented; everything the degree
 computations need follows from Chevalley's divisor rule (Fulton-Woodward,
 "On the quantum product of Schubert classes"), read on the orbit:
 
@@ -27,9 +28,10 @@ in absolute value, so the code is injective on the orbit, and it is
 linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
 and one int-keyed lookup per candidate root.  The same rule codes the
 cells: each comes from its canonical parent mu by s_i, so its code is
-c(mu) - mu_i c(alpha_i), one step per cell.  A ring checks that its
+c(mu) - mu_i c(alpha_i), one step per cell.  The table checks that its
 codes are distinct when it is built and raises ConventionError if two
-collide, so a radix too small fails before any product.  The
+collide, keeping nothing, so a radix too small fails before any product
+of any ring of that quotient.  The
 projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
 point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
 layers lower, and to zero otherwise.  With Chevalley products on G/B
@@ -129,12 +131,48 @@ class CohomologyElement(Combination):
         return f"CohomologyElement({self})"
 
 
+def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> tuple:
+    """What every ring of G/P reads, made once per group and quotient and
+    kept in ``group._tables``: the point codes, the index code -> cell,
+    the layers, and per cell, each made on first use, the coroot pairings
+    and the Chevalley covers.  Raises ConventionError, keeping nothing,
+    when two codes collide or the quotient has no unique top class."""
+    words, points, parents = group.orbit(parabolic)
+    # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
+    powers, root_codes = group.point_codes
+    simple = [root_codes[a] for a, _ in group.root_moves]
+    codes = [sum(map(mul, points[0], powers))]
+    for k in range(1, len(points)):
+        p, i = parents[k], words[k][0] - 1
+        codes.append(codes[p] - points[p][i] * simple[i])
+    at = dict(zip(codes, range(len(points))))
+    if len(at) != len(points):
+        raise ConventionError(
+            f"point codes collide on the orbit of omega_P, P = {list(parabolic)}"
+        )
+    layers = list(map(len, words))
+    if len(layers) > 1 and layers[-2] == layers[-1]:
+        raise ConventionError("quotient has no unique top class")
+    # <w(omega_j), gamma_check> per free node j; at the identity, the
+    # coefficient of alpha_j_check in gamma_check
+    pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
+    pairings[0] = tuple(
+        [coroot[j - 1] for _, coroot, _ in group.reflection_data]
+        for j in range(1, group.rank + 1)
+        if j not in parabolic
+    )
+    return codes, at, layers, pairings, [None] * len(words)
+
+
 class SchubertRing:
     """Schubert basis of H*(G/P) for P spanned by the given simple nodes,
     on the orbit of omega_P: cell k has the canonical word ``words[k]``
     and the point ``points[k]`` = w(omega_P).  Cells are indexed by the
     integer code of their point, which must be distinct on the orbit
-    (ConventionError otherwise), and keep their layer length(w)."""
+    (ConventionError otherwise), and keep their layer length(w).  Codes,
+    layers, pairings and covers are read from the group's table of the
+    quotient, shared by every ring of it; each ring is still its own, and
+    elements of two rings do not mix."""
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
         self.group = group
@@ -142,32 +180,13 @@ class SchubertRing:
         self.free_nodes = tuple(
             i for i in range(1, group.rank + 1) if i not in self.parabolic
         )
-        words, points, parents = group.orbit(self.parabolic)
-        self.words, self.points, self._parents = words, points, parents
-        # per cell, made on first use: <w(omega_j), gamma_check> per free
-        # node j; at the identity, the coefficient of alpha_j_check in gamma_check
-        self._pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
-        self._pairings[0] = tuple(
-            [coroot[j - 1] for _, coroot, _ in group.reflection_data]
-            for j in self.free_nodes
-        )
-        self._layers = list(map(len, words))
-        # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
-        powers, root_codes = group.point_codes
-        simple = [root_codes[a] for a, _ in group.root_moves]
-        codes = self._codes = [sum(map(mul, points[0], powers))]
-        for k in range(1, len(points)):
-            p, i = parents[k], words[k][0] - 1
-            codes.append(codes[p] - points[p][i] * simple[i])
-        self._at = dict(zip(codes, range(len(points))))
-        if len(self._at) != len(points):
-            raise ConventionError(
-                f"point codes collide on the orbit of omega_P, P = {list(self.parabolic)}"
-            )
-        self.dimension = len(words[-1])
-        if len(words) > 1 and len(words[-2]) == self.dimension:
-            raise ConventionError("quotient has no unique top class")
-        self._top = len(words) - 1
+        self.words, self.points, self._parents = group.orbit(self.parabolic)
+        table = group._tables.get(self.parabolic)
+        if table is None:
+            table = group._tables[self.parabolic] = _chevalley_table(group, self.parabolic)
+        self._codes, self._at, self._layers, self._pairings, self._cover_lists = table
+        self.dimension = self._layers[-1]
+        self._top = len(self.words) - 1
 
     @property
     def rank(self) -> int:
@@ -249,7 +268,11 @@ class SchubertRing:
     def _covers(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
         """(j, <w(omega_f), gamma_check> per free node f) for every cell
         j = s_gamma mu one layer above the cell k = w, mu = w(omega_P),
-        gamma > 0: the terms of the Chevalley rule."""
+        gamma > 0: the terms of the Chevalley rule.  Made once per cell and
+        kept in the quotient's table."""
+        covers = self._cover_lists[k]
+        if covers is not None:
+            return covers
         code, at, layers = self._codes[k], self._at, self._layers
         roots = self.group.point_codes[1]
         up = layers[k] + 1
@@ -263,6 +286,7 @@ class SchubertRing:
                 j = at[code - q * roots[n]]
                 if layers[j] == up:
                     covers.append((j, tuple([p[n] for p in ps])))
+        self._cover_lists[k] = covers
         return covers
 
     def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:

@@ -217,6 +217,9 @@ class WeylGroup:
     The order comes from the degrees, and CapExceededError is raised at
     once when it passes ``cap``.  ``orbit`` keeps one walk of omega_P per
     parabolic in ``_walks``, which coset words and Schubert rings read.
+    Next to it, ``_tables`` keeps per parabolic the Chevalley table that
+    schubert builds for the first ring of that quotient (codes, layers,
+    pairings, covers), so every later ring of it reads the same table.
     ``_at``, kept for the methods the benchmark's tracer wraps, makes an
     element from its point w(rho) once, on first use, and keeps it in
     ``_made``; nothing lists the group.
@@ -233,6 +236,7 @@ class WeylGroup:
         self.degrees = _degrees(root_system.positive_roots, rank)
         self.order = check_order(self.degrees, cap)
         self._walks: dict[tuple[int, ...], Walk] = {}
+        self._tables: dict[tuple[int, ...], tuple] = {}
         self._rho: Point = (1,) * rank
         self._made: dict[Point, WeylElement] = {}
 

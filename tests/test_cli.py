@@ -311,6 +311,16 @@ def test_large_ranks_fail_fast(argv, message):
     assert seconds < 1.0, seconds
 
 
+def test_roots_of_a_large_rank_answer_quickly():
+    # A100 has 5,050 positive roots; each costs O(rank) to generate
+    code, out, err, seconds = run_module("roots", "A100")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5050
+    assert lines[0] == "0 " * 99 + "1" and lines[-1] == " ".join(["1"] * 100)
+    assert seconds < 1.5, seconds
+
+
 def test_cartan_literals_refuse_json_booleans(capsys):
     for literal in ("[[2,false],[false,2]]", "[[true,-1],[-1,2]]", "[[2,-1],[-1,true]]"):
         for verb in ("weyl-order", "roots", "poincare"):

@@ -1,6 +1,8 @@
 """Cartan matrix parsing and positive root generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2pair.errors import CapExceededError, UnknownTypeError
 from g2pair.rootsys import (
@@ -303,3 +305,70 @@ def test_series_exponents_match_the_roots(name):
 def test_series_exponents_leave_other_names_alone():
     for name in ("E6", "F4", "G2", "[[2,-1],[-1,2]]", "A0", "B1", "C1", "D2", "Z3", "D"):
         assert series_exponents(name, 1) is None, name
+
+
+# --- generation against the direct loop ------------------------------
+
+
+def oracle_positive_roots(cartan):
+    """The positive roots by recomputing every pairing c = row . v: the
+    same closure by height, O(|roots| * rank^2), sharing nothing with the
+    pairings the library carries from root to root."""
+    n, a = cartan.rank, cartan.entries
+    layers = {1: {tuple(int(k == i) for k in range(n)) for i in range(n)}}
+    found, h = [], 1
+    while h in layers:
+        layer = sorted(layers.pop(h))
+        found += layer
+        for v in layer:
+            for i, row in enumerate(a):
+                c = sum(x * y for x, y in zip(row, v))
+                if c < 0:
+                    layers.setdefault(h - c, set()).add(v[:i] + (v[i] - c,) + v[i + 1:])
+        h += 1
+    return tuple(found)
+
+
+NAMED_UP_TO_RANK_8 = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", NAMED_UP_TO_RANK_8)
+def test_generation_matches_the_direct_loop_on_named_types(name):
+    cartan = parse_cartan(name)
+    assert generate_root_system(cartan).positive_roots == oracle_positive_roots(cartan)
+
+
+COMPONENTS = ("A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4")
+
+
+@st.composite
+def finite_literals(draw):
+    """A finite-type Cartan matrix as a literal: named components, each
+    maybe transposed (its dual), on shuffled nodes."""
+    parts = draw(st.lists(st.sampled_from(COMPONENTS), min_size=1, max_size=3))
+    blocks = []
+    for name in parts:
+        m = parse_cartan(name).entries
+        blocks.append([list(r) for r in zip(*m)] if draw(st.booleans()) else [list(r) for r in m])
+    n = sum(map(len, blocks))
+    full, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            full[at + i][at:at + len(b)] = row
+        at += len(b)
+    order = draw(st.permutations(range(n)))
+    return "[" + ",".join(
+        "[" + ",".join(str(full[i][j]) for j in order) + "]" for i in order
+    ) + "]"
+
+
+@given(finite_literals())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_generation_matches_the_direct_loop_on_drawn_literals(literal):
+    cartan = parse_cartan(literal)
+    assert generate_root_system(cartan).positive_roots == oracle_positive_roots(cartan)

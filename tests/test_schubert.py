@@ -24,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2pair import weyl
+from g2pair import cli, schubert, weyl
+from g2pair.cli import run
 from g2pair.errors import ConventionError, PicardError
 from g2pair.rootsys import matvec, root_system
 from g2pair.schubert import (
@@ -751,6 +752,90 @@ def test_one_walk_per_quotient(monkeypatch):
     assert sorted(g._walks) == [(), (1,), (2,)]
 
 
+TABLE_PARTS = ("_codes", "_at", "_layers", "_pairings", "_cover_lists")
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_rings_of_a_quotient_share_one_table(name):
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank):
+        first, second = SchubertRing(g, parabolic), SchubertRing(g, parabolic[::-1])
+        d = DivisorClass(free_weights((1,) * g.rank, parabolic))
+        # the second ring reads the covers the first one made
+        x = first.one()
+        for _ in range(first.dimension):
+            x = first.chevalley(d, x)
+        made = first._covers(0)
+        assert second._cover_lists[0] is made and second._covers(0) is made
+        for part in TABLE_PARTS:
+            assert getattr(first, part) is getattr(second, part), (parabolic, part)
+        assert g._tables[first.parabolic][0] is first._codes
+        # the rings stay two rings: their elements do not mix
+        assert first.one() != second.one()
+        with pytest.raises(ValueError):
+            first.one() + second.one()
+        with pytest.raises(ValueError):
+            first.chevalley(d, second.one())
+        with pytest.raises(ValueError):
+            second.integrate(x)
+    assert sorted(g._tables) == sorted(all_parabolics(g.rank))
+
+
+def top_power(ring, weights):
+    d, x = DivisorClass(weights), ring.one()
+    for _ in range(ring.dimension):
+        x = ring.chevalley(d, x)
+    return ring.integrate(x)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_a_reused_group_gives_what_fresh_groups_give(name):
+    reused = make_group(name)
+    for parabolic in all_parabolics(reused.rank):
+        weights = free_weights(range(1, reused.rank + 1), parabolic)
+        fresh = SchubertRing(make_group(name), parabolic)
+        want = top_power(fresh, weights)
+        covers = [fresh._covers(k) for k in range(len(fresh))]
+        for _ in range(3):
+            ring = SchubertRing(reused, parabolic)
+            assert top_power(ring, weights) == want, parabolic
+            assert [ring._covers(k) for k in range(len(ring))] == covers, parabolic
+
+
+def test_one_table_per_quotient(monkeypatch, capsys):
+    # both degrees of a certificate read the table of G/B: one build each
+    # of G2/B, G2/P1 and G2/P2
+    builds, groups = [], []
+    real_table, real_group = schubert._chevalley_table, cli._group
+    monkeypatch.setattr(
+        schubert, "_chevalley_table", lambda g, p: builds.append(p) or real_table(g, p)
+    )
+    monkeypatch.setattr(cli, "_group", lambda ns: groups.append(real_group(ns)) or groups[-1])
+    assert run(["certificate", "G2"]) == 0
+    assert "side 1: 42" in capsys.readouterr().out
+    assert sorted(builds) == [(), (1,), (2,)]
+    assert sorted(groups[0]._tables) == [(), (1,), (2,)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["weyl-order", "B3"],
+        ["cosets", "G2", "--parabolic", "1"],
+        ["cosets", "B3", "--parabolic", "1,3", "--format", "json"],
+        ["poincare", "F4", "--parabolic", "2,3"],
+        ["poincare", "G2", "--at", "2"],
+    ),
+)
+def test_counts_leave_the_tables_alone(monkeypatch, capsys, argv):
+    groups = []
+    real = cli._group
+    monkeypatch.setattr(cli, "_group", lambda ns: groups.append(real(ns)) or groups[-1])
+    assert run(argv) == 0
+    assert capsys.readouterr().out
+    assert len(groups) == 1 and groups[0]._tables == {}
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_divisors_are_the_cells_of_one_letter(name):
     g = shared_group(name)
@@ -929,6 +1014,10 @@ def test_a_radix_too_small_raises_or_is_harmless(name):
                 ring = SchubertRing(g, parabolic)
             except ConventionError as exc:
                 assert "point codes collide" in str(exc)
+                # a build that raises keeps nothing, so the next one raises too
+                assert parabolic not in g._tables
+                with pytest.raises(ConventionError, match="point codes collide"):
+                    SchubertRing(g, parabolic)
                 continue
             # the codes are injective on this orbit, so every lookup is right
             assert len(set(ring._codes)) == len(ring)
@@ -938,8 +1027,10 @@ def test_a_radix_too_small_raises_or_is_harmless(name):
             assert ring.integrate(x) == oracle_degree_closed_form(g, parabolic, weights)
     g = make_group(name)
     g.__dict__["point_codes"] = codes_with_radix(g, 1)
-    with pytest.raises(ConventionError, match="point codes collide"):
-        SchubertRing(g, ())
+    for _ in range(2):
+        with pytest.raises(ConventionError, match="point codes collide"):
+            SchubertRing(g, ())
+        assert g._tables == {}
 
 
 def test_pushforward_rejects_other_targets():
