@@ -88,7 +88,7 @@ class MotivicClass(Combination):
     def times_lpoly(self, p: LPolynomial) -> "MotivicClass":
         out: dict[TermKey, int] = {}
         for (s, k), c in self._terms.items():
-            for d, cd in p.coefficients().items():
+            for d, cd in p._terms.items():
                 key = (s, k + d)
                 out[key] = out.get(key, 0) + c * cd
         return self._with(out)

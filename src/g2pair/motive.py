@@ -3,6 +3,9 @@ polynomials of flag varieties.
 
 Combination is the sparse integer-combination base shared by
 LPolynomial, MotivicClass (grothring) and CohomologyElement (schubert).
+Public construction validates every key and coefficient; the results of
+arithmetic on valid operands are trusted and only sorted and cleared of
+zeros (Combination._with).
 
 A variety with an affine paving has motivic class sum(L^(dim of cell));
 for G/P the cells are indexed by minimal coset representatives and the
@@ -37,9 +40,14 @@ class Combination:
 
     The linear structure lives here once: sums, negation, differences,
     integer multiples, equality, hashing, the coefficient dict and the
-    sign-joined text form.  A subclass validates keys (_key), says which
-    other operands it absorbs (_coerce), renders one term (_body) and
-    defines its own products.
+    sign-joined text form.  A subclass validates keys and coefficients
+    (_key), says which other operands it absorbs (_coerce), renders one
+    term (_body) and defines its own products.
+
+    The constructor validates: every key and coefficient passes _key.
+    Arithmetic builds its results through _with, which trusts them: keys
+    and integer coefficients made from valid operands are valid, so _with
+    only sorts the keys and drops zeros, and calls no _key.
     """
 
     __slots__ = ("_terms",)
@@ -52,11 +60,11 @@ class Combination:
             acc[key] = acc.get(key, 0) + c
         self._terms = {k: c for k, c in sorted(acc.items()) if c != 0}
 
-    def _key(self, key, c):
-        return key
-
     def _with(self, terms: dict):
-        return type(self)(terms)
+        """A result of arithmetic on this value's kind, from valid terms."""
+        out = object.__new__(type(self))
+        out._terms = {k: c for k, c in sorted(terms.items()) if c}
+        return out
 
     def _coerce(self, other):
         return other if isinstance(other, type(self)) else None

@@ -79,7 +79,11 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 
 
 class CohomologyElement(Combination):
-    """Integer combination of Schubert classes of one fixed ring."""
+    """Integer combination of Schubert classes of one fixed ring, keyed by
+    cell index.  The constructor takes only int cells 0 <= k < len(ring)
+    and int coefficients (bools refused) and raises ValueError otherwise;
+    sums, multiples and Chevalley products of elements of the ring are
+    built through the trusted _with and keep the ring."""
 
     __slots__ = ("ring",)
 
@@ -87,8 +91,17 @@ class CohomologyElement(Combination):
         self.ring = ring
         super().__init__(coeffs)
 
+    def _key(self, k, c) -> int:
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, c)):
+            raise ValueError("cells and coefficients must be integers")
+        if not 0 <= k < len(self.ring):
+            raise ValueError(f"cell {k} is not in a ring of {len(self.ring)} cells")
+        return k
+
     def _with(self, terms: dict) -> "CohomologyElement":
-        return CohomologyElement(self.ring, terms)
+        out = super()._with(terms)
+        out.ring = self.ring
+        return out
 
     def _coerce(self, other) -> "CohomologyElement | None":
         if not isinstance(other, CohomologyElement):
@@ -176,21 +189,17 @@ class SchubertRing:
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
         self.group = group
-        self.parabolic = group.normalize_parabolic(parabolic)
-        self.free_nodes = tuple(
-            i for i in range(1, group.rank + 1) if i not in self.parabolic
-        )
-        self.words, self.points, self._parents = group.orbit(self.parabolic)
-        table = group._tables.get(self.parabolic)
+        self.rank = rank = group.rank
+        self.parabolic = p = group.normalize_parabolic(parabolic)
+        self.free_nodes = tuple(i for i in range(1, rank + 1) if i not in p)
+        table = group._tables.get(p)
         if table is None:
-            table = group._tables[self.parabolic] = _chevalley_table(group, self.parabolic)
+            table = group._tables[p] = _chevalley_table(group, p)
+        # the table's walk, made by group.orbit(p) when the table was built
+        self.words, self.points, self._parents = group._walks[p]
         self._codes, self._at, self._layers, self._pairings, self._cover_lists = table
         self.dimension = self._layers[-1]
         self._top = len(self.words) - 1
-
-    @property
-    def rank(self) -> int:
-        return self.group.rank
 
     def __len__(self) -> int:
         return len(self.words)
@@ -211,16 +220,16 @@ class SchubertRing:
         return CohomologyElement(self, {self._top: 1})
 
     def check_divisor(self, d: DivisorClass) -> None:
-        if len(d.weights) != self.rank:
-            raise ValueError(
-                f"divisor has {len(d.weights)} weights, rank is {self.rank}"
-            )
-        blocked = [i for i in self.parabolic if d.weights[i - 1] != 0]
-        if blocked:
-            raise PicardError(
-                f"divisor {d} does not descend: weight at collapsed "
-                f"node(s) {blocked} must vanish"
-            )
+        weights = d.weights
+        if len(weights) != self.rank:
+            raise ValueError(f"divisor has {len(weights)} weights, rank is {self.rank}")
+        for i in self.parabolic:
+            if weights[i - 1]:
+                blocked = [j for j in self.parabolic if weights[j - 1]]
+                raise PicardError(
+                    f"divisor {d} does not descend: weight at collapsed "
+                    f"node(s) {blocked} must vanish"
+                )
 
     def from_divisor(self, d: DivisorClass) -> CohomologyElement:
         """sum_i d_i sigma[s_i]: the walk lists the cells (i,) of the free
@@ -294,19 +303,20 @@ class SchubertRing:
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
         self.check_divisor(d)
-        lam = tuple(d.weights[j - 1] for j in self.free_nodes)
+        weights = d.weights
+        lam = [weights[j - 1] for j in self.free_nodes]
         out: dict[int, int] = {}
-        for k, c in x.coefficients().items():
+        for k, c in x._terms.items():
             for j, pairs in self._covers(k):
                 m = sum(map(mul, lam, pairs))  # <w lambda, gamma_check>
                 if m:
                     out[j] = out.get(j, 0) + c * m
-        return CohomologyElement(self, out)
+        return x._with(out)
 
     def integrate(self, x: CohomologyElement) -> int:
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
-        return x.coefficients().get(self._top, 0)
+        return x._terms.get(self._top, 0)
 
 
 def pushforward(
@@ -333,7 +343,7 @@ def pushforward(
     simple = [a for a, _ in ring.group.root_moves]
     powers = ring.group.point_codes[0]
     out: dict[int, int] = {}
-    for k, c in x.coefficients().items():
+    for k, c in x._terms.items():
         # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
         p = ring._pairing(k)[f]
         j = target._at[ring._codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]

@@ -228,7 +228,7 @@ class WeylGroup:
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         check_cap(cap)
         self.root_system = root_system
-        rank = root_system.rank
+        self.rank = rank = root_system.rank
         a = root_system.cartan.entries
         self._columns = tuple(
             tuple((j, a[j][i]) for j in range(rank) if a[j][i]) for i in range(rank)
@@ -304,10 +304,6 @@ class WeylGroup:
             start = end
         walk = self._walks[p] = (tuple(words), tuple(points), tuple(parents))
         return walk
-
-    @property
-    def rank(self) -> int:
-        return self.root_system.rank
 
     def __repr__(self) -> str:
         return f"WeylGroup(rank {self.rank}, order {self.order})"

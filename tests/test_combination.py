@@ -6,12 +6,15 @@ that sharing the code does not widen or narrow what they combine with.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2pair.grothring import MotivicClass
 from g2pair.motive import L, LPolynomial, projective_bundle_poly
 from g2pair.rootsys import root_system
-from g2pair.schubert import SchubertRing
+from g2pair.schubert import CohomologyElement, DivisorClass, SchubertRing, pushforward
 from g2pair.weyl import WeylGroup
+from test_weyl_walk import SMALL, group
 
 atom = MotivicClass.atom
 
@@ -92,3 +95,83 @@ def test_boolean_value_only_on_lpolynomial():
     assert MotivicClass.zero()
     ring = SchubertRing(WeylGroup(root_system("A2")), ())
     assert ring.zero()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    (
+        lambda n: {-1: 1},
+        lambda n: {n: 1},
+        lambda n: {True: 1},
+        lambda n: {1: 1.5},
+        lambda n: {1: True},
+        lambda n: {"a": 1},
+    ),
+    ids=("negative cell", "cell past the top", "bool cell", "float coefficient",
+         "bool coefficient", "str cell"),
+)
+def test_cohomology_element_refuses_bad_terms(coeffs):
+    # {-1: 1} used to pass as the top class of G2/P1 (printed, degree 5)
+    # while integrate and chevalley read it as 0
+    ring = SchubertRing(WeylGroup(root_system("G2")), (1,))
+    with pytest.raises(ValueError):
+        CohomologyElement(ring, coeffs(len(ring)))
+    assert CohomologyElement(ring, {len(ring) - 1: 1}) == ring.point_class()
+
+
+# --- results of arithmetic are built trusted; they must read as validated ---
+
+
+def assert_canonical(r, kind):
+    """r is of the given kind, its keys sorted, its coefficients nonzero
+    ints, and it equals its validating reconstruction."""
+    assert type(r) is kind
+    assert list(r._terms) == sorted(r._terms)
+    assert all(type(c) is int and c for c in r._terms.values())
+    if kind is CohomologyElement:
+        assert r == CohomologyElement(r.ring, r.coefficients())
+    else:
+        assert r == kind(r.coefficients())
+
+
+small_ints = st.integers(-3, 3)
+lpolys = st.dictionaries(st.integers(0, 6), small_ints, max_size=4).map(LPolynomial)
+motives = st.dictionaries(
+    st.tuples(st.sampled_from(("1", "X", "Y")), st.integers(0, 4)), small_ints, max_size=4
+).map(MotivicClass)
+
+
+@given(lpolys, lpolys, motives, motives, small_ints, st.integers(0, 3))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_polynomial_and_motive_results_are_canonical(p, q, x, y, n, k):
+    for r in (p + q, p - q, -p, p.times_int(n), p * q, p * n, n - p):
+        assert_canonical(r, LPolynomial)
+    for r in (x + y, x - y, -x, x.times_int(n), x.times_L(k), x * p, p * x):
+        assert_canonical(r, MotivicClass)
+
+
+@st.composite
+def ring_elements(draw):
+    g = group(draw(st.sampled_from(SMALL)))
+    parabolic = tuple(draw(st.sets(st.integers(1, g.rank), max_size=g.rank - 1)))
+    ring = SchubertRing(g, parabolic)
+    cells = st.integers(0, len(ring) - 1)
+    x, y = (CohomologyElement(ring, draw(st.dictionaries(cells, small_ints, max_size=4)))
+            for _ in range(2))
+    weights = draw(st.tuples(*[st.integers(-2, 3)] * g.rank))
+    d = DivisorClass(0 if i in ring.parabolic else c for i, c in enumerate(weights, start=1))
+    node = draw(st.sampled_from(ring.free_nodes))
+    return ring, x, y, d, node
+
+
+@given(ring_elements(), small_ints)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_cohomology_results_are_canonical(case, n):
+    ring, x, y, d, node = case
+    target = SchubertRing(ring.group, ring.parabolic + (node,))
+    for r in (x + y, x - y, -x, x.times_int(n), n * x, ring.chevalley(d, x)):
+        assert_canonical(r, CohomologyElement)
+        assert r.ring is ring
+    pushed = pushforward(x, node, target)
+    assert_canonical(pushed, CohomologyElement)
+    assert pushed.ring is target

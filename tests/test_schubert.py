@@ -817,6 +817,27 @@ def test_one_table_per_quotient(monkeypatch, capsys):
     assert sorted(groups[0]._tables) == [(), (1,), (2,)]
 
 
+def test_products_validate_nothing(monkeypatch):
+    # Elements are validated where they are made from outside; a product
+    # of valid operands is trusted.  After a warm-up pass, lambda^dim on
+    # every maximal quotient of F4 validates the terms of ring.one() alone.
+    g = make_group("F4")
+    maximal = [p for p in all_parabolics(g.rank) if len(p) == g.rank - 1]
+
+    def top_powers():
+        return [top_power(SchubertRing(g, p), free_weights((1, 2, 3, 1), p)) for p in maximal]
+
+    want = top_powers()
+    assert all(want)
+    keys = []
+    real = CohomologyElement._key
+    monkeypatch.setattr(
+        CohomologyElement, "_key", lambda x, k, c: keys.append(k) or real(x, k, c)
+    )
+    assert top_powers() == want
+    assert keys == [0] * len(maximal)
+
+
 @pytest.mark.parametrize(
     "argv",
     (
