@@ -43,6 +43,8 @@ class MotivicClass(Combination):
     __slots__ = ()
 
     def _key(self, key, c) -> TermKey:
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"term key must be a (symbol, L-power) pair, got {key!r}")
         sym, power = key
         if not isinstance(sym, str) or not sym:
             raise ValueError("symbol must be a nonempty string")

@@ -11,24 +11,29 @@ labels and reduced words elsewhere in the package); tuple storage is
 0-based internally.  For type G2 node 1 is the long root.
 
 Roots are plain integer tuples holding coordinates in the simple-root
-basis.  All derived data (symmetrizer, bilinear form, coroots) stays in
-integers; nothing here floats.
+basis.  The root system owns what every later stage reads of a positive
+root beta: its weight <beta, alpha_j_check> (its fundamental-weight
+coordinates) and its coroot beta_check (simple-coroot coordinates), each
+derived once, on first use.  ``reflect_weight`` is the one simple
+reflection in weight coordinates; root generation and the Weyl group's
+walk both step by it.  All derived data (symmetrizer, weights, coroots)
+stays in integers; nothing here floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
-from collections import Counter
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, NotFiniteTypeError, UnknownTypeError
 
 Matrix = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
+Weight = tuple[int, ...]
 
 DEFAULT_ROOT_CAP = 100_000
 
@@ -54,9 +59,14 @@ def check_cap(cap) -> int:
     return cap
 
 
-def matvec(m: Matrix, v: Root) -> Root:
-    n = len(v)
-    return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
+def reflect_weight(v: Weight, i: int, column: tuple[tuple[int, int], ...]) -> Weight:
+    """s_{i+1}(v) = v - v_i (column i of the Cartan matrix) for v in weight
+    coordinates, given ``column`` = CartanMatrix.columns[i]: O(rank)."""
+    c = v[i]
+    out = list(v)
+    for j, a in column:
+        out[j] -= c * a
+    return tuple(out)
 
 
 class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
@@ -122,13 +132,13 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
                     raise ValueError("Cartan matrix is not symmetrizable")
         return out
 
-    def bilinear(self, v: Root, w: Root) -> int:
-        """Symmetric form with (alpha_i, alpha_j) = d_i a[i][j]."""
-        d = self.symmetrizer
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node i (0-based), the nonzero entries (j, a[j][i]) of column
+        i: what ``reflect_weight`` subtracts."""
         a = self.entries
-        n = self.rank
-        return sum(
-            d[i] * a[i][j] * v[i] * w[j] for i in range(n) for j in range(n)
+        return tuple(
+            tuple((j, row[i]) for j, row in enumerate(a) if row[i]) for i in range(self.rank)
         )
 
 
@@ -227,48 +237,30 @@ class RootSystem(
         return self.cartan.rank
 
     @cached_property
-    def _root_set(self) -> frozenset[Root]:
-        neg = tuple(tuple(-x for x in r) for r in self.positive_roots)
-        return frozenset(self.positive_roots) | frozenset(neg)
+    def weights(self) -> tuple[Weight, ...]:
+        """<beta, alpha_j_check> = (a beta)_j of each positive root beta, in
+        root order: its fundamental-weight coordinates."""
+        a = self.cartan.entries
+        return tuple(
+            tuple(sum(map(mul, row, beta)) for row in a) for beta in self.positive_roots
+        )
 
-    def simple_root(self, i: int) -> Root:
-        check_node(i, self.rank)
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
-
-    def is_root(self, v: Root) -> bool:
-        return tuple(v) in self._root_set
-
-    def reflect(self, i: int, v: Root) -> Root:
-        """s_i(v) = v - <v, alpha_i_check> alpha_i for any lattice vector v."""
-        check_node(i, self.rank)
-        if len(v) != self.rank:
-            raise ValueError("vector length does not match the rank")
-        v = tuple(v)
-        c = sum(x * y for x, y in zip(self.cartan.entries[i - 1], v))
-        return v[:i - 1] + (v[i - 1] - c,) + v[i:]
-
-    def norm2(self, beta: Root) -> int:
-        return self.cartan.bilinear(beta, beta)
-
-    def coroot_coordinates(self, beta: Root) -> tuple[int, ...]:
-        """Coordinates of beta_check in the simple coroot basis.
-
-        From beta = sum b_j alpha_j one gets beta_check = sum c_j alpha_j_check
-        with c_j = b_j (alpha_j, alpha_j) / (beta, beta); integrality is
-        automatic for genuine roots and asserted here.
-        """
-        beta = tuple(beta)
-        if not self.is_root(beta):
-            raise ValueError(f"{beta} is not a root of this system")
+    @cached_property
+    def coroots(self) -> tuple[Root, ...]:
+        """beta_check of each positive root in simple-coroot coordinates, in
+        root order.  From beta = sum b_j alpha_j, beta_check = sum c_j
+        alpha_j_check with c_j = 2 b_j d_j / (beta, beta), and (alpha_k, beta)
+        = d_k <beta, alpha_k_check> gives (beta, beta) = sum b_k d_k w_k from
+        the weight w, so each costs O(rank).  Integrality is automatic for
+        genuine roots and asserted here."""
         d = self.cartan.symmetrizer
-        nb = self.norm2(beta)
-        coords = []
-        for j in range(self.rank):
-            num = beta[j] * 2 * d[j]
-            if num % nb:
+        out = []
+        for beta, w in zip(self.positive_roots, self.weights):
+            norm = sum(map(mul, beta, map(mul, d, w)))
+            if any(2 * b * dj % norm for b, dj in zip(beta, d)):
                 raise ValueError("coroot is not integral; invalid root data")
-            coords.append(num // nb)
-        return tuple(coords)
+            out.append(tuple(2 * b * dj // norm for b, dj in zip(beta, d)))
+        return tuple(out)
 
 
 def _check_finite_type(cartan: CartanMatrix) -> None:
@@ -303,18 +295,18 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
     """Close the simple roots under simple reflections, one height at a
     time.  Every positive root of height above 1 is s_i of a lower one, so
     once the heights below h are done the layer of height h is complete.
-    Each root carries its pairings <v, alpha_j_check> = (a v)_j, those of
-    alpha_i being column i of the matrix; s_i(v) = v - c alpha_i with
-    c = <v, alpha_i_check> has pairings (a v)_j - c a[j][i], updated along
-    the nonzero entries of column i, so a root costs O(rank).
+    Each root carries its weight, the pairings <v, alpha_j_check> = (a v)_j,
+    that of alpha_i being column i of the matrix; s_i(v) = v - c alpha_i
+    with c = <v, alpha_i_check> has the weight ``reflect_weight`` gives, so
+    a root costs O(rank).  The weights are dropped at the end:
+    RootSystem.weights derives them again, only when asked.
     Raises NotFiniteTypeError before any work for a matrix of infinite
     type, and CapExceededError at the end of the first layer whose running
     total passes ``cap``."""
     check_cap(cap)
     _check_finite_type(cartan)
     n = cartan.rank
-    a = cartan.entries
-    columns = [[(j, a[j][i]) for j in range(n) if a[j][i]] for i in range(n)]
+    a, columns = cartan.entries, cartan.columns
     layers: dict[int, dict[Root, tuple[int, ...]]] = {
         1: {tuple(int(k == i) for k in range(n)): tuple(row[i] for row in a) for i in range(n)}
     }
@@ -334,10 +326,7 @@ def generate_root_system(cartan: CartanMatrix, cap: int = DEFAULT_ROOT_CAP) -> R
                     up = layers.setdefault(h - c, {})
                     w = v[:i] + (v[i] - c,) + v[i + 1:]
                     if w not in up:
-                        moved = list(pairings)
-                        for j, x in columns[i]:
-                            moved[j] -= c * x
-                        up[w] = tuple(moved)
+                        up[w] = reflect_weight(pairings, i, columns[i])
         h += 1
     return RootSystem(cartan, tuple(found))
 
@@ -352,26 +341,29 @@ def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
     """The exponents m_i of a type A_n, B_n, C_n or D_n named by ``name``,
     None for any other string (a literal, an exceptional or unsupported
     name), read off the name alone.  The roots of height h number
-    #{i: m_i >= h} (Kostant), so when they pass ``cap`` this raises the
-    error generate_root_system would, before any matrix is built."""
+    #{i: m_i >= h} (Kostant), so when their running total passes ``cap``
+    this raises the error generate_root_system would, before any matrix
+    is built or any exponent listed."""
     match = _TYPE_RE.match(name.strip())
     letter, n = (match.group(1), int(match.group(2))) if match else ("", 0)
+    # the exponents: k terms 1, 1 + step, ..., and for D_n also n - 1
     if letter == "A" and n >= 1:
-        exponents = tuple(range(1, n + 1))
+        k, step, extra = n, 1, 0
     elif letter in ("B", "C") and n >= 2:
-        exponents = tuple(range(1, 2 * n, 2))
+        k, step, extra = n, 2, 0
     elif letter == "D" and n >= 3:
-        exponents = (*range(1, 2 * n - 2, 2), n - 1)
+        k, step, extra = n - 1, 2, n - 1
     else:
         return None
-    if sum(exponents) > check_cap(cap):
-        per_height, left, total = Counter(exponents), n, 0
-        for h in itertools.count(1):
-            total += left
-            if total > cap:
-                raise _root_cap_error(cap, total, h)
-            left -= per_height[h]
-    return exponents
+    check_cap(cap)
+    total, h = 0, 1
+    # #{i: m_i >= h} roots of height h, in closed form, up to the top height
+    while (layer := k - (h + step - 2) // step + (h <= extra)) > 0:
+        total += layer
+        if total > cap:
+            raise _root_cap_error(cap, total, h)
+        h += 1
+    return tuple(range(1, 1 + step * k, step)) + ((extra,) if extra else ())
 
 
 def root_system(name: str, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:

@@ -170,7 +170,7 @@ def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> tuple:
     # coefficient of alpha_j_check in gamma_check
     pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
     pairings[0] = tuple(
-        [coroot[j - 1] for _, coroot, _ in group.reflection_data]
+        [coroot[j - 1] for coroot in group.root_system.coroots]
         for j in range(1, group.rank + 1)
         if j not in parabolic
     )

@@ -7,9 +7,9 @@ Its orbit W.omega_P is in bijection with W/W_P (Stembridge,
 "Computational aspects of root systems, Coxeter groups, and Weyl
 characters", 2001), and the walk visits it breadth first, one layer per
 length.  In weight coordinates a simple reflection is
-s_i(v) = v - v_i * (column i of the Cartan matrix), so every step costs
-O(rank).  s_i mu lies one layer up exactly when mu_i > 0, and the left
-descents of a point are its negative coordinates.
+s_i(v) = v - v_i * (column i of the Cartan matrix), rootsys.reflect_weight,
+so every step costs O(rank).  s_i mu lies one layer up exactly when
+mu_i > 0, and the left descents of a point are its negative coordinates.
 
 Elements carry a canonical reduced word: the lexicographically smallest
 one, obtained by greedy extraction of the smallest left descent.  So a
@@ -68,10 +68,10 @@ import math
 import operator
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceededError
-from .rootsys import Root, RootSystem, check_cap, check_node, matvec
+from .rootsys import Root, RootSystem, check_cap, check_node, reflect_weight
 
 DEFAULT_GROUP_CAP = 1_000_000
 
@@ -103,16 +103,6 @@ def word_names(words: Sequence[Word], parents: Sequence[int]) -> list[str]:
         else:
             out.append(f"s{word[0]}")
     return out
-
-
-def _reflect(v: Point, i: int, column: tuple[tuple[int, int], ...]) -> Point:
-    """s_{i+1}(v) in weight coordinates, given the nonzero entries (j, a_ji)
-    of column i of the Cartan matrix."""
-    c = v[i]
-    out = list(v)
-    for j, a in column:
-        out[j] -= c * a
-    return tuple(out)
 
 
 class WeylElement:
@@ -156,16 +146,6 @@ class WeylElement:
         if self.group is not other.group:
             raise ValueError("cannot multiply elements of different groups")
         return self.group._at(self.group._fold(self.word, other.y))
-
-
-class Reflection(NamedTuple):
-    """A positive root beta with beta_check in simple-coroot coordinates
-    and beta in fundamental-weight coordinates: <v, beta_check> and
-    s_beta(v) = v - <v, beta_check> beta of a weight v in O(rank)."""
-
-    root: Root
-    coroot: Root
-    weight: Point
 
 
 def _degrees(roots: Iterable[Root], rank: int) -> tuple[int, ...]:
@@ -212,7 +192,8 @@ def check_order(degrees: tuple[int, ...], cap: int) -> int:
 
 
 class WeylGroup:
-    """Finite Weyl group of a root system.
+    """Finite Weyl group of a root system, which owns the Cartan columns
+    the walk steps along and each positive root's weight and coroot.
 
     The order comes from the degrees, and CapExceededError is raised at
     once when it passes ``cap``.  ``orbit`` keeps one walk of omega_P per
@@ -229,10 +210,6 @@ class WeylGroup:
         check_cap(cap)
         self.root_system = root_system
         self.rank = rank = root_system.rank
-        a = root_system.cartan.entries
-        self._columns = tuple(
-            tuple((j, a[j][i]) for j in range(rank) if a[j][i]) for i in range(rank)
-        )
         self.degrees = _degrees(root_system.positive_roots, rank)
         self.order = check_order(self.degrees, cap)
         self._walks: dict[tuple[int, ...], Walk] = {}
@@ -247,10 +224,10 @@ class WeylGroup:
         ends."""
         found = self._made.get(y)
         if found is None:
-            cols, letters, t = self._columns, [], y
+            cols, letters, t = self.root_system.cartan.columns, [], y
             while (i := next((k for k, c in enumerate(t) if c < 0), -1)) >= 0:
                 letters.append(i + 1)
-                t = _reflect(t, i, cols[i])
+                t = reflect_weight(t, i, cols[i])
             if t != self._rho:
                 raise ValueError(f"{y} is not in the orbit of rho")
             found = self._made[y] = WeylElement(tuple(letters), y, self)
@@ -258,12 +235,10 @@ class WeylGroup:
 
     def _fold(self, letters: Word, y: Point) -> Point:
         """s_{l1} ... s_{lk}(y) for letters l1..lk, rightmost first."""
-        cols, v = self._columns, list(y)
+        cols = self.root_system.cartan.columns
         for i in reversed(letters):
-            c = v[i - 1]
-            for j, a in cols[i - 1]:
-                v[j] -= c * a
-        return tuple(v)
+            y = reflect_weight(y, i - 1, cols[i - 1])
+        return y
 
     def orbit(self, nodes: Iterable[int]) -> Walk:
         """The orbit of omega_P, P = ``nodes`` in any order, breadth first
@@ -277,7 +252,8 @@ class WeylGroup:
         walk = self._walks.get(p)
         if walk is not None:
             return walk
-        rank, cols, a = self.rank, self._columns, self.root_system.cartan.entries
+        cartan, rank = self.root_system.cartan, self.rank
+        a, cols = cartan.entries, cartan.columns
         words: list[Word] = [()]
         points: list[Point] = [tuple(0 if i in p else 1 for i in range(1, rank + 1))]
         parents = [-1]
@@ -293,11 +269,11 @@ class WeylGroup:
                         if k and (f := words[k][0] - 1) < i:
                             if mu[f] < c * a[f][i]:
                                 continue  # t_f < 0: t's first descent is f
-                            t = _reflect(mu, i, col)
+                            t = reflect_weight(mu, i, col)
                             if min(t[:i]) < 0:
                                 continue  # t's first descent is j < i: another parent
                         else:
-                            t = _reflect(mu, i, col)
+                            t = reflect_weight(mu, i, col)
                         words.append(letter + words[k])
                         points.append(t)
                         parents.append(k)
@@ -344,15 +320,6 @@ class WeylGroup:
         return tuple(map(self.from_word, self.coset_words(nodes)))
 
     @cached_property
-    def reflection_data(self) -> tuple[Reflection, ...]:
-        """One record per positive root, in root order."""
-        rs = self.root_system
-        return tuple(
-            Reflection(beta, rs.coroot_coordinates(beta), matvec(rs.cartan.entries, beta))
-            for beta in rs.positive_roots
-        )
-
-    @cached_property
     def point_codes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer codes of weights, v -> sum of v_i * r^i with radix
         r = 2 ht(theta_check) + 1, ht(theta_check) the largest height of a
@@ -362,33 +329,35 @@ class WeylGroup:
         nodes outside P, so at most ht(theta_check) in absolute value: the
         digits are balanced and the code is injective on every orbit.  It is
         linear, so s_gamma(mu) = mu - q gamma has code c(mu) - q c(gamma)."""
-        data = self.reflection_data
-        radix = 2 * max(sum(r.coroot) for r in data) + 1
+        rs = self.root_system
+        radix = 2 * max(map(sum, rs.coroots)) + 1
         powers = tuple(radix**i for i in range(self.rank))
-        return powers, tuple(sum(map(operator.mul, r.weight, powers)) for r in data)
+        return powers, tuple(sum(map(operator.mul, w, powers)) for w in rs.weights)
 
     @cached_property
     def root_moves(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per simple reflection s_i: the index of alpha_i, and for each
-        positive root beta in root order the index of s_i(beta).  s_i
+        positive root beta in root order the index of s_i(beta) =
+        beta - <beta, alpha_i_check> alpha_i, one coordinate edit.  s_i
         permutes the positive roots other than alpha_i and negates
         alpha_i, which keeps its own index here."""
         rs = self.root_system
-        roots = rs.positive_roots
-        index = {beta: n for n, beta in enumerate(roots)}
+        index = {beta: n for n, beta in enumerate(rs.positive_roots)}
+        pairs = tuple(enumerate(zip(rs.positive_roots, rs.weights)))
         return tuple(
             (
-                index[rs.simple_root(i)],
-                tuple(index.get(rs.reflect(i, beta), n) for n, beta in enumerate(roots)),
+                index[tuple(int(k == i) for k in range(self.rank))],
+                tuple(index.get(b[:i] + (b[i] - w[i],) + b[i + 1:], n) for n, (b, w) in pairs),
             )
-            for i in range(1, self.rank + 1)
+            for i in range(self.rank)
         )
 
     def reflections(self) -> dict[Root, WeylElement]:
         """Map positive root -> the reflection it defines (a fresh dict).
         s_beta has y-point rho - <rho, beta_check> beta.  Kept for the
         benchmark's tracer, which wraps it."""
+        rs = self.root_system
         return {
-            r.root: self._at(tuple(1 - sum(r.coroot) * c for c in r.weight))
-            for r in self.reflection_data
+            beta: self._at(tuple(1 - sum(coroot) * c for c in w))
+            for beta, coroot, w in zip(rs.positive_roots, rs.coroots, rs.weights)
         }

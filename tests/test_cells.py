@@ -67,7 +67,7 @@ def test_names_match_word_name(name):
 
 
 @given(st.sets(st.integers(1, 6), min_size=3))
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=12)
 def test_e6_counts_and_names_match_the_walk(nodes):
     g = group("E6")
     cells = poincare_polynomial(g, nodes)

@@ -301,11 +301,20 @@ def test_series_refusals_match_the_library(capsys, name):
          "(199999 roots through height 2)"),
         (("weyl-order", "A100000"), "positive root generation exceeded cap 100000 "
          "(199999 roots through height 2)"),
+        (("weyl-order", "A100000000"), "positive root generation exceeded cap 100000 "
+         "(100000000 roots through height 1)"),
+        (("weyl-order", "A99999999999999999999"), "positive root generation exceeded "
+         "cap 100000 (99999999999999999999 roots through height 1)"),
+        (("weyl-order", "B30000000"), "positive root generation exceeded cap 100000 "
+         "(30000000 roots through height 1)"),
+        (("weyl-order", "D50000000"), "positive root generation exceeded cap 100000 "
+         "(50000000 roots through height 1)"),
     ],
 )
 def test_large_ranks_fail_fast(argv, message):
     # A300 has 45,150 roots, inside the root cap, and 301! elements;
-    # A100000 would need a 10^10-entry Cartan matrix
+    # A100000 would need a 10^10-entry Cartan matrix, and the last four
+    # names an exponent list too long to build (or to index)
     code, out, err, seconds = run_module(*argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert seconds < 1.0, seconds
@@ -363,7 +372,7 @@ VERB_ARGS = (
 
 
 @given(cartan_literals())
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 def test_random_literals_exit_cleanly(literal):
     # every verb under a small cap: a result, or one error line and nothing else
     for verb, *extra in VERB_ARGS:

@@ -88,7 +88,7 @@ def stdlib(doc):
 
 
 @given(documents)
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @example({})
 @example([])
 @example(())
@@ -101,7 +101,7 @@ def test_matches_json_dumps(doc):
 
 
 @given(row_lists())
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @example([{"w": ()}, {"w": (1,)}, {"w": [2, 1]}, {"w": (3, 2, 1)}, {"w": (1, 2)}])
 @example([{"w": (1, 2)}, {"w": (3, True, 2)}])
 @example([{"w": (1, 2)}, {"w": [3, 1, 2]}, {"w": (0, 3, 1, 2)}])

@@ -142,7 +142,7 @@ motives = st.dictionaries(
 
 
 @given(lpolys, lpolys, motives, motives, small_ints, st.integers(0, 3))
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 def test_polynomial_and_motive_results_are_canonical(p, q, x, y, n, k):
     for r in (p + q, p - q, -p, p.times_int(n), p * q, p * n, n - p):
         assert_canonical(r, LPolynomial)
@@ -165,7 +165,7 @@ def ring_elements(draw):
 
 
 @given(ring_elements(), small_ints)
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 def test_cohomology_results_are_canonical(case, n):
     ring, x, y, d, node = case
     target = SchubertRing(ring.group, ring.parabolic + (node,))

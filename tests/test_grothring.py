@@ -247,7 +247,7 @@ def test_json_round_trips():
 
 
 @given(st.lists(st.integers(-5, 5), max_size=9))
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 def test_certificate_documents_round_trip(coefficients):
     # degree <= 8, zero coefficients (and the zero polynomial) included
     f = LPolynomial(dict(enumerate(coefficients)))
@@ -400,6 +400,15 @@ def test_motivic_keys_refuse_bools():
         MotivicClass({("X", 1): True})
     with pytest.raises(ValueError, match="symbol"):
         MotivicClass({(1, 1): 1})
+
+
+@pytest.mark.parametrize("key", (5, None, ("X",), ("X", 0, 1), "ab"))
+def test_motivic_keys_must_be_pairs(key):
+    # a string key of length 2 would unpack into two one-letter parts
+    with pytest.raises(ValueError, match=r"^term key must be a \(symbol, L-power\) pair, got "):
+        MotivicClass({key: 1})
+    with pytest.raises(ValueError, match="term key must be a"):
+        MotivicClass([(key, 1)])
 
 
 def test_replay_rejects_forged_step():

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from g2pair.errors import CapExceededError, UnknownTypeError
 from g2pair.rootsys import (
     CartanMatrix,
+    RootSystem,
     check_cap,
+    check_node,
     generate_root_system,
-    matvec,
     parse_cartan,
+    reflect_weight,
     root_system,
     series_exponents,
 )
 from g2pair.weyl import WeylGroup
+from weyl_oracles import coroot_coordinates, matvec, reflect, simple_root
 
 
 def simple_reflection_matrix(rs, i):
@@ -28,16 +31,17 @@ def simple_reflection_matrix(rs, i):
 
 
 def coroot_pairing(rs, v, beta):
-    """<v, beta_check> = sum_j v_j sum_i c_i a[i][j], with c the coordinates
-    of beta_check in the simple coroots and a[i][j] = <alpha_j, alpha_i_check>."""
-    c, a, n = rs.coroot_coordinates(beta), rs.cartan.entries, rs.rank
+    """<v, beta_check> = sum_j v_j sum_i c_i a[i][j], with c = rs.coroots of
+    the positive root beta and a[i][j] = <alpha_j, alpha_i_check>."""
+    c = rs.coroots[rs.positive_roots.index(beta)]
+    a, n = rs.cartan.entries, rs.rank
     return sum(v[j] * sum(c[i] * a[i][j] for i in range(n)) for j in range(n))
 
 
 def reflection_matrix(rs, beta):
     """s_beta on the root lattice: column j is alpha_j - <alpha_j, beta_check> beta."""
     n = rs.rank
-    pair = [coroot_pairing(rs, rs.simple_root(j + 1), beta) for j in range(n)]
+    pair = [coroot_pairing(rs, simple_root(rs, j + 1), beta) for j in range(n)]
     return tuple(
         tuple((1 if r == c else 0) - pair[c] * beta[r] for c in range(n)) for r in range(n)
     )
@@ -166,8 +170,13 @@ def test_g2_positive_roots_exact():
 
 
 def test_g2_root_norms():
+    # (beta, beta) = sum_k b_k (alpha_k, beta) = sum_k b_k d_k <beta, alpha_k_check>
     rs = root_system("G2")
-    norms = {beta: rs.norm2(beta) for beta in rs.positive_roots}
+    d = rs.cartan.symmetrizer
+    norms = {
+        beta: sum(b * dk * wk for b, dk, wk in zip(beta, d, w))
+        for beta, w in zip(rs.positive_roots, rs.weights)
+    }
     assert norms == {
         (1, 0): 6,
         (0, 1): 2,
@@ -178,13 +187,21 @@ def test_g2_root_norms():
     }
 
 
+def moved(rs, i, beta):
+    """s_i(beta) for a positive root beta, read off WeylGroup.root_moves."""
+    roots = rs.positive_roots
+    a, perm = WeylGroup(rs).root_moves[i - 1]
+    n = roots.index(beta)
+    return tuple(-x for x in beta) if n == a else roots[perm[n]]
+
+
 def test_reflect_examples():
     g2 = root_system("G2")
-    assert g2.reflect(2, (1, 0)) == (1, 3)
-    assert g2.reflect(1, (0, 1)) == (1, 1)
-    assert g2.reflect(1, (1, 0)) == (-1, 0)
+    assert moved(g2, 2, (1, 0)) == (1, 3)
+    assert moved(g2, 1, (0, 1)) == (1, 1)
+    assert moved(g2, 1, (1, 0)) == (-1, 0)
     a2 = root_system("A2")
-    assert a2.reflect(1, (0, 1)) == (1, 1)
+    assert moved(a2, 1, (0, 1)) == (1, 1)
 
 
 def test_reflection_permutes_other_positives():
@@ -192,20 +209,20 @@ def test_reflection_permutes_other_positives():
         rs = root_system(name)
         pos = set(rs.positive_roots)
         for i in range(1, rs.rank + 1):
-            alpha = rs.simple_root(i)
+            alpha = simple_root(rs, i)
             others = pos - {alpha}
-            images = {rs.reflect(i, beta) for beta in others}
+            images = {moved(rs, i, beta) for beta in others}
             assert images == others, (name, i)
-            assert rs.reflect(i, alpha) == tuple(-x for x in alpha)
+            assert moved(rs, i, alpha) == tuple(-x for x in alpha)
 
 
 def test_coroot_pairings():
     a2 = root_system("A2")
-    assert coroot_pairing(a2, a2.simple_root(1), a2.simple_root(2)) == -1
+    assert coroot_pairing(a2, simple_root(a2, 1), simple_root(a2, 2)) == -1
     g2 = root_system("G2")
     # <alpha_1, alpha_2_check> = a[2][1] = -3 with node 1 long
-    assert coroot_pairing(g2, g2.simple_root(1), g2.simple_root(2)) == -3
-    assert coroot_pairing(g2, g2.simple_root(2), g2.simple_root(1)) == -1
+    assert coroot_pairing(g2, simple_root(g2, 1), simple_root(g2, 2)) == -3
+    assert coroot_pairing(g2, simple_root(g2, 2), simple_root(g2, 1)) == -1
 
 
 def test_g2_coroot_coordinates():
@@ -218,31 +235,35 @@ def test_g2_coroot_coordinates():
         (1, 3): (1, 1),
         (2, 3): (2, 1),
     }
-    for beta, coords in expected.items():
-        assert rs.coroot_coordinates(beta) == coords, beta
+    assert dict(zip(rs.positive_roots, rs.coroots)) == expected
+    for beta in expected:
         # <beta, beta_check> = 2 for every root
         assert coroot_pairing(rs, beta, beta) == 2, beta
 
 
 def test_coroot_rejects_non_root():
+    # 2 alpha_1 has (beta, beta) = 24 and no integral coroot
     rs = root_system("G2")
+    with pytest.raises(ValueError, match="^coroot is not integral; invalid root data$"):
+        RootSystem(rs.cartan, rs.positive_roots + ((2, 0),)).coroots
     with pytest.raises(ValueError):
-        rs.coroot_coordinates((2, 0))
+        coroot_coordinates(rs, (2, 0))
 
 
 def test_is_root():
     rs = root_system("G2")
-    assert rs.is_root((1, 3))
-    assert rs.is_root((-1, -3))
-    assert not rs.is_root((2, 0))
-    assert not rs.is_root((0, 0))
+    roots = set(rs.positive_roots) | {tuple(-x for x in b) for b in rs.positive_roots}
+    assert (1, 3) in roots
+    assert (-1, -3) in roots
+    assert (2, 0) not in roots
+    assert (0, 0) not in roots
 
 
 def test_reflection_matrix_matches_simple():
     for name in ("A2", "B2", "G2"):
         rs = root_system(name)
         for i in range(1, rs.rank + 1):
-            assert reflection_matrix(rs, rs.simple_root(i)) == simple_reflection_matrix(rs, i)
+            assert reflection_matrix(rs, simple_root(rs, i)) == simple_reflection_matrix(rs, i)
 
 
 def test_reflection_matrix_involution_and_negation():
@@ -252,7 +273,7 @@ def test_reflection_matrix_involution_and_negation():
         assert matvec(m, beta) == tuple(-x for x in beta)
         # involution: applying twice is the identity
         assert all(
-            matvec(m, matvec(m, rs.simple_root(j + 1))) == rs.simple_root(j + 1)
+            matvec(m, matvec(m, simple_root(rs, j + 1))) == simple_root(rs, j + 1)
             for j in range(rs.rank)
         )
 
@@ -270,10 +291,13 @@ def test_cap_exceeded_on_affine_literal():
 
 def test_node_index_validation():
     rs = root_system("G2")
-    with pytest.raises(ValueError):
-        rs.simple_root(0)
-    with pytest.raises(ValueError):
-        rs.reflect(3, (1, 0))
+    g = WeylGroup(rs)
+    with pytest.raises(ValueError, match="^node index 0 out of range 1..2$"):
+        check_node(0, rs.rank)
+    with pytest.raises(ValueError, match="^letter 3 out of range 1..2$"):
+        g.from_word([3])
+    with pytest.raises(ValueError, match="^parabolic node 0 out of range 1..2$"):
+        g.normalize_parabolic([0])
 
 
 SERIES = (
@@ -368,7 +392,49 @@ def finite_literals(draw):
 
 
 @given(finite_literals())
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 def test_generation_matches_the_direct_loop_on_drawn_literals(literal):
     cartan = parse_cartan(literal)
     assert generate_root_system(cartan).positive_roots == oracle_positive_roots(cartan)
+
+
+# --- the root data RootSystem owns, against the removed formulas -------
+
+
+def check_root_data(rs):
+    """Coroots are the positive roots of the dual system (the transposed
+    Cartan matrix) and pair to 2 with their roots; coroots, weights and
+    root_moves equal the formulas through the symmetrized bilinear form,
+    the Cartan rows and the root-lattice reflection; reflect_weight along
+    CartanMatrix.columns sends the weight of beta to that of s_i beta."""
+    a, roots = rs.cartan.entries, rs.positive_roots
+    dual = generate_root_system(CartanMatrix(tuple(zip(*a))))
+    assert set(rs.coroots) == set(dual.positive_roots)
+    assert len(rs.coroots) == len(roots)
+    for c, w in zip(rs.coroots, rs.weights):
+        assert sum(x * y for x, y in zip(c, w)) == 2, (c, w)
+    assert rs.coroots == tuple(coroot_coordinates(rs, beta) for beta in roots)
+    assert rs.weights == tuple(matvec(a, beta) for beta in roots)
+    index = {beta: n for n, beta in enumerate(roots)}
+    group = WeylGroup(rs, cap=10**30)
+    assert group.root_moves == tuple(
+        (
+            index[simple_root(rs, i)],
+            tuple(index.get(reflect(rs, i, beta), n) for n, beta in enumerate(roots)),
+        )
+        for i in range(1, rs.rank + 1)
+    )
+    for i, column in enumerate(rs.cartan.columns):
+        for beta, w in zip(roots, rs.weights):
+            assert reflect_weight(w, i, column) == matvec(a, reflect(rs, i + 1, beta))
+
+
+@pytest.mark.parametrize("name", NAMED_UP_TO_RANK_8)
+def test_root_data_on_named_types(name):
+    check_root_data(root_system(name))
+
+
+@given(finite_literals())
+@settings(max_examples=60)
+def test_root_data_on_drawn_literals(literal):
+    check_root_data(root_system(literal))

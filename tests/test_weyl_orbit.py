@@ -18,6 +18,7 @@ from g2pair.motive import poincare_polynomial
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
 from weyl_oracles import (
+    bilinear,
     element_by_matrix,
     element_matrix,
     elements,
@@ -25,6 +26,7 @@ from weyl_oracles import (
     identity,
     inverse,
     inverse_point,
+    simple_root,
 )
 
 ORDERS = {
@@ -62,7 +64,7 @@ def reflection_matrix(rs, beta):
     the pairing from the symmetrized form, (alpha_j, beta) = d_j (a^T beta)_j."""
     a, d = rs.cartan.entries, rs.cartan.symmetrizer
     n = rs.rank
-    norm = rs.cartan.bilinear(beta, beta)
+    norm = bilinear(rs.cartan, beta, beta)
     pair = [2 * d[j] * sum(a[j][k] * beta[k] for k in range(n)) // norm for j in range(n)]
     return tuple(
         tuple(int(r == c) - pair[c] * beta[r] for c in range(n)) for r in range(n)
@@ -72,7 +74,7 @@ def reflection_matrix(rs, beta):
 def word_matrix(rs, word):
     m = identity_matrix(rs.rank)
     for i in word:
-        m = matmul(m, reflection_matrix(rs, rs.simple_root(i)))
+        m = matmul(m, reflection_matrix(rs, simple_root(rs, i)))
     return m
 
 
@@ -108,20 +110,20 @@ def test_inverse_is_identity_product(group):
 
 def test_times_reflection_matches_matmul(group):
     rs = group.root_system
-    data = group.reflection_data
-    assert [r.root for r in data] == list(rs.positive_roots)
-    matrices = [reflection_matrix(rs, r.root) for r in data]
+    data = tuple(zip(rs.positive_roots, rs.coroots, rs.weights))
+    matrices = [reflection_matrix(rs, beta) for beta, _, _ in data]
     by_root = group.reflections()
-    reflections = [by_root[r.root] for r in data]
+    assert list(by_root) == list(rs.positive_roots)
+    reflections = [by_root[beta] for beta, _, _ in data]
     for s_beta, m in zip(reflections, matrices):
         assert element_matrix(s_beta) == m
     for w in elements(group):
         x = inverse_point(w)
-        for r, s_beta, m in zip(data, reflections, matrices):
+        for (_, coroot, weight), s_beta, m in zip(data, reflections, matrices):
             expected = element_by_matrix(group, matmul(element_matrix(w), m))
             # w * s_beta has x-point s_beta(x) = x - <x, beta_check> beta
-            p = sum(a * b for a, b in zip(x, r.coroot))
-            assert inverse_point(expected) == tuple(a - p * b for a, b in zip(x, r.weight))
+            p = sum(a * b for a, b in zip(x, coroot))
+            assert inverse_point(expected) == tuple(a - p * b for a, b in zip(x, weight))
             assert w * s_beta is expected
 
 
@@ -129,8 +131,8 @@ def test_root_moves_are_simple_reflections(group):
     rs = group.root_system
     roots = rs.positive_roots
     for i, (a, perm) in enumerate(group.root_moves, start=1):
-        s_i = reflection_matrix(rs, rs.simple_root(i))
-        assert roots[a] == rs.simple_root(i)
+        s_i = reflection_matrix(rs, simple_root(rs, i))
+        assert roots[a] == simple_root(rs, i)
         assert sorted(perm) == list(range(len(roots)))
         for n, beta in enumerate(roots):
             image = tuple(sum(row[c] * beta[c] for c in range(rs.rank)) for row in s_i)

@@ -114,7 +114,7 @@ def test_enumeration_matches_degrees(name):
 
 
 @given(st.sampled_from("ABCD"), st.integers(1, 8))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 def test_named_family_orders(letter, n):
     n = max(n, {"A": 1, "B": 2, "C": 2, "D": 3}[letter])
     name = f"{letter}{n}"
@@ -133,7 +133,7 @@ def test_walk_words_are_the_right_descent_filter(name):
 
 
 @given(st.sets(st.integers(1, 6), max_size=5))
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@settings(max_examples=8)
 def test_e6_walk_words_are_the_right_descent_filter(nodes):
     g = group("E6")
     assert g.coset_words(nodes) == right_descent_filter(g, nodes)
@@ -295,7 +295,7 @@ def connected_literals(draw):
 
 
 @given(connected_literals())
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 def test_random_literal_is_finite_exactly_when_positive_definite(a):
     literal = json.dumps(a)
     if positive_definite(a):

@@ -23,15 +23,61 @@ the canonical word, one simple reflection at a time, and
 ``element_by_matrix`` finds an element from a matrix through the point
 it sends 2 rho to, so descents, lengths, products and reflections can be
 checked against matrix arithmetic.
+
+The root-lattice arithmetic those matrices rest on is kept here too, in
+the form the library used before its root data moved onto RootSystem:
+``matvec``, ``simple_root``, ``reflect`` (s_i from row i of the Cartan
+matrix), the symmetrized ``bilinear`` form and ``coroot_coordinates``
+through it.  None of it reads RootSystem.weights, RootSystem.coroots or
+rootsys.reflect_weight, so the tests of those stay code-disjoint.
 """
 
 from functools import cache
 from typing import NamedTuple
 
 from g2pair.motive import LPolynomial
-from g2pair.rootsys import check_node, matvec
+from g2pair.rootsys import check_node
 from g2pair.schubert import CohomologyElement
 from g2pair.weyl import WeylElement
+
+
+def matvec(m, v):
+    n = len(v)
+    return tuple(sum(m[r][k] * v[k] for k in range(n)) for r in range(n))
+
+
+def simple_root(rs, i):
+    """alpha_i in simple-root coordinates, i in 1..rank."""
+    return tuple(1 if k == i - 1 else 0 for k in range(rs.rank))
+
+
+def reflect(rs, i, v):
+    """s_i(v) = v - <v, alpha_i_check> alpha_i for any lattice vector v, the
+    pairing read off row i of the Cartan matrix."""
+    c = sum(x * y for x, y in zip(rs.cartan.entries[i - 1], v))
+    return v[:i - 1] + (v[i - 1] - c,) + v[i:]
+
+
+def bilinear(cartan, v, w):
+    """Symmetric form with (alpha_i, alpha_j) = d_i a[i][j]."""
+    d, a, n = cartan.symmetrizer, cartan.entries, cartan.rank
+    return sum(d[i] * a[i][j] * v[i] * w[j] for i in range(n) for j in range(n))
+
+
+def coroot_coordinates(rs, beta):
+    """beta_check in simple-coroot coordinates, c_j = b_j (alpha_j, alpha_j)
+    / (beta, beta) = 2 b_j d_j / (beta, beta), through the full bilinear
+    form; a non-root or a non-integral coroot is refused."""
+    if beta not in rs.positive_roots and tuple(-x for x in beta) not in rs.positive_roots:
+        raise ValueError(f"{beta} is not a root of this system")
+    d, norm = rs.cartan.symmetrizer, bilinear(rs.cartan, beta, beta)
+    coords = []
+    for j in range(rs.rank):
+        num = beta[j] * 2 * d[j]
+        if num % norm:
+            raise ValueError("coroot is not integral; invalid root data")
+        coords.append(num // norm)
+    return tuple(coords)
 
 
 @cache
@@ -174,9 +220,9 @@ def _word_matrix(rs, word):
     # same word and point compare equal
     cols = []
     for j in range(1, rs.rank + 1):
-        v = rs.simple_root(j)
+        v = simple_root(rs, j)
         for i in reversed(word):
-            v = rs.reflect(i, v)
+            v = reflect(rs, i, v)
         cols.append(v)
     return tuple(zip(*cols))
 
