@@ -368,6 +368,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory running {ns.verb}", file=sys.stderr)
+        return 1
     print(out)
     return 0
 

@@ -143,7 +143,10 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
 
 
 def _blank(n: int) -> list[list[int]]:
-    return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 2
+    return m
 
 
 def _set_edge(m: list[list[int]], i: int, j: int, aij: int = -1, aji: int = -1) -> None:

@@ -5,11 +5,12 @@ indexed by minimal coset representatives, with sigma[w] sitting in
 degree 2*length(w).  A ring is built from the orbit of omega_P alone
 (weyl): the cell of w is the point mu = w(omega_P), at layer length(w),
 and the group is never enumerated: every ring of a quotient reads the
-group's one walk of it and one table of the per-cell codes, pairings and
-covers below, both kept by the group and made by the first ring of that
-quotient.  Full products are not implemented; everything the degree
-computations need follows from Chevalley's divisor rule (Fulton-Woodward,
-"On the quantum product of Schubert classes"), read on the orbit:
+group's one walk of it and one table (ChevalleyTable) of the per-cell
+codes, pairings and covers and the coroot classes below, both kept by the
+group and made by the first ring of that quotient.  Full products are not
+implemented; everything the degree computations need follows from
+Chevalley's divisor rule (Fulton-Woodward, "On the quantum product of
+Schubert classes"), read on the orbit:
 
     sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
@@ -20,6 +21,15 @@ for w*s_beta with gamma = w beta).  Both pairings are sums of the
 one list over the positive roots per free node, made from its canonical
 parent's (weyl) by the permutation s_i induces on the roots, so a cell
 costs O(|free nodes| * |positive roots|) and no reflection matrix.
+
+With gamma = w beta, a cover's pairings <w(omega_f), gamma_check> =
+<omega_f, beta_check> over the free nodes f are the free-node part of the
+positive coroot beta_check, so they take few values: the quotient's
+coroot classes, the distinct nonzero free-node parts of the positive
+coroots, read off the identity cell's pairings and numbered once per
+quotient.  A cover keeps the index of its class, and a product by lambda
+reads <lambda, class> from one list that the ring makes, checking lambda,
+only when lambda differs from its last divisor.
 
 Points are found by an integer code, c(v) = sum of v_i * r^i with the
 group's radix r = 2 ht(theta_check) + 1 (WeylGroup.point_codes).  Every
@@ -144,12 +154,25 @@ class CohomologyElement(Combination):
         return f"CohomologyElement({self})"
 
 
-def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> tuple:
-    """What every ring of G/P reads, made once per group and quotient and
-    kept in ``group._tables``: the point codes, the index code -> cell,
-    the layers, and per cell, each made on first use, the coroot pairings
-    and the Chevalley covers.  Raises ConventionError, keeping nothing,
-    when two codes collide or the quotient has no unique top class."""
+class ChevalleyTable(NamedTuple):
+    """What every ring of G/P reads, kept per quotient in ``group._tables``:
+    the point codes, the index code -> cell, the layers, per cell (each
+    made on first use) the coroot pairings and the Chevalley covers, and
+    the coroot classes, each nonzero free-node part of a positive coroot
+    mapped to its index."""
+
+    codes: list[int]
+    at: dict[int, int]
+    layers: list[int]
+    pairings: list[Optional[tuple[list[int], ...]]]
+    covers: list[Optional[list[tuple[int, int]]]]
+    classes: dict[tuple[int, ...], int]
+
+
+def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> ChevalleyTable:
+    """The table of G/P, made once per group and quotient.  Raises
+    ConventionError, keeping nothing, when two codes collide or the
+    quotient has no unique top class."""
     words, points, parents = group.orbit(parabolic)
     # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
     powers, root_codes = group.point_codes
@@ -174,7 +197,11 @@ def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> tuple:
         for j in range(1, group.rank + 1)
         if j not in parabolic
     )
-    return codes, at, layers, pairings, [None] * len(words)
+    classes: dict[tuple[int, ...], int] = {}
+    for part in zip(*pairings[0]):
+        if any(part):
+            classes.setdefault(part, len(classes))
+    return ChevalleyTable(codes, at, layers, pairings, [None] * len(words), classes)
 
 
 class SchubertRing:
@@ -197,7 +224,10 @@ class SchubertRing:
             table = group._tables[p] = _chevalley_table(group, p)
         # the table's walk, made by group.orbit(p) when the table was built
         self.words, self.points, self._parents = group._walks[p]
-        self._codes, self._at, self._layers, self._pairings, self._cover_lists = table
+        (self._codes, self._at, self._layers, self._pairings, self._cover_lists,
+         self._classes) = table
+        # the last divisor's weights and its value on each coroot class
+        self._lam: tuple = (None, None)
         self.dimension = self._layers[-1]
         self._top = len(self.words) - 1
 
@@ -274,16 +304,19 @@ class SchubertRing:
             ps = memo[k] = tuple(lifted)
         return ps
 
-    def _covers(self, k: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(j, <w(omega_f), gamma_check> per free node f) for every cell
+    def _covers(self, k: int) -> list[tuple[int, int]]:
+        """(j, index of the coroot class of beta) for every cell
         j = s_gamma mu one layer above the cell k = w, mu = w(omega_P),
-        gamma > 0: the terms of the Chevalley rule.  Made once per cell and
-        kept in the quotient's table."""
+        gamma = w beta > 0: the terms of the Chevalley rule, whose class is
+        (<w(omega_f), gamma_check>)_f over the free nodes f.  Made once per
+        cell and kept in the quotient's table; a pairing vector that is
+        not a class raises ConventionError."""
         covers = self._cover_lists[k]
         if covers is not None:
             return covers
         code, at, layers = self._codes[k], self._at, self._layers
         roots = self.group.point_codes[1]
+        classes = self._classes
         up = layers[k] + 1
         ps = self._pairing(k)
         qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
@@ -294,21 +327,45 @@ class SchubertRing:
             if q > 0:
                 j = at[code - q * roots[n]]
                 if layers[j] == up:
-                    covers.append((j, tuple([p[n] for p in ps])))
+                    part = tuple([p[n] for p in ps])
+                    i = classes.get(part)
+                    if i is None:
+                        raise ConventionError(
+                            f"cover pairings {list(part)} of cell {k} are not the "
+                            f"free part of a positive coroot"
+                        )
+                    covers.append((j, i))
         self._cover_lists[k] = covers
         return covers
 
-    def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
-        """Product of the divisor d with x, one length step up."""
-        if x.ring is not self:
-            raise ValueError("element belongs to a different ring")
+    def _lambda_values(self, d: DivisorClass) -> list[int]:
+        """<lambda, class> for each coroot class of the quotient, kept as
+        the ring's last divisor after d is checked."""
         self.check_divisor(d)
         weights = d.weights
         lam = [weights[j - 1] for j in self.free_nodes]
+        values = [sum(map(mul, lam, part)) for part in self._classes]
+        self._lam = (weights, values)
+        return values
+
+    def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
+        """Product of the divisor d with x, one length step up.  Each cover
+        reads <w lambda, gamma_check> as the value of its class; the values
+        are made, and d checked, only when d differs from the ring's last
+        divisor."""
+        if x.ring is not self:
+            raise ValueError("element belongs to a different ring")
+        weights, values = self._lam
+        if weights != d.weights:
+            values = self._lambda_values(d)
+        cover_lists = self._cover_lists
         out: dict[int, int] = {}
         for k, c in x._terms.items():
-            for j, pairs in self._covers(k):
-                m = sum(map(mul, lam, pairs))  # <w lambda, gamma_check>
+            covers = cover_lists[k]
+            if covers is None:
+                covers = self._covers(k)
+            for j, i in covers:
+                m = values[i]
                 if m:
                     out[j] = out.get(j, 0) + c * m
         return x._with(out)

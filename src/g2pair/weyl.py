@@ -200,7 +200,8 @@ class WeylGroup:
     parabolic in ``_walks``, which coset words and Schubert rings read.
     Next to it, ``_tables`` keeps per parabolic the Chevalley table that
     schubert builds for the first ring of that quotient (codes, layers,
-    pairings, covers), so every later ring of it reads the same table.
+    pairings, covers, coroot classes), so every later ring of it reads the
+    same table.
     ``_at``, kept for the methods the benchmark's tracer wraps, makes an
     element from its point w(rho) once, on first use, and keeps it in
     ``_made``; nothing lists the group.

@@ -320,6 +320,13 @@ def test_large_ranks_fail_fast(argv, message):
     assert seconds < 1.0, seconds
 
 
+def test_running_out_of_memory_is_one_error_line():
+    # A100000 has about 5*10^9 positive roots, inside this cap, and its
+    # Cartan matrix alone outgrows the child's 1 GiB of address space
+    code, out, err, _ = run_module("roots", "A100000", "--cap", "10000000000", seconds=30)
+    assert (code, out, err) == (1, "", "error: out of memory running roots\n")
+
+
 def test_roots_of_a_large_rank_answer_quickly():
     # A100 has 5,050 positive roots; each costs O(rank) to generate
     code, out, err, seconds = run_module("roots", "A100")

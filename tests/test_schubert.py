@@ -43,6 +43,7 @@ from weyl_oracles import (
     basis_index,
     bilinear,
     coefficient,
+    coroot_coordinates,
     element_by_matrix,
     element_matrix,
     generator,
@@ -667,6 +668,44 @@ def test_divisors_commute_on_quotients(case, data):
         ), (ring.parabolic, d1, d2, k)
 
 
+@given(st.sampled_from(("A3", "B3", "C3", "G2", "F4")), st.data())
+@settings(max_examples=40)
+def test_products_by_a_drawn_divisor_sequence_match_the_pairings(name, data):
+    # one ring multiplies by a drawn sequence from a small pool of divisors
+    # (zeros, negatives, repeats, alternation), with bad divisors between:
+    # each product matches sum(map(mul)) over the pairings, and a bad
+    # divisor raises, twice over, even right after the same ring memoized
+    # a good one
+    g = shared_group(name)
+    parabolic = tuple(sorted(data.draw(st.sets(st.integers(1, g.rank), max_size=g.rank - 1))))
+    ring = SchubertRing(g, parabolic)
+    weights = st.tuples(*[st.integers(-3, 3)] * g.rank).map(
+        lambda w: DivisorClass(free_weights(w, parabolic))
+    )
+    pool = data.draw(st.lists(weights, min_size=1, max_size=3))
+    sequence = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    cells = st.dictionaries(st.integers(0, len(ring) - 1), st.integers(-3, 3), max_size=3)
+    for d in sequence:
+        x = CohomologyElement(ring, data.draw(cells))
+        assert ring.chevalley(d, x).coefficients() == pairing_product(ring, d, x), (
+            parabolic, d, x,
+        )
+        if data.draw(st.booleans()):
+            if parabolic and data.draw(st.booleans()):
+                bad = list(d.weights)
+                bad[data.draw(st.sampled_from(parabolic)) - 1] = data.draw(
+                    st.sampled_from((-2, -1, 1, 2))
+                )
+                for _ in range(2):
+                    with pytest.raises(PicardError, match="does not descend"):
+                        ring.chevalley(DivisorClass(bad), x)
+            else:
+                bad = data.draw(st.sampled_from((d.weights[:-1], d.weights + (0,))))
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="weights, rank is"):
+                        ring.chevalley(DivisorClass(bad), x)
+
+
 def is_line_fibration(g, parabolic, node):
     # the fibre W_P'/W_P is P^1 when the node joins no node of P
     a = g.root_system.cartan.entries
@@ -756,7 +795,7 @@ def test_one_walk_per_quotient(monkeypatch):
     assert sorted(g._walks) == [(), (1,), (2,)]
 
 
-TABLE_PARTS = ("_codes", "_at", "_layers", "_pairings", "_cover_lists")
+TABLE_PARTS = ("_codes", "_at", "_layers", "_pairings", "_cover_lists", "_classes")
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
@@ -774,6 +813,7 @@ def test_rings_of_a_quotient_share_one_table(name):
         for part in TABLE_PARTS:
             assert getattr(first, part) is getattr(second, part), (parabolic, part)
         assert g._tables[first.parabolic][0] is first._codes
+        assert g._tables[first.parabolic].classes is first._classes
         # the rings stay two rings: their elements do not mix
         assert first.one() != second.one()
         with pytest.raises(ValueError):
@@ -840,6 +880,32 @@ def test_products_validate_nothing(monkeypatch):
     )
     assert top_powers() == want
     assert keys == [0] * len(maximal)
+
+
+def test_products_build_one_lambda_table_per_ring(monkeypatch):
+    # A product checks its divisor and makes its class values only when
+    # the divisor differs from the ring's last one: after a warm-up pass,
+    # lambda^dim on every maximal quotient of F4 does both once per ring.
+    g = make_group("F4")
+    maximal = [p for p in all_parabolics(g.rank) if len(p) == g.rank - 1]
+
+    def top_powers():
+        return [top_power(SchubertRing(g, p), free_weights((1, 2, 3, 1), p)) for p in maximal]
+
+    want = top_powers()
+    assert all(want)
+    builds, checks = [], []
+    real_build, real_check = SchubertRing._lambda_values, SchubertRing.check_divisor
+    monkeypatch.setattr(
+        SchubertRing, "_lambda_values", lambda r, d: builds.append(r) or real_build(r, d)
+    )
+    monkeypatch.setattr(
+        SchubertRing, "check_divisor", lambda r, d: checks.append(r) or real_check(r, d)
+    )
+    assert top_powers() == want
+    assert [r.parabolic for r in builds] == maximal
+    assert len(set(map(id, builds))) == len(maximal)
+    assert checks == builds
 
 
 @pytest.mark.parametrize(
@@ -946,22 +1012,46 @@ def code_cases():
         yield "E6", tuple(i for i in range(1, 7) if i != free)
 
 
+def tuple_cell_covers(ring, k, at):
+    """The cover rule on point tuples at the cell k: (j, its pairings
+    <w(omega_f), gamma_check> per free node f, read off ``_pairing``) for
+    s_gamma mu = mu - q gamma, q = <mu, gamma_check> > 0, looked up as a
+    tuple in ``at`` (point -> cell) and one layer up."""
+    mu, ps, covers = ring.points[k], ring._pairing(k), []
+    up = len(ring.words[k]) + 1
+    rs = ring.group.root_system
+    for n, (coroot, weight) in enumerate(zip(rs.coroots, rs.weights)):
+        q = sum(a * b for a, b in zip(mu, coroot))
+        if q > 0:
+            j = at[tuple(a - q * b for a, b in zip(mu, weight))]
+            if len(ring.words[j]) == up:
+                covers.append((j, tuple(p[n] for p in ps)))
+    return covers
+
+
 def tuple_covers(ring):
-    """Per cell, the cover rule on point tuples: s_gamma mu = mu - q gamma
-    for q = <mu, gamma_check> > 0, looked up as a tuple among the points."""
+    """Per cell, its covers by the tuple rule."""
     at = {mu: j for j, mu in enumerate(ring.points)}
-    out = []
-    for k, mu in enumerate(ring.points):
-        up, ps, covers = len(ring.words[k]) + 1, ring._pairing(k), []
-        rs = ring.group.root_system
-        for n, (coroot, weight) in enumerate(zip(rs.coroots, rs.weights)):
-            q = sum(a * b for a, b in zip(mu, coroot))
-            if q > 0:
-                j = at[tuple(a - q * b for a, b in zip(mu, weight))]
-                if len(ring.words[j]) == up:
-                    covers.append((j, tuple(p[n] for p in ps)))
-        out.append(covers)
-    return out
+    return [tuple_cell_covers(ring, k, at) for k in range(len(ring))]
+
+
+def pairing_product(ring, d, x):
+    """d . x by the tuple covers, <w lambda, gamma_check> summed as
+    sum(map(mul, lam, pairs)) per cover: the coefficients, zeros dropped."""
+    at = {mu: j for j, mu in enumerate(ring.points)}
+    lam = [d.weights[f - 1] for f in ring.free_nodes]
+    out = {}
+    for k, c in x.coefficients().items():
+        for j, pairs in tuple_cell_covers(ring, k, at):
+            out[j] = out.get(j, 0) + c * sum(map(mul, lam, pairs))
+    return {j: c for j, c in out.items() if c}
+
+
+def class_parts(ring):
+    """Each cover's class index mapped back to its free-node part."""
+    parts = list(ring._classes)
+    assert list(ring._classes.values()) == list(range(len(parts)))
+    return [[(j, parts[i]) for j, i in ring._covers(k)] for k in range(len(ring))]
 
 
 def tuple_push_targets(ring, node, target):
@@ -992,13 +1082,46 @@ def test_code_covers_and_pushforward_match_tuple_lookup():
     for name, parabolic in code_cases():
         g = groups.setdefault(name, make_group(name))
         ring = SchubertRing(g, parabolic)
+        got = class_parts(ring)
         for k, covers in enumerate(tuple_covers(ring)):
-            assert ring._covers(k) == covers, (name, parabolic, k)
+            assert got[k] == covers, (name, parabolic, k)
         for i in ring.free_nodes:
             target = SchubertRing(g, parabolic + (i,))
             for k, pushed in enumerate(tuple_push_targets(ring, i, target)):
                 got = pushforward(CohomologyElement(ring, {k: 1}), i, target)
                 assert got.coefficients() == pushed, (name, parabolic, k, i)
+
+
+def class_cases():
+    """(group name, parabolic): every parabolic of SMALL and of E6."""
+    for name in SMALL + ("E6",):
+        for parabolic in all_parabolics(root_system(name).cartan.rank):
+            yield name, parabolic
+
+
+def test_classes_are_the_free_parts_of_the_positive_coroots():
+    groups = {}
+    for name, parabolic in class_cases():
+        g = groups.setdefault(name, WeylGroup(root_system(name), cap=10**9))
+        ring = SchubertRing(g, parabolic)
+        rs = g.root_system
+        coroots = [coroot_coordinates(rs, beta) for beta in rs.positive_roots]
+        free = [f - 1 for f in ring.free_nodes]
+        want = {tuple(c[f] for f in free) for c in coroots} - {(0,) * len(free)}
+        assert set(ring._classes) == want, (name, parabolic)
+        assert sorted(ring._classes.values()) == list(range(len(want))), (name, parabolic)
+        assert g._tables[ring.parabolic].classes is ring._classes
+
+
+def test_a_cover_outside_the_classes_raises():
+    # the covers of the identity of G/B are the simple reflections, whose
+    # class is a unit vector: without it no product leaves the identity
+    g = make_group("B3")
+    ring = SchubertRing(g, ())
+    del ring._classes[(1, 0, 0)]
+    with pytest.raises(ConventionError, match="not the free part of a positive coroot"):
+        ring.chevalley(DivisorClass((1, 1, 1)), ring.one())
+    assert ring._cover_lists[0] is None
 
 
 def test_codes_from_the_parent_are_the_radix_sums():
