@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
@@ -28,16 +28,43 @@ from . import grothring
 def _json(doc: dict) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written
     without json's pure-Python indenting encoder.  Takes exactly dict (str
-    keys), list, tuple, str, int, bool and None, with one join per
-    container; anything else, floats included, raises TypeError.  A list
-    of dicts that share one key set is written column by column."""
+    keys), list, tuple, str, int, bool, None and _WalkRows, with one join
+    per container; anything else, floats included, raises TypeError.  A
+    list of dicts that share one key set is written column by column."""
     return _write(doc, "\n")
 
 
 _INT = {int}
 _STR = {str}
 _DICT = {dict}
-_SEQ = {list, tuple}
+
+
+class _WalkRows(namedtuple("_WalkRows", "lengths names words parents")):
+    """The rows {"length", "name", "word"} of a walk of W/W_P, given
+    column-wise: lengths, names, words and each word's parent index (-1
+    for the empty word), as ``orbit`` lists them.  Written as a list of
+    those dicts would be, one %-template per row; each word's text is its
+    first letter plus the text at its parent's index, which must come
+    before it, and columns of unequal length raise ValueError."""
+
+    def __call__(self, nl: str) -> str:
+        inner, key, sep = nl + "  ", nl + "    ", "," + nl + "      "
+        row = f'{{{key}"length": %s,{key}"name": %s,{key}"word": %s{inner}}}'
+        full = row % ("%s", "%s", f"[{sep[1:]}%s{key}]")
+        body, rows = [], []
+        columns = zip(map(int.__repr__, self.lengths), map(_quote, self.names), self.words,
+                      self.parents, strict=True)
+        for k, (n, name, word, p) in enumerate(columns):
+            if not word:
+                body.append("")
+                rows.append(row % (n, name, "[]"))
+            elif 0 <= p < k:
+                text = int.__repr__(word[0])
+                body.append(text + sep + body[p] if len(word) > 1 else text)
+                rows.append(full % (n, name, body[k]))
+            else:
+                raise ValueError(f"cell {k} has parent {p}, which does not come before it")
+        return "[" + inner + ("," + inner).join(rows) + nl + "]" if rows else "[]"
 
 
 def _write(v, nl: str) -> str:
@@ -65,6 +92,8 @@ def _write(v, nl: str) -> str:
         if keys and all(d.keys() == keys for d in v):
             return "[" + inner + sep.join(_rows(v, inner)) + nl + "]"
         return "[" + inner + sep.join([_write(x, inner) for x in v]) + nl + "]"
+    if t is _WalkRows:
+        return v(nl)
     if v is None:
         return "null"
     if v is True:
@@ -75,9 +104,9 @@ def _write(v, nl: str) -> str:
 
 
 def _rows(rows: Sequence[dict], nl: str) -> list[str]:
-    """_write of each dict in ``rows``, which all have one key set: one
-    %-template of the sorted, quoted keys, filled from columns that are
-    each written in one pass."""
+    """_write of each dict in ``rows``, which share one key set: one
+    %-template of the sorted, quoted keys, filled from columns written in
+    one pass each (the rows of a walk come as columns, in _WalkRows)."""
     keys = sorted(rows[0])
     inner = nl + "  "
     template = "{" + inner + ("," + inner).join(
@@ -88,32 +117,13 @@ def _rows(rows: Sequence[dict], nl: str) -> list[str]:
 
 
 def _column(col: list, nl: str) -> list[str]:
-    """[_write(x, nl) for x in col], with one map for a column of ints or
-    of strs.  In a column of int lists, a list whose tail x[1:] came
-    earlier (as each word of a walk follows its suffix) is its first
-    letter plus the tail's text; any other takes one join."""
+    """[_write(x, nl) for x in col], with one map for a column of ints or strs."""
     types = {*map(type, col)}
     if types == _INT:
         return list(map(int.__repr__, col))
     if types == _STR:
         return list(map(_quote, col))
-    if not (types <= _SEQ and {*map(type, chain.from_iterable(col))} <= _INT):
-        return [_write(x, nl) for x in col]
-    inner = nl + "  "
-    sep = "," + inner
-    body: dict[tuple, str] = {}
-    out = []
-    for x in map(tuple, col):
-        if not x:
-            out.append("[]")
-            continue
-        rest = body.get(x[1:])
-        if rest is None:
-            text = body[x] = sep.join(map(int.__repr__, x))
-        else:
-            text = body[x] = int.__repr__(x[0]) + sep + rest
-        out.append("[" + inner + text + nl + "]")
-    return out
+    return [_write(x, nl) for x in col]
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
@@ -211,20 +221,18 @@ def _cmd_weyl_order(ns: argparse.Namespace) -> str:
 
 def _cmd_cosets(ns: argparse.Namespace) -> str:
     group = _group(ns)
-    words = group.coset_words(ns.parabolic)
+    words, _, parents = group.orbit(ns.parabolic)
+    names = group.coset_names(ns.parabolic)
     if ns.format == "json":
         return _json(
             {
                 "type": ns.type,
                 "parabolic": group.normalize_parabolic(ns.parabolic),
                 "count": len(words),
-                "representatives": [
-                    {"name": name, "word": w, "length": len(w)}
-                    for name, w in zip(group.coset_names(ns.parabolic), words)
-                ],
+                "representatives": _WalkRows(list(map(len, words)), names, words, parents),
             }
         )
-    return "\n".join(group.coset_names(ns.parabolic))
+    return "\n".join(names)
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from functools import cached_property
 from operator import mul
@@ -36,6 +37,9 @@ Root = tuple[int, ...]
 Weight = tuple[int, ...]
 
 DEFAULT_ROOT_CAP = 100_000
+_MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
+    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if os.name == "posix" else math.inf
+)
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -370,7 +374,10 @@ def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
 
 
 def root_system(name: str, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
-    """Parse a type string and generate its root system; a named series
-    type past the cap is refused by ``series_exponents`` first."""
-    series_exponents(name, cap)
+    """Parse a type string and generate its root system.  A named series
+    type past the cap, or whose |Phi+| * rank root entries (8 bytes each at
+    least) outgrow the physical memory, is refused before any matrix."""
+    exponents = series_exponents(name, cap)
+    if exponents and 8 * sum(exponents) * len(exponents) > _MEMORY:
+        raise MemoryError(f"the roots of {name} cannot fit in memory")
     return generate_root_system(parse_cartan(name), cap=cap)

@@ -55,10 +55,10 @@ supported on P, gives the degrees of W_P, from which motive counts the
 cells of G/P without a walk.  Nothing here lists W: coset words, names
 and Schubert rings read one walk of omega_P per parabolic, kept by the
 group.  Each word of W^P is a letter followed by its parent's word, so
-a whole list is named in one pass, each name from the name its parent
-link points to.
-No element is ever turned into a matrix; the tests derive matrices from
-the words as an independent cross-check.
+one pass over the parent links names a whole list, and the command line
+writes each word's JSON text the same way, from its parent's text.  No
+element is ever turned into a matrix; the tests derive matrices from the
+words as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -89,15 +89,15 @@ def word_name(word: Word) -> str:
 
 def word_names(words: Sequence[Word], parents: Sequence[int]) -> list[str]:
     """word_name of each word, given the index of its canonical parent
-    (the word without its first letter, -1 for the empty word), as
-    ``orbit`` makes them: each name is "s<i>*" plus the name of the
-    parent, which must come first."""
+    (the word without its first letter, -1 for the empty word) in a list
+    of the same length, as ``orbit`` makes them: each name is "s<i>*" plus
+    the name of the parent, which must come first."""
     out: list[str] = []
-    for k, (word, p) in enumerate(zip(words, parents)):
-        if not 0 <= p < k:
-            if word:
-                raise ValueError(f"cell {k} has parent {p}, which does not come before it")
+    for k, (word, p) in enumerate(zip(words, parents, strict=True)):
+        if not word:
             out.append("e")
+        elif not 0 <= p < k:
+            raise ValueError(f"cell {k} has parent {p}, which does not come before it")
         elif len(word) > 1:
             out.append(f"s{word[0]}*{out[p]}")
         else:

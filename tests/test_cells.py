@@ -94,6 +94,10 @@ def test_names_need_each_suffix_first():
             word_names(words[:4], parents)
     with pytest.raises(ValueError, match="does not come before it"):
         word_names([(1, 2)], [0])
+    with pytest.raises(ValueError, match="shorter"):
+        word_names(words, [-1, 0, 1, 2])
+    # an empty word is "e" whatever its link says
+    assert word_names([(), (), (1,)], [-1, 0, 1]) == ["e", "e", "s1"]
 
 
 @pytest.mark.parametrize(

@@ -321,10 +321,28 @@ def test_large_ranks_fail_fast(argv, message):
 
 
 def test_running_out_of_memory_is_one_error_line():
-    # A100000 has about 5*10^9 positive roots, inside this cap, and its
-    # Cartan matrix alone outgrows the child's 1 GiB of address space
-    code, out, err, _ = run_module("roots", "A100000", "--cap", "10000000000", seconds=30)
+    # A100000 has about 5*10^9 positive roots, inside this cap: 5*10^14
+    # root entries, refused from that count before its 10^10-entry Cartan
+    # matrix is built; the child's 1 GiB of address space is only a guard
+    code, out, err, _ = run_module("roots", "A100000", "--cap", "10000000000", seconds=10)
     assert (code, out, err) == (1, "", "error: out of memory running roots\n")
+
+
+def test_roots_that_cannot_fit_are_refused_before_any_matrix(capsys, monkeypatch):
+    # A30 needs 465 * 30 root entries, 111,600 bytes at 8 bytes each, and
+    # A29 100,920: with 110,000 bytes of memory only A30 is refused, before
+    # its Cartan matrix is parsed; exceptional types are not measured, and
+    # a group past its cap is refused for that first
+    monkeypatch.setattr(g2pair.rootsys, "_MEMORY", 110_000)
+    with monkeypatch.context() as m:
+        m.setattr(g2pair.rootsys, "parse_cartan", None)
+        with pytest.raises(MemoryError, match="the roots of A30 cannot fit in memory"):
+            root_system("A30")
+        assert invoke(capsys, "roots", "A30") == (1, "", "error: out of memory running roots\n")
+    assert len(root_system("A29").positive_roots) == 435
+    assert len(root_system("E8").positive_roots) == 120
+    code, _, err = invoke(capsys, "weyl-order", "A30", "--cap", "1000")
+    assert code == 1 and err.startswith("error: Weyl group enumeration exceeded cap 1000 (")
 
 
 def test_roots_of_a_large_rank_answer_quickly():

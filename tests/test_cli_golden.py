@@ -13,6 +13,10 @@ with and without ``--at`` on D5, F4, A5 and C4, ``cosets --format json``
 for a middle node of A5 and D5, and ``poincare E6 --at 2``: the paths
 that cell counts from the degrees, coset names by suffix and the JSON
 writer replaced.
+
+GOLDEN_WALK_ROWS, recorded before the representatives of ``cosets`` were
+handed to the JSON writer column-wise, adds the 960-row document of
+D5/P5 and the text of A5/P3.
 """
 
 import hashlib
@@ -147,6 +151,11 @@ GOLDEN_CELLS = [
     (['poincare', 'E6', '--at', '2', '--format', 'json'], 0, "5cc247c30704352630698a6573ce5fe986f50d3b502eeed5bfc9bfa91253c031"),
 ]
 
+GOLDEN_WALK_ROWS = [
+    (['cosets', 'D5', '--parabolic', '5', '--format', 'json'], 0, "a1f75faceba618ea69d92704972a0e61795ab0b0e69e203236bf476c798280c6"),
+    (['cosets', 'A5', '--parabolic', '3', '--format', 'text'], 0, "9c32d3dc6e812bb4a42182bfdd9924227b877658ea8b8f69fbed1835e88ae51b"),
+]
+
 
 def drifted(rows, capsys):
     drift = []
@@ -167,3 +176,7 @@ def test_cli_stdout_matches_golden_digests(capsys):
 def test_cell_paths_match_golden_digests(capsys):
     assert drifted(GOLDEN_CELLS, capsys) == []
     assert len(GOLDEN_CELLS) == 26
+
+
+def test_walk_rows_match_golden_digests(capsys):
+    assert drifted(GOLDEN_WALK_ROWS, capsys) == []

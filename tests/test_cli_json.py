@@ -2,19 +2,23 @@
 
 ``cli._json`` must give the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` for every document the verbs can build, and refuse
-what they never build.  Lists of dicts that share one key set ("rows",
-like the representatives of ``cosets``) take their own column-by-column
-path, so they get their own strategy: random dictionaries almost never
-share a key set.
+what they never build.  Lists of dicts that share one key set ("rows")
+take their own column-by-column path, so they get their own strategy:
+random dictionaries almost never share a key set.  The representatives
+of ``cosets`` reach the writer as columns of a walk (``_WalkRows``), each
+word written from its parent's text; random walks check them against
+the dict rows they stand for, and every parabolic of the rank 2-5 types
+checks the verb itself.
 """
 
+import itertools
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2pair.cli import _json, run
+from g2pair.cli import _json, _WalkRows, run
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup, word_name
 
@@ -125,6 +129,7 @@ def test_a_cosets_shaped_document():
         ],
     }
     assert _json(doc) == stdlib(doc)
+    assert _json({"representatives": _WalkRows([], [], [], [])}) == stdlib({"representatives": []})
 
 
 @pytest.mark.parametrize(
@@ -149,11 +154,29 @@ def test_refuses_what_the_verbs_never_build(doc):
         _json(doc)
 
 
-@pytest.mark.parametrize(
-    "name, nodes",
+def parabolics(name, rank):
+    """Every parabolic of a rank-``rank`` type, from () to all nodes."""
+    nodes = range(1, rank + 1)
+    return [(name, p) for k in range(rank + 1) for p in itertools.combinations(nodes, k)]
+
+
+EVERY_PARABOLIC = [
+    case
+    for name, rank in (
+        ("G2", 2), ("[[2,-1],[-3,2]]", 2), ("[[2,-3],[-1,2]]", 2), ("B3", 3), ("C3", 3),
+        ("A4", 4), ("D4", 4), ("B4", 4), ("C4", 4), ("F4", 4), ("A5", 5), ("D5", 5),
+    )
+    for case in parabolics(name, rank)
+]
+FIRST_CASES = (
     [("D5", (k,)) for k in range(1, 6)]
     + [("F4", (k,)) for k in range(1, 5)]
-    + [("E6", (2, 3, 4, 5, 6))],
+    + [("E6", (2, 3, 4, 5, 6))]
+)
+
+
+@pytest.mark.parametrize(
+    "name, nodes", FIRST_CASES + [c for c in EVERY_PARABOLIC if c not in FIRST_CASES]
 )
 def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
     words = WeylGroup(root_system(name)).coset_words(nodes)
@@ -169,3 +192,57 @@ def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
     argv = ["cosets", name, "--parabolic", ",".join(map(str, nodes)), "--format", "json"]
     assert run(argv) == 0
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert run(argv[:-1] + ["text"]) == 0
+    assert capsys.readouterr().out == "".join(word_name(w) + "\n" for w in words)
+
+
+@st.composite
+def walks(draw):
+    """The columns of a walk: random lengths and names, and words that are
+    each a letter plus the word at an earlier parent index, with empty
+    words (parent -1) among them; words are lists or tuples."""
+    words, parents = [], []
+    for k in range(draw(st.integers(min_value=1, max_value=10))):
+        p = draw(st.integers(min_value=-1, max_value=k - 1))
+        word = () if p < 0 else (draw(st.integers()),) + tuple(words[p])
+        words.append(list(word) if draw(st.booleans()) else word)
+        parents.append(p)
+    n = len(words)
+    lengths = draw(st.lists(st.integers(), min_size=n, max_size=n))
+    names = draw(st.lists(escaped_text, min_size=n, max_size=n))
+    return lengths, names, words, parents
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_walk_rows_match_json_dumps(data):
+    columns = data.draw(walks())
+    dicts = [
+        {"length": n, "name": name, "word": word}
+        for n, name, word, _ in zip(*columns)
+    ]
+    depth = data.draw(st.integers(min_value=0, max_value=3))
+    doc, want = _WalkRows(*columns), dicts
+    for _ in range(depth):
+        doc, want = {"rows": doc, "n": depth}, {"rows": want, "n": depth}
+    assert _json(doc) == stdlib(want)
+    assert _json([doc, doc]) == stdlib([want, want])
+
+
+@given(walks(), st.data())
+@settings(max_examples=200)
+def test_broken_walk_rows_raise(columns, data):
+    # a parent at or after its cell (or -1 under a nonempty word), or a
+    # column shorter than the others, is refused; nothing is written
+    lengths, names, words, parents = map(list, columns)
+    cells = [k for k, w in enumerate(words) if w]
+    if cells and data.draw(st.booleans()):
+        k = data.draw(st.sampled_from(cells))
+        parents[k] = data.draw(st.integers(min_value=k, max_value=k + 3) | st.just(-1))
+        match = "does not come before it"
+    else:
+        column = data.draw(st.sampled_from((lengths, names, words, parents)))
+        del column[data.draw(st.integers(min_value=0, max_value=len(column) - 1))]
+        match = None
+    with pytest.raises(ValueError, match=match):
+        _json({"representatives": _WalkRows(lengths, names, words, parents)})
