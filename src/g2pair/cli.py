@@ -4,12 +4,12 @@ One verb per pipeline stage, all deterministic: identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 for domain
 failures (unknown type, cap exceeded, mismatched inputs) with a one-line
 diagnosis on stderr, 2 for malformed invocations (argparse's own
-convention).
+convention).  argparse is imported on the first parse, not with this
+module, so importing the library does not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
@@ -130,12 +130,14 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(",") if p != "")
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"expected comma-separated node indices, got {text!r}"
         ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("type", help="Cartan type name (A1..G2) or JSON matrix literal")
     common.add_argument(

@@ -40,6 +40,9 @@ DEFAULT_ROOT_CAP = 100_000
 _MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if os.name == "posix" else math.inf
 )
+# Bytes charged per root entry: the tracemalloc peak of `roots A120 --format
+# json` over its 7,260 * 120 entries is 36 (plain `roots` peaks at 13).
+_ENTRY_BYTES = 36
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -207,13 +210,25 @@ def _build_named(letter: str, n: int) -> list[list[int]]:
     raise UnknownTypeError(f"unknown type letter {letter!r}")
 
 
+def _named(name: str) -> Optional[tuple[str, int]]:
+    """(letter, rank) of a type name like ``"G2"``, None for any other
+    string; a rank too long to convert to int is refused by name."""
+    match = _TYPE_RE.match(name.strip())
+    if not match:
+        return None
+    letter, digits = match.groups()
+    try:
+        return letter, int(digits)
+    except ValueError:
+        raise UnknownTypeError(f"type {letter} has a {len(digits)}-digit rank") from None
+
+
 def parse_cartan(name: str) -> CartanMatrix:
     """Parse a type name like ``"G2"`` or a JSON matrix literal like
     ``"[[2,0],[0,2]]"`` into a validated CartanMatrix."""
     name = name.strip()
-    match = _TYPE_RE.match(name)
-    if match:
-        letter, digits = match.group(1), int(match.group(2))
+    if named := _named(name):
+        letter, digits = named
         if digits < 1:
             raise UnknownTypeError(f"rank must be positive in {name!r}")
         rows = _build_named(letter, digits)
@@ -223,6 +238,8 @@ def parse_cartan(name: str) -> CartanMatrix:
             data = json.loads(name)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise UnknownTypeError(f"bad matrix literal: {exc}") from None
+        except ValueError:  # an integer too long to convert
+            raise UnknownTypeError("bad matrix literal: an entry has too many digits") from None
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise UnknownTypeError("matrix literal must be a list of rows")
         try:
@@ -351,8 +368,7 @@ def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
     #{i: m_i >= h} (Kostant), so when their running total passes ``cap``
     this raises the error generate_root_system would, before any matrix
     is built or any exponent listed."""
-    match = _TYPE_RE.match(name.strip())
-    letter, n = (match.group(1), int(match.group(2))) if match else ("", 0)
+    letter, n = _named(name) or ("", 0)
     # the exponents: k terms 1, 1 + step, ..., and for D_n also n - 1
     if letter == "A" and n >= 1:
         k, step, extra = n, 1, 0
@@ -375,9 +391,9 @@ def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
 
 def root_system(name: str, cap: int = DEFAULT_ROOT_CAP) -> RootSystem:
     """Parse a type string and generate its root system.  A named series
-    type past the cap, or whose |Phi+| * rank root entries (8 bytes each at
-    least) outgrow the physical memory, is refused before any matrix."""
+    type past the cap, or whose |Phi+| * rank root entries (_ENTRY_BYTES
+    each) outgrow the physical memory, is refused before any matrix."""
     exponents = series_exponents(name, cap)
-    if exponents and 8 * sum(exponents) * len(exponents) > _MEMORY:
+    if exponents and _ENTRY_BYTES * sum(exponents) * len(exponents) > _MEMORY:
         raise MemoryError(f"the roots of {name} cannot fit in memory")
     return generate_root_system(parse_cartan(name), cap=cap)

@@ -329,11 +329,11 @@ def test_running_out_of_memory_is_one_error_line():
 
 
 def test_roots_that_cannot_fit_are_refused_before_any_matrix(capsys, monkeypatch):
-    # A30 needs 465 * 30 root entries, 111,600 bytes at 8 bytes each, and
-    # A29 100,920: with 110,000 bytes of memory only A30 is refused, before
-    # its Cartan matrix is parsed; exceptional types are not measured, and
-    # a group past its cap is refused for that first
-    monkeypatch.setattr(g2pair.rootsys, "_MEMORY", 110_000)
+    # A30 needs 465 * 30 = 13,950 root entries and A29 435 * 29 = 12,615:
+    # with memory for 13,750 entries only A30 is refused, before its Cartan
+    # matrix is parsed; exceptional types are not measured, and a group
+    # past its cap is refused for that first
+    monkeypatch.setattr(g2pair.rootsys, "_MEMORY", 13_750 * g2pair.rootsys._ENTRY_BYTES)
     with monkeypatch.context() as m:
         m.setattr(g2pair.rootsys, "parse_cartan", None)
         with pytest.raises(MemoryError, match="the roots of A30 cannot fit in memory"):
@@ -343,6 +343,27 @@ def test_roots_that_cannot_fit_are_refused_before_any_matrix(capsys, monkeypatch
     assert len(root_system("E8").positive_roots) == 120
     code, _, err = invoke(capsys, "weyl-order", "A30", "--cap", "1000")
     assert code == 1 and err.startswith("error: Weyl group enumeration exceeded cap 1000 (")
+
+
+def test_roots_are_charged_what_the_verbs_peak_at(capsys, monkeypatch):
+    # A10 has 55 * 10 = 550 root entries: 4,400 bytes at 8 bytes an entry,
+    # but `roots --format json` peaks at about 36 an entry, so 10,000 bytes
+    # of memory cannot hold it
+    monkeypatch.setattr(g2pair.rootsys, "_MEMORY", 10_000)
+    monkeypatch.setattr(g2pair.rootsys, "parse_cartan", None)
+    with pytest.raises(MemoryError, match="the roots of A10 cannot fit in memory"):
+        root_system("A10")
+    assert invoke(capsys, "roots", "A10") == (1, "", "error: out of memory running roots\n")
+
+
+@pytest.mark.parametrize("verb", ("weyl-order", "roots", "poincare"))
+def test_oversized_integers_are_one_error_line(capsys, verb):
+    # both are past the interpreter's limit on converting text to int
+    for name in ("A" + "9" * 5000, "[[" + "2" + "0" * 5000 + "]]"):
+        code, out, err = invoke(capsys, verb, name)
+        assert (code, out) == (1, ""), (verb, name[:8])
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "set_int_max_str_digits" not in err
 
 
 def test_roots_of_a_large_rank_answer_quickly():
@@ -417,6 +438,28 @@ def test_random_literals_exit_cleanly(literal):
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "degree", "--help")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cosets", "G2", "--parabolic", "x"),
+         "argument --parabolic: expected comma-separated node indices, got 'x'"),
+        (("degree", "G2", "--side", "3"), "argument --side: invalid choice: 3"),
+        (("roots", "G2", "--format", "yaml"), "argument --format: invalid choice: 'yaml'"),
+    ],
+)
+def test_usage_errors_in_a_fresh_process(argv, message):
+    # argparse is first imported by the parse that rejects the invocation
+    code, out, err, _ = run_module(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: g2pair") and message in err, err
+
+
+def test_help_in_a_fresh_process():
+    code, out, err, _ = run_module("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: g2pair")
 
 
 def test_module_entry_point():

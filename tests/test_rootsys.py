@@ -85,6 +85,17 @@ def test_parse_rejects_bad_literals():
         parse_cartan("[not json]")
 
 
+def test_oversized_integers_are_unknown_types():
+    # past the interpreter's limit on converting text to int
+    rank, entry = "A" + "9" * 5000, "[[" + "2" + "0" * 5000 + "]]"
+    with pytest.raises(UnknownTypeError, match="type A has a 5000-digit rank"):
+        parse_cartan(rank)
+    with pytest.raises(UnknownTypeError, match="type A has a 5000-digit rank"):
+        series_exponents(rank, 100)
+    with pytest.raises(UnknownTypeError, match="bad matrix literal: an entry has too many"):
+        parse_cartan(entry)
+
+
 def test_cartan_validation_direct():
     with pytest.raises(ValueError):
         CartanMatrix(((1,),))
