@@ -4,12 +4,15 @@ One verb per pipeline stage, all deterministic: identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 for domain
 failures (unknown type, cap exceeded, mismatched inputs) with a one-line
 diagnosis on stderr, 2 for malformed invocations (argparse's own
-convention).  argparse is imported on the first parse, not with this
-module, so importing the library does not load it.
+convention).  A reader that closes stdout early (``| head``) ends the
+command with exit 1 and nothing on stderr.  argparse is imported on the
+first parse, not with this module, so importing the library does not
+load it.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
@@ -127,8 +130,9 @@ def _column(col: list, nl: str) -> list[str]:
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
+    # only the empty string means no nodes; an empty part is malformed
     try:
-        return tuple(int(p) for p in text.split(",") if p != "")
+        return tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         import argparse
         raise argparse.ArgumentTypeError(
@@ -386,7 +390,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``| head``).  Point fd 1 at devnull so
+        # the interpreter's last flush of the dead pipe stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

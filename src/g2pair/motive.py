@@ -53,12 +53,19 @@ class Combination:
     __slots__ = ("_terms",)
 
     def __init__(self, data=None):
+        # an exact dict is tested first: the Mapping ABC check is slow
+        if type(data) is dict or isinstance(data, Mapping):
+            data = data.items()
         acc: dict = {}
-        items = data.items() if isinstance(data, Mapping) else (data or ())
-        for key, c in items:
-            key = self._key(key, c)
+        valid = self._key
+        for key, c in data or ():
+            key = valid(key, c)
             acc[key] = acc.get(key, 0) + c
-        self._terms = {k: c for k, c in sorted(acc.items()) if c != 0}
+        if len(acc) > 1:
+            acc = dict(sorted(acc.items()))
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c != 0}
+        self._terms = acc
 
     def _with(self, terms: dict):
         """A result of arithmetic on this value's kind, from valid terms."""
@@ -128,7 +135,8 @@ class LPolynomial(Combination):
     __slots__ = ()
 
     def _key(self, deg, c):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (deg, c)):
+        if (isinstance(deg, bool) or isinstance(c, bool)
+                or not isinstance(deg, int) or not isinstance(c, int)):
             raise ValueError("degrees and coefficients must be integers")
         if deg < 0:
             raise ValueError("negative degree")

@@ -31,6 +31,13 @@ quotient.  A cover keeps the index of its class, and a product by lambda
 reads <lambda, class> from one list that the ring makes, checking lambda,
 only when lambda differs from its last divisor.
 
+The walk lists the cells layer by layer, and the table keeps the layer
+offsets, the first cell of each layer.  The covers of x's terms lie in
+the layers just above them, so a product adds each cover's term into one
+flat list over those layers and reads the nonzero entries off it in cell
+order: the result comes out sorted and is built trusted, with no
+dict.get, no sorting and no validation per product.
+
 Points are found by an integer code, c(v) = sum of v_i * r^i with the
 group's radix r = 2 ht(theta_check) + 1 (WeylGroup.point_codes).  Every
 coordinate of a point of an orbit of omega_P is at most ht(theta_check)
@@ -92,8 +99,9 @@ class CohomologyElement(Combination):
     """Integer combination of Schubert classes of one fixed ring, keyed by
     cell index.  The constructor takes only int cells 0 <= k < len(ring)
     and int coefficients (bools refused) and raises ValueError otherwise;
-    sums, multiples and Chevalley products of elements of the ring are
-    built through the trusted _with and keep the ring."""
+    sums and multiples of elements of the ring are built through the
+    trusted _with, Chevalley products straight from their sorted layer
+    list (SchubertRing.chevalley), and both keep the ring."""
 
     __slots__ = ("ring",)
 
@@ -102,9 +110,10 @@ class CohomologyElement(Combination):
         super().__init__(coeffs)
 
     def _key(self, k, c) -> int:
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, c)):
+        if (isinstance(k, bool) or isinstance(c, bool)
+                or not isinstance(k, int) or not isinstance(c, int)):
             raise ValueError("cells and coefficients must be integers")
-        if not 0 <= k < len(self.ring):
+        if not 0 <= k <= self.ring._top:
             raise ValueError(f"cell {k} is not in a ring of {len(self.ring)} cells")
         return k
 
@@ -157,9 +166,12 @@ class CohomologyElement(Combination):
 class ChevalleyTable(NamedTuple):
     """What every ring of G/P reads, kept per quotient in ``group._tables``:
     the point codes, the index code -> cell, the layers, per cell (each
-    made on first use) the coroot pairings and the Chevalley covers, and
-    the coroot classes, each nonzero free-node part of a positive coroot
-    mapped to its index."""
+    made on first use) the coroot pairings and the Chevalley covers, the
+    coroot classes, each nonzero free-node part of a positive coroot
+    mapped to its index, and the layer offsets: offsets[n] is the first
+    cell of layer n, and len(codes) for the two layers past the top, so
+    a product of x over layers a..b sums into the cells offsets[a + 1]
+    up to offsets[b + 2], one list in cell order."""
 
     codes: list[int]
     at: dict[int, int]
@@ -167,6 +179,7 @@ class ChevalleyTable(NamedTuple):
     pairings: list[Optional[tuple[list[int], ...]]]
     covers: list[Optional[list[tuple[int, int]]]]
     classes: dict[tuple[int, ...], int]
+    offsets: list[int]
 
 
 def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> ChevalleyTable:
@@ -189,6 +202,9 @@ def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> ChevalleyT
     layers = list(map(len, words))
     if len(layers) > 1 and layers[-2] == layers[-1]:
         raise ConventionError("quotient has no unique top class")
+    # the walk lists the cells by layer, each layer of 0..dim nonempty
+    offsets = [k for k in range(len(layers)) if not k or layers[k - 1] != layers[k]]
+    offsets += [len(layers)] * 2
     # <w(omega_j), gamma_check> per free node j; at the identity, the
     # coefficient of alpha_j_check in gamma_check
     pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
@@ -201,7 +217,7 @@ def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> ChevalleyT
     for part in zip(*pairings[0]):
         if any(part):
             classes.setdefault(part, len(classes))
-    return ChevalleyTable(codes, at, layers, pairings, [None] * len(words), classes)
+    return ChevalleyTable(codes, at, layers, pairings, [None] * len(words), classes, offsets)
 
 
 class SchubertRing:
@@ -218,14 +234,14 @@ class SchubertRing:
         self.group = group
         self.rank = rank = group.rank
         self.parabolic = p = group.normalize_parabolic(parabolic)
-        self.free_nodes = tuple(i for i in range(1, rank + 1) if i not in p)
+        self.free_nodes = tuple([i for i in range(1, rank + 1) if i not in p])
         table = group._tables.get(p)
         if table is None:
             table = group._tables[p] = _chevalley_table(group, p)
         # the table's walk, made by group.orbit(p) when the table was built
         self.words, self.points, self._parents = group._walks[p]
         (self._codes, self._at, self._layers, self._pairings, self._cover_lists,
-         self._classes) = table
+         self._classes, self._offsets) = table
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
         self.dimension = self._layers[-1]
@@ -352,23 +368,36 @@ class SchubertRing:
         """Product of the divisor d with x, one length step up.  Each cover
         reads <w lambda, gamma_check> as the value of its class; the values
         are made, and d checked, only when d differs from the ring's last
-        divisor."""
+        divisor.  The covers' terms are summed into one list over the
+        layers just above x's terms, whose nonzero entries are the result
+        in cell order: it is built trusted, with no sorting."""
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
         weights, values = self._lam
         if weights != d.weights:
             values = self._lambda_values(d)
+        terms = x._terms
+        out = CohomologyElement.__new__(CohomologyElement)
+        out.ring = self
+        out._terms = result = {}
+        if not terms:
+            return out
+        # x's keys are sorted, so its first and last cells bound its layers
+        layers, offsets = self._layers, self._offsets
+        lo = offsets[layers[next(iter(terms))] + 1]
+        acc = [0] * (offsets[layers[next(reversed(terms))] + 2] - lo)
         cover_lists = self._cover_lists
-        out: dict[int, int] = {}
-        for k, c in x._terms.items():
+        for k, c in terms.items():
             covers = cover_lists[k]
             if covers is None:
                 covers = self._covers(k)
             for j, i in covers:
-                m = values[i]
-                if m:
-                    out[j] = out.get(j, 0) + c * m
-        return x._with(out)
+                acc[j - lo] += c * values[i]
+        for c in acc:
+            if c:
+                result[lo] = c
+            lo += 1
+        return out
 
     def integrate(self, x: CohomologyElement) -> int:
         if x.ring is not self:

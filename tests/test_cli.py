@@ -251,22 +251,66 @@ def test_domain_errors_exit_1(capsys):
     assert err.startswith("error: bad matrix literal: ") and err.count("\n") == 1
 
 
+def module_env():
+    """The environment of a child that imports the same package as these
+    tests, also when only pytest's own pythonpath setting put it on sys.path."""
+    src = os.path.dirname(os.path.dirname(g2pair.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_module(*argv, seconds=10, memory=1 << 30):
     """``python -m g2pair *argv`` in a child limited to ``memory`` bytes of
     address space and ``seconds`` of wall time: (exit code, stdout,
     stderr, seconds taken)."""
-    src = os.path.dirname(os.path.dirname(g2pair.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "g2pair", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
         timeout=seconds,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)),
     )
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["certificate", "G2", "--format", "json"], ["cosets", "D5", "--parabolic", "1", "--format", "json"]),
+)
+def test_a_closed_stdout_leaves_no_traceback(argv):
+    # a reader that stops early, as ``| head -1`` does: the pipe is closed
+    # before the child writes anything
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "g2pair", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+from g2pair import cli
+assert cli.run(["certificate", "G2", "--format", "json"]) == 0
+added = {m.partition(".")[0] for m in set(sys.modules) - before}
+print(sorted(added - set(sys.stdlib_module_names) - {"g2pair"}))
+"""
+
+
+def test_the_package_imports_the_standard_library_only():
+    # numpy, sympy and hypothesis sit beside the package for the tests; it
+    # must reach for none of them, nor for anything else outside the stdlib
+    proc = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY], capture_output=True, text=True, env=module_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_deep_literal_leaves_no_traceback():
@@ -435,6 +479,17 @@ def test_random_literals_exit_cleanly(literal):
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("nodes", (",", "1,,2", "1,", ",2"))
+def test_node_lists_with_an_empty_part_are_refused(capsys, nodes):
+    # only the empty string means "no nodes"; "," used to list the 12
+    # cells of G2/B and "1,,2" to read as 1,2
+    code, out, err = invoke(capsys, "cosets", "G2", "--parabolic", nodes)
+    assert (code, out) == (2, "")
+    assert f"expected comma-separated node indices, got {nodes!r}" in err
+    code, out, _ = invoke(capsys, "cosets", "G2", "--parabolic", "")
+    assert code == 0 and len(out.splitlines()) == 12
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "degree", "--help")[0] == 0
@@ -463,15 +518,11 @@ def test_help_in_a_fresh_process():
 
 
 def test_module_entry_point():
-    # the child imports the same package as these tests, also when only
-    # pytest's own pythonpath setting put it on sys.path
-    src = os.path.dirname(os.path.dirname(g2pair.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "g2pair", "weyl-order", "G2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=module_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"

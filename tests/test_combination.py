@@ -5,6 +5,8 @@ arithmetic; these checks pin which mixed operands each one accepts, so
 that sharing the code does not widen or narrow what they combine with.
 """
 
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,54 @@ def test_cohomology_element_refuses_bad_terms(coeffs):
     with pytest.raises(ValueError):
         CohomologyElement(ring, coeffs(len(ring)))
     assert CohomologyElement(ring, {len(ring) - 1: 1}) == ring.point_class()
+
+
+# --- what the validating constructors accept: pinned for all three kinds ---
+
+
+class Small(int):
+    """An int subclass, accepted wherever an int is."""
+
+
+G2_P1 = SchubertRing(WeylGroup(root_system("G2")), (1,))
+
+# kind -> (constructor from data, the key of a term of index n)
+KINDS = {
+    "LPolynomial": (LPolynomial, lambda n: n),
+    "MotivicClass": (MotivicClass, lambda n: ("X", n)),
+    "CohomologyElement": (lambda data=None: CohomologyElement(G2_P1, data), lambda n: n),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", (True, False, 1.0, 2.5), ids=("True", "False", "1.0", "2.5"))
+def test_constructors_refuse_bool_and_float_keys_and_coefficients(kind, bad):
+    make, key = KINDS[kind]
+    with pytest.raises(ValueError):
+        make({key(bad): 1})
+    with pytest.raises(ValueError):
+        make({key(1): bad})
+    with pytest.raises(ValueError):
+        make([(key(1), 1), (key(2), bad)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_constructors_accept_int_subclasses(kind):
+    make, key = KINDS[kind]
+    want = make({key(1): 3, key(2): -1})
+    assert make({key(Small(1)): Small(3), key(2): Small(-1)}) == want
+    assert make([(key(Small(2)), -1), (key(1), Small(3))]) == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_constructors_accept_any_mapping_and_pairs(kind):
+    make, key = KINDS[kind]
+    want = make({key(1): 3, key(2): -1})
+    assert make(types.MappingProxyType({key(2): -1, key(1): 3})) == want
+    assert make([(key(2), -1), (key(1), 1), (key(1), 2), (key(3), 0)]) == want
+    assert make(iter([(key(1), 3), (key(2), -1)])) == want
+    assert list(want.coefficients()) == [key(1), key(2)]
+    assert make(types.MappingProxyType({})) == make([]) == make({}) == make()
 
 
 # --- results of arithmetic are built trusted; they must read as validated ---

@@ -42,6 +42,7 @@ from test_weyl_walk import SMALL
 from weyl_oracles import (
     basis_index,
     bilinear,
+    chevalley as oracle_chevalley,
     coefficient,
     coroot_coordinates,
     element_by_matrix,
@@ -906,6 +907,52 @@ def test_products_build_one_lambda_table_per_ring(monkeypatch):
     assert [r.parabolic for r in builds] == maximal
     assert len(set(map(id, builds))) == len(maximal)
     assert checks == builds
+
+
+# (type, parabolic): every quotient of the rank-3 types and G2, and the
+# maximal quotients of F4
+PRODUCT_CASES = [
+    (name, p) for name in ("A3", "B3", "C3", "G2")
+    for p in all_parabolics(root_system(name).cartan.rank)
+] + [(name, p) for name in ("F4",) for p in all_parabolics(4) if len(p) == 3]
+
+
+@cache
+def product_ring(name, parabolic):
+    return SchubertRing(WeylGroup(root_system(name)), parabolic)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_dict_oracle(data):
+    # a random element over random cells of several layers, times a random
+    # divisor: the layer accumulator gives the oracle's terms, in its order
+    ring = product_ring(*data.draw(st.sampled_from(PRODUCT_CASES)))
+    cells = st.integers(0, len(ring) - 1)
+    x = CohomologyElement(ring, data.draw(st.dictionaries(cells, st.integers(-9, 9), max_size=8)))
+    weights = data.draw(st.tuples(*[st.integers(-3, 3)] * ring.rank))
+    d = DivisorClass(free_weights(weights, ring.parabolic))
+    got, want = ring.chevalley(d, x), oracle_chevalley(ring, d, x)
+    assert got == want
+    assert list(got.coefficients().items()) == list(want.coefficients().items())
+
+
+@pytest.mark.parametrize("name, parabolic", PRODUCT_CASES)
+def test_products_of_zero_and_of_the_top_cell_vanish(name, parabolic):
+    ring = product_ring(name, parabolic)
+    d = DivisorClass(free_weights((1, 2, 3, 1)[:ring.rank], parabolic))
+    for x in (ring.zero(), ring.point_class(), ring.point_class() * -3):
+        got = ring.chevalley(d, x)
+        assert got.is_zero and got.ring is ring and got == oracle_chevalley(ring, d, x)
+
+
+@pytest.mark.parametrize("name, parabolic", PRODUCT_CASES)
+def test_layer_offsets_are_the_first_cell_of_each_layer(name, parabolic):
+    ring = product_ring(name, parabolic)
+    layers = ring._layers
+    offsets = ring.group._tables[ring.parabolic].offsets
+    assert offsets[:ring.dimension + 1] == [layers.index(n) for n in range(ring.dimension + 1)]
+    assert offsets[ring.dimension + 1:] == [len(ring)] * 2
 
 
 @pytest.mark.parametrize(

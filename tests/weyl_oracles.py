@@ -10,7 +10,10 @@ equal elements stay the same object, and ``inverse_point`` gives
 w^-1(rho), on whose signs the right descents are read.  The Schubert
 lookups by element (``basis_index``, ``sigma``, ``terms``,
 ``coefficient``) find cells by their canonical words, and ``lift`` pulls
-a class back to a finer quotient the same way.
+a class back to a finer quotient the same way.  ``chevalley`` is the
+divisor product as the library made it before its layer accumulator:
+the ring's covers summed into a dict, the result validated and sorted by
+the constructor.
 
 The library counts W_P through the degrees and never lists it; these
 list it by filtering ``elements``, so the factorization
@@ -33,6 +36,7 @@ rootsys.reflect_weight, so the tests of those stay code-disjoint.
 """
 
 from functools import cache
+from operator import mul
 from typing import NamedTuple
 
 from g2pair.motive import LPolynomial
@@ -194,6 +198,23 @@ def lift(x, flag):
     canonical word."""
     index = {w: k for k, w in enumerate(flag.words)}
     return CohomologyElement(flag, {index[x.ring.words[k]]: c for k, c in x.coefficients().items()})
+
+
+def chevalley(ring, d, x):
+    """d times x by the Chevalley rule, one dict of sums over the ring's
+    covers; reads neither the layer offsets nor the ring's last divisor."""
+    if x.ring is not ring:
+        raise ValueError("element belongs to a different ring")
+    ring.check_divisor(d)
+    lam = [d.weights[j - 1] for j in ring.free_nodes]
+    values = [sum(map(mul, lam, part)) for part in ring._classes]
+    out = {}
+    for k, c in x.coefficients().items():
+        for j, i in ring._covers(k):
+            m = values[i]
+            if m:
+                out[j] = out.get(j, 0) + c * m
+    return CohomologyElement(ring, out)
 
 
 def parabolic_elements(group, nodes):
