@@ -4,10 +4,10 @@ One verb per pipeline stage, all deterministic: identical invocations
 produce byte-identical output.  Exit codes: 0 success, 1 for domain
 failures (unknown type, cap exceeded, mismatched inputs) with a one-line
 diagnosis on stderr, 2 for malformed invocations (argparse's own
-convention).  A reader that closes stdout early (``| head``) ends the
-command with exit 1 and nothing on stderr.  argparse is imported on the
-first parse, not with this module, so importing the library does not
-load it.
+convention), and 1 with nothing on stderr when a reader closes stdout
+early (``| head``).  argparse is imported on the first parse, not with
+this module.  ``cosets`` and ``certificate`` write names and JSON rows
+straight from a group's Quotient: its letters, parent links and offsets.
 """
 
 from __future__ import annotations
@@ -42,32 +42,43 @@ _STR = {str}
 _DICT = {dict}
 
 
-class _WalkRows(namedtuple("_WalkRows", "lengths names words parents")):
-    """The rows {"length", "name", "word"} of a walk of W/W_P, given
-    column-wise: lengths, names, words and each word's parent index (-1
-    for the empty word), as ``orbit`` lists them.  Written as a list of
-    those dicts would be, one %-template per row; each word's text is its
-    first letter plus the text at its parent's index, which must come
-    before it, and columns of unequal length raise ValueError."""
+class _WalkRows(namedtuple("_WalkRows", "letters parents offsets")):
+    """The rows {"length", "name", "word"} of a walk of W/W_P from the
+    columns a Quotient keeps: letters, parent indices and layer offsets,
+    the last the cell count.  Written as a list of those dicts would be, in
+    one pass: layer 0 is "e", and a later cell's name and word text are its
+    letter plus its parent's.  A parent outside the layer below, or columns
+    that disagree in length, raise ValueError."""
 
     def __call__(self, nl: str) -> str:
+        letters, parents, offsets = self
+        if offsets[0] != 0 or not len(letters) == len(parents) == offsets[-1]:
+            raise ValueError("the columns of a walk disagree in length")
+        if not letters:
+            return "[]"
         inner, key, sep = nl + "  ", nl + "    ", "," + nl + "      "
-        row = f'{{{key}"length": %s,{key}"name": %s,{key}"word": %s{inner}}}'
+        # a name is "e" or letters joined as "s1*s2": _quote only adds quotes
+        row = f'{{{key}"length": %s,{key}"name": "%s",{key}"word": %s{inner}}}'
         full = row % ("%s", "%s", f"[{sep[1:]}%s{key}]")
-        body, rows = [], []
-        columns = zip(map(int.__repr__, self.lengths), map(_quote, self.names), self.words,
-                      self.parents, strict=True)
-        for k, (n, name, word, p) in enumerate(columns):
-            if not word:
-                body.append("")
-                rows.append(row % (n, name, "[]"))
-            elif 0 <= p < k:
-                text = int.__repr__(word[0])
-                body.append(text + sep + body[p] if len(word) > 1 else text)
-                rows.append(full % (n, name, body[k]))
-            else:
-                raise ValueError(f"cell {k} has parent {p}, which does not come before it")
-        return "[" + inner + ("," + inner).join(rows) + nl + "]" if rows else "[]"
+        rows = [row % (0, "e", "[]")] * offsets[1]
+        names, texts = ["e"] * offsets[1], [""] * offsets[1]
+        heads = {i: (f"s{i}*", f"{i}{sep}") for i in set(letters[offsets[1]:])}
+        for n in range(1, len(offsets) - 1):
+            a, b = offsets[n], offsets[n + 1]
+            ps = parents[a:b]
+            if ps and (min(ps) < offsets[n - 1] or max(ps) >= a):
+                raise ValueError(f"a cell of layer {n} has a parent outside layer {n - 1}")
+            template = full % (n, "%s", "%s")
+            for i, p in zip(letters[a:b], ps):
+                name, text = heads[i]
+                if n > 1:
+                    name, text = name + names[p], text + texts[p]
+                else:  # under layer 1 is the identity: no "*e", no separator
+                    name, text = name[:-1], text[:-len(sep)]
+                names.append(name)
+                texts.append(text)
+                rows.append(template % (name, text))
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
 
 
 def _write(v, nl: str) -> str:
@@ -226,19 +237,17 @@ def _cmd_weyl_order(ns: argparse.Namespace) -> str:
 
 
 def _cmd_cosets(ns: argparse.Namespace) -> str:
-    group = _group(ns)
-    words, _, parents = group.orbit(ns.parabolic)
-    names = group.coset_names(ns.parabolic)
+    q = _group(ns).quotient(ns.parabolic)
     if ns.format == "json":
         return _json(
             {
                 "type": ns.type,
-                "parabolic": group.normalize_parabolic(ns.parabolic),
-                "count": len(words),
-                "representatives": _WalkRows(list(map(len, words)), names, words, parents),
+                "parabolic": q.parabolic,
+                "count": len(q),
+                "representatives": _WalkRows(q.letters, q.parents, q.offsets),
             }
         )
-    return "\n".join(names)
+    return "\n".join(q.names())
 
 
 def _cmd_poincare(ns: argparse.Namespace) -> str:
@@ -297,9 +306,9 @@ def _cmd_degree(ns: argparse.Namespace) -> str:
 def _cmd_certificate(ns: argparse.Namespace) -> str:
     group = _group(ns)
     f1, f2, cert, steps = _identity_pipeline(group)
-    words1, words2 = group.coset_words((1,)), group.coset_words((2,))
-    names1, names2 = group.coset_names((1,)), group.coset_names((2,))
-    lengths = tuple(map(len, words1))
+    side1, side2 = group.quotient((1,)), group.quotient((2,))
+    names1, names2 = side1.names(), side2.names()
+    lengths = side1.lengths()
     flag_poly = poincare_polynomial(group, ())
     deg1 = degree_of_zero_locus(group, 1)
     deg2 = degree_of_zero_locus(group, 2)
@@ -312,7 +321,7 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
                 "cosets": {
                     "side1": names1,
                     "side2": names2,
-                    "length_bijection_ok": lengths == tuple(map(len, words2)),
+                    "length_bijection_ok": lengths == side2.lengths(),
                     "lengths": lengths,
                 },
                 "poincare": {

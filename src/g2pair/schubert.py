@@ -1,64 +1,58 @@
 """Schubert calculus on flag varieties and their parabolic quotients.
 
 The integral cohomology of G/P has a basis of Schubert classes sigma[w]
-indexed by minimal coset representatives, with sigma[w] sitting in
-degree 2*length(w).  A ring is built from the orbit of omega_P alone
-(weyl): the cell of w is the point mu = w(omega_P), at layer length(w),
-and the group is never enumerated: every ring of a quotient reads the
-group's one walk of it and one table (ChevalleyTable) of the per-cell
-codes, pairings and covers and the coroot classes below, both kept by the
-group and made by the first ring of that quotient.  Full products are not
-implemented; everything the degree computations need follows from
-Chevalley's divisor rule (Fulton-Woodward, "On the quantum product of
-Schubert classes"), read on the orbit:
+indexed by minimal coset representatives, with sigma[w] in degree
+2*length(w).  A ring is built from the orbit of omega_P alone: the cell
+of w is the point mu = w(omega_P), at layer length(w), and the group is
+never enumerated.  Every ring of a quotient reads the group's one
+weyl.Quotient of it, which holds the walk as columns and the table
+(ChevalleyTable) of per-cell codes, pairings and covers and the coroot
+classes below, made by the first ring of the quotient.  Full products
+are not implemented; the degree computations need only Chevalley's
+divisor rule (Fulton-Woodward, "On the quantum product of Schubert
+classes"), read on the orbit:
 
     sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
 over the positive roots gamma with q = <mu, gamma_check> > 0 for which
-s_gamma mu = mu - q gamma lies at layer length(w) + 1 (this is the rule
-for w*s_beta with gamma = w beta).  Both pairings are sums of the
+s_gamma mu = mu - q gamma lies at layer length(w) + 1 (the rule for
+w*s_beta with gamma = w beta).  Both pairings are sums of the
 <w(omega_j), gamma_check> over the free nodes j.  A cell keeps those as
 one list over the positive roots per free node, made from its canonical
-parent's (weyl) by the permutation s_i induces on the roots, so a cell
-costs O(|free nodes| * |positive roots|) and no reflection matrix.
+parent's by the permutation s_i induces on the roots: O(|free nodes| *
+|positive roots|) per cell and no reflection matrix.
 
-With gamma = w beta, a cover's pairings <w(omega_f), gamma_check> =
-<omega_f, beta_check> over the free nodes f are the free-node part of the
-positive coroot beta_check, so they take few values: the quotient's
-coroot classes, the distinct nonzero free-node parts of the positive
-coroots, read off the identity cell's pairings and numbered once per
-quotient.  A cover keeps the index of its class, and a product by lambda
-reads <lambda, class> from one list that the ring makes, checking lambda,
-only when lambda differs from its last divisor.
-
-The walk lists the cells layer by layer, and the table keeps the layer
-offsets, the first cell of each layer.  The covers of x's terms lie in
-the layers just above them, so a product adds each cover's term into one
-flat list over those layers and reads the nonzero entries off it in cell
-order: the result comes out sorted and is built trusted, with no
-dict.get, no sorting and no validation per product.
+A cover's pairings <w(omega_f), gamma_check> = <omega_f, beta_check>
+over the free nodes f are the free-node part of the positive coroot
+beta_check, so they take few values: the quotient's coroot classes, read
+off the identity cell's pairings and numbered once.  A cover keeps the
+index of its class, and a product by lambda reads <lambda, class> from
+one list that the ring makes, a free node's column of classes at a
+time, checking lambda, only when lambda differs from its last divisor.
+The covers of x's terms lie in the layers just above them, so a product
+adds each cover's term into one flat list over those layers, bounded by
+the walk's layer offsets, and reads the nonzero entries off it in cell
+order: the result is sorted and built trusted, with no dict.get, no
+sorting and no validation per product.
 
 Points are found by an integer code, c(v) = sum of v_i * r^i with the
 group's radix r = 2 ht(theta_check) + 1 (WeylGroup.point_codes).  Every
 coordinate of a point of an orbit of omega_P is at most ht(theta_check)
 in absolute value, so the code is injective on the orbit, and it is
 linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
-and one int-keyed lookup per candidate root.  The same rule codes the
-cells: each comes from its canonical parent mu by s_i, so its code is
-c(mu) - mu_i c(alpha_i), one step per cell.  The table checks that its
-codes are distinct when it is built and raises ConventionError if two
-collide, keeping nothing, so a radix too small fails before any product
-of any ring of that quotient.  The
-projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to the
-point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
-layers lower, and to zero otherwise.  With Chevalley products on G/B
-it computes the Chern classes of the rank-2 bundle V with P(V) = G/B
-over G/P from its Chern roots zeta and zeta - alpha_j, and from those
-the degree of the anticanonical zero locus of a section of V.
+and one int-keyed lookup per candidate root, and a cell's code is its
+parent's minus mu_i c(alpha_i).  The table checks that its codes are
+distinct and raises ConventionError if two collide, keeping nothing, so
+a radix too small fails before any product of that quotient.
 
-The bundle conventions are self-checked by pushforward alone: zeta (the
-tautological divisor upstairs) must push to 1, and the product of the
-two roots must push to 0 and, times zeta, to c2, which together are the
+The projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to
+the point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
+layers lower, and to zero otherwise.  With Chevalley products on G/B it
+gives the Chern classes of the rank-2 bundle V with P(V) = G/B over G/P
+from its Chern roots zeta and zeta - alpha_j, and from those the degree
+of the anticanonical zero locus of a section of V.  The conventions are
+self-checked by pushforward alone: zeta must push to 1, and the product
+of the two roots must push to 0 and, times zeta, to c2: together the
 rank-2 relation zeta^2 - p*(c1).zeta + p*(c2) = 0, exactly.
 
 A CohomologyElement is a Combination (motive.py) keyed by cell index:
@@ -74,7 +68,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .weyl import WeylElement, WeylGroup, word_name
+from .rootsys import check_node
+from .weyl import Quotient, WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
@@ -132,8 +127,7 @@ class CohomologyElement(Combination):
     def degree(self) -> Optional[int]:
         """Common cohomological degree (half, i.e. the Weyl length), or
         None for zero.  Mixed-degree elements are rejected."""
-        words = self.ring.words
-        lengths = {len(words[k]) for k in self._terms}
+        lengths = {self.ring.table.layers[k] for k in self._terms}
         if not lengths:
             return None
         if len(lengths) > 1:
@@ -164,14 +158,12 @@ class CohomologyElement(Combination):
 
 
 class ChevalleyTable(NamedTuple):
-    """What every ring of G/P reads, kept per quotient in ``group._tables``:
-    the point codes, the index code -> cell, the layers, per cell (each
-    made on first use) the coroot pairings and the Chevalley covers, the
-    coroot classes, each nonzero free-node part of a positive coroot
-    mapped to its index, and the layer offsets: offsets[n] is the first
-    cell of layer n, and len(codes) for the two layers past the top, so
-    a product of x over layers a..b sums into the cells offsets[a + 1]
-    up to offsets[b + 2], one list in cell order."""
+    """What every ring of G/P reads, kept as ``Quotient.table`` by the
+    first ring: the point codes, the index code -> cell, each cell's layer,
+    per cell (made on first use) the coroot pairings and the Chevalley
+    covers, the coroot classes (nonzero free-node parts of the positive
+    coroots) mapped to their index, and the classes as one column per
+    free node, which products read."""
 
     codes: list[int]
     at: dict[int, int]
@@ -179,81 +171,67 @@ class ChevalleyTable(NamedTuple):
     pairings: list[Optional[tuple[list[int], ...]]]
     covers: list[Optional[list[tuple[int, int]]]]
     classes: dict[tuple[int, ...], int]
-    offsets: list[int]
+    columns: tuple[tuple[int, ...], ...]
 
 
-def _chevalley_table(group: WeylGroup, parabolic: tuple[int, ...]) -> ChevalleyTable:
-    """The table of G/P, made once per group and quotient.  Raises
+def _chevalley_table(q: Quotient) -> ChevalleyTable:
+    """The table of G/P, made once and kept as ``q.table``.  Raises
     ConventionError, keeping nothing, when two codes collide or the
     quotient has no unique top class."""
-    words, points, parents = group.orbit(parabolic)
+    group, rank, coords = q.group, q.group.rank, q.coords
     # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
     powers, root_codes = group.point_codes
-    simple = [root_codes[a] for a, _ in group.root_moves]
-    codes = [sum(map(mul, points[0], powers))]
-    for k in range(1, len(points)):
-        p, i = parents[k], words[k][0] - 1
-        codes.append(codes[p] - points[p][i] * simple[i])
-    at = dict(zip(codes, range(len(points))))
-    if len(at) != len(points):
+    simple = [0] + [root_codes[a] for a, _ in group.root_moves]
+    codes = [sum(map(mul, coords[:rank], powers))]
+    for i, p in zip(q.letters[1:], q.parents[1:]):
+        codes.append(codes[p] - coords[p * rank + i - 1] * simple[i])
+    at = dict(zip(codes, range(len(codes))))
+    if len(at) != len(codes):
         raise ConventionError(
-            f"point codes collide on the orbit of omega_P, P = {list(parabolic)}"
+            f"point codes collide on the orbit of omega_P, P = {list(q.parabolic)}"
         )
-    layers = list(map(len, words))
-    if len(layers) > 1 and layers[-2] == layers[-1]:
+    if q.offsets[-3] != len(codes) - 1:
         raise ConventionError("quotient has no unique top class")
-    # the walk lists the cells by layer, each layer of 0..dim nonempty
-    offsets = [k for k in range(len(layers)) if not k or layers[k - 1] != layers[k]]
-    offsets += [len(layers)] * 2
     # <w(omega_j), gamma_check> per free node j; at the identity, the
     # coefficient of alpha_j_check in gamma_check
-    pairings: list[Optional[tuple[list[int], ...]]] = [None] * len(words)
-    pairings[0] = tuple(
-        [coroot[j - 1] for coroot in group.root_system.coroots]
-        for j in range(1, group.rank + 1)
-        if j not in parabolic
-    )
+    identity = tuple([c[j - 1] for c in group.root_system.coroots] for j in q.free_nodes)
+    pairings: list = [identity] + [None] * (len(codes) - 1)
     classes: dict[tuple[int, ...], int] = {}
-    for part in zip(*pairings[0]):
+    for part in zip(*identity):
         if any(part):
             classes.setdefault(part, len(classes))
-    return ChevalleyTable(codes, at, layers, pairings, [None] * len(words), classes, offsets)
+    q.table = ChevalleyTable(codes, at, q.lengths(), pairings, [None] * len(codes), classes,
+                             tuple(zip(*classes)))
+    return q.table
 
 
 class SchubertRing:
-    """Schubert basis of H*(G/P) for P spanned by the given simple nodes,
-    on the orbit of omega_P: cell k has the canonical word ``words[k]``
-    and the point ``points[k]`` = w(omega_P).  Cells are indexed by the
-    integer code of their point, which must be distinct on the orbit
-    (ConventionError otherwise), and keep their layer length(w).  Codes,
-    layers, pairings and covers are read from the group's table of the
-    quotient, shared by every ring of it; each ring is still its own, and
-    elements of two rings do not mix."""
+    """Schubert basis of H*(G/P) for P spanned by the given simple nodes:
+    cell k is cell k of the group's quotient (weyl.Quotient), with its
+    canonical word and point w(omega_P).  The ring keeps a reference to
+    the quotient and its table, shared by every ring of it; each ring is
+    still its own, and elements of two rings do not mix."""
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
-        self.group = group
-        self.rank = rank = group.rank
-        self.parabolic = p = group.normalize_parabolic(parabolic)
-        self.free_nodes = tuple([i for i in range(1, rank + 1) if i not in p])
-        table = group._tables.get(p)
-        if table is None:
-            table = group._tables[p] = _chevalley_table(group, p)
-        # the table's walk, made by group.orbit(p) when the table was built
-        self.words, self.points, self._parents = group._walks[p]
-        (self._codes, self._at, self._layers, self._pairings, self._cover_lists,
-         self._classes, self._offsets) = table
+        self.group, self.rank = group, group.rank
+        self.quotient = q = group.quotient(parabolic)
+        self.table = q.table or _chevalley_table(q)
+        self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
-        self.dimension = self._layers[-1]
-        self._top = len(self.words) - 1
+        self.dimension, self._top = len(q.offsets) - 3, len(q) - 1
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.table.codes)
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The cells' canonical words, derived on first use; no product reads them."""
+        return self.quotient.words()
 
     @cached_property
     def basis(self) -> tuple[WeylElement, ...]:
-        """The cells as group elements, built from the words.  Kept for the
-        benchmark's tracer, which reads it to count cells."""
+        """The cells as group elements.  Kept for the benchmark's tracer."""
         return tuple(map(self.group.from_word, self.words))
 
     def zero(self) -> CohomologyElement:
@@ -300,18 +278,17 @@ class SchubertRing:
 
     def _pairing(self, k: int) -> tuple[list[int], ...]:
         """For each free node j, <w(omega_j), gamma_check> over the positive
-        roots gamma in root order, at the cell k = w.  Since
-        <s_i v, gamma_check> = <v, s_i(gamma)_check>, a cell's lists are
-        those of its canonical parent s_i w, permuted by s_i.  The pairings
-        with the simple coroots are the weight coordinates of w(omega_j)."""
-        memo, parents, chain = self._pairings, self._parents, []
+        roots gamma in root order, at the cell k = w: its canonical parent's
+        lists permuted by s_i, as <s_i v, gamma_check> = <v, s_i(gamma)_check>.
+        The pairings with the simple coroots are the coordinates of w(omega_j)."""
+        memo, parents, chain = self.table.pairings, self.quotient.parents, []
         while memo[k] is None:
             chain.append(k)
             k = parents[k]
         ps = memo[k]
-        words, moves = self.words, self.group.root_moves
+        letters, moves = self.quotient.letters, self.group.root_moves
         for k in reversed(chain):
-            a, perm = moves[words[k][0] - 1]
+            a, perm = moves[letters[k] - 1]
             lifted = []
             for p in ps:
                 out = [p[n] for n in perm]
@@ -321,18 +298,16 @@ class SchubertRing:
         return ps
 
     def _covers(self, k: int) -> list[tuple[int, int]]:
-        """(j, index of the coroot class of beta) for every cell
-        j = s_gamma mu one layer above the cell k = w, mu = w(omega_P),
-        gamma = w beta > 0: the terms of the Chevalley rule, whose class is
-        (<w(omega_f), gamma_check>)_f over the free nodes f.  Made once per
-        cell and kept in the quotient's table; a pairing vector that is
-        not a class raises ConventionError."""
-        covers = self._cover_lists[k]
+        """(j, index of the class of beta) for every cell j = s_gamma mu one
+        layer above the cell k = w, gamma = w beta > 0, whose class is
+        (<w(omega_f), gamma_check>)_f over the free nodes f; made once per
+        cell.  A pairing vector that is not a class raises ConventionError."""
+        table = self.table
+        covers = table.covers[k]
         if covers is not None:
             return covers
-        code, at, layers = self._codes[k], self._at, self._layers
+        code, at, layers, classes = table.codes[k], table.at, table.layers, table.classes
         roots = self.group.point_codes[1]
-        classes = self._classes
         up = layers[k] + 1
         ps = self._pairing(k)
         qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
@@ -351,26 +326,27 @@ class SchubertRing:
                             f"free part of a positive coroot"
                         )
                     covers.append((j, i))
-        self._cover_lists[k] = covers
+        table.covers[k] = covers
         return covers
 
     def _lambda_values(self, d: DivisorClass) -> list[int]:
-        """<lambda, class> for each coroot class of the quotient, kept as
-        the ring's last divisor after d is checked."""
+        """<lambda, class> for each coroot class, summed one free node's
+        column at a time, kept as the ring's last divisor once d is checked."""
         self.check_divisor(d)
         weights = d.weights
-        lam = [weights[j - 1] for j in self.free_nodes]
-        values = [sum(map(mul, lam, part)) for part in self._classes]
-        self._lam = (weights, values)
-        return values
+        values = None
+        for j, column in zip(self.free_nodes, self.table.columns):
+            if c := weights[j - 1]:
+                values = ([c * x for x in column] if values is None
+                          else [v + c * x for v, x in zip(values, column)])
+        self._lam = (weights, values or [0] * len(self.table.classes))
+        return self._lam[1]
 
     def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
-        """Product of the divisor d with x, one length step up.  Each cover
-        reads <w lambda, gamma_check> as the value of its class; the values
-        are made, and d checked, only when d differs from the ring's last
-        divisor.  The covers' terms are summed into one list over the
-        layers just above x's terms, whose nonzero entries are the result
-        in cell order: it is built trusted, with no sorting."""
+        """Product of the divisor d with x, one length step up: each cover
+        adds c * <lambda, its class> into one list over the layers just
+        above x's terms, whose nonzero entries are the result in cell
+        order, built trusted."""
         if x.ring is not self:
             raise ValueError("element belongs to a different ring")
         weights, values = self._lam
@@ -383,10 +359,9 @@ class SchubertRing:
         if not terms:
             return out
         # x's keys are sorted, so its first and last cells bound its layers
-        layers, offsets = self._layers, self._offsets
+        layers, cover_lists, offsets = self.table.layers, self.table.covers, self.quotient.offsets
         lo = offsets[layers[next(iter(terms))] + 1]
         acc = [0] * (offsets[layers[next(reversed(terms))] + 2] - lo)
-        cover_lists = self._cover_lists
         for k, c in terms.items():
             covers = cover_lists[k]
             if covers is None:
@@ -416,24 +391,26 @@ def pushforward(
     fibration G/B -> G/P_i, sigma[w] goes to sigma[w*s_i] when that
     shortens w."""
     ring = x.ring
-    coarser = ring.group.normalize_parabolic(ring.parabolic + (fiber_node,))
+    check_node(fiber_node, ring.rank, "fiber node")
     if fiber_node in ring.parabolic:
         raise ValueError(f"node {fiber_node} is already collapsed")
-    if target.group is not ring.group or target.parabolic != coarser:
+    coarser = sorted(ring.parabolic + (fiber_node,))
+    if target.group is not ring.group or list(target.parabolic) != coarser:
         raise ValueError(
             f"pushforward through node {fiber_node} goes to the quotient by "
-            f"{list(coarser)} of the same group"
+            f"{coarser} of the same group"
         )
     drop = ring.dimension - target.dimension
     f = ring.free_nodes.index(fiber_node)
     simple = [a for a, _ in ring.group.root_moves]
     powers = ring.group.point_codes[0]
+    fine, coarse = ring.table, target.table
     out: dict[int, int] = {}
     for k, c in x._terms.items():
         # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
         p = ring._pairing(k)[f]
-        j = target._at[ring._codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
-        if target._layers[j] == ring._layers[k] - drop:
+        j = coarse.at[fine.codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
+        if coarse.layers[j] == fine.layers[k] - drop:
             out[j] = out.get(j, 0) + c
     return CohomologyElement(target, out)
 
@@ -456,6 +433,7 @@ def chern_of_pushforward_bundle(
     linearity in the divisor these are the rank-2 relation
     zeta^2 - p*(c1).zeta + p*(c2) = 0 in H*(G/B).
     """
+    check_node(fiber_node, group.rank, "fiber node")
     flag = SchubertRing(group, ())
     base = SchubertRing(group, (fiber_node,))
     if zeta is None:

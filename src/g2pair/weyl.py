@@ -1,64 +1,51 @@
 """Weyl groups as orbits of dominant weights in fundamental-weight
 coordinates.
 
-One walk does all enumeration.  For a set P of simple nodes let
-omega_P be the sum of the fundamental weights omega_i with i not in P.
-Its orbit W.omega_P is in bijection with W/W_P (Stembridge,
-"Computational aspects of root systems, Coxeter groups, and Weyl
-characters", 2001), and the walk visits it breadth first, one layer per
-length.  In weight coordinates a simple reflection is
-s_i(v) = v - v_i * (column i of the Cartan matrix), rootsys.reflect_weight,
-so every step costs O(rank).  s_i mu lies one layer up exactly when
+One walk does all enumeration.  For a set P of simple nodes let omega_P
+be the sum of the fundamental weights omega_i with i not in P.  Its orbit
+W.omega_P is in bijection with W/W_P (Stembridge, "Computational aspects
+of root systems, Coxeter groups, and Weyl characters", 2001), and the
+walk visits it breadth first, one layer per length.  A simple reflection
+is s_i(v) = v - v_i * (column i of the Cartan matrix),
+rootsys.reflect_weight, O(rank); s_i mu lies one layer up exactly when
 mu_i > 0, and the left descents of a point are its negative coordinates.
 
-Elements carry a canonical reduced word: the lexicographically smallest
-one, obtained by greedy extraction of the smallest left descent.  So a
-point t of the next layer has one canonical parent, s_i t for the first
-negative coordinate i of t, and its word is (i,) + the parent's word.
-The walk emits t = s_i mu only from that parent, that is when no
-coordinate j < i of t is negative.  For j != i, t_j = mu_j - mu_i a_ji
->= mu_j, so only a negative mu_j with j < i can block, and the first
-one is mu's own first descent f, the first letter of its word minus one
-(omega_P has none).  So f decides before any reflection: with no f or
-f > i, t is accepted; with f < i, t is rejected when
-t_f = mu_f - mu_i a_fi < 0, as always when f is not adjacent to i; only
-the rest are reflected and their coordinates before i read.  Taking the
-letter in the outer loop and the layer, in word order, in the inner
-one, each layer comes out in word order with no sort and no table of
-candidates.  A minimal coset representative keeps the right factor of
-every reduced product, so the walk of omega_P yields exactly the
-elements of W^P, with the group's own words, in (length, word) order.
-Each cell keeps its canonical parent's list index: coset names and a
-Schubert ring's per-cell data (pairings, point codes) are read off the
-parent's through that link.
+The canonical reduced word of an element is the lexicographically
+smallest one, read by peeling the smallest left descent.  So a point t
+of the next layer has one canonical parent, s_i t for its first negative
+coordinate i, and its word is (i,) + the parent's word: the walk emits
+t = s_i mu only when no t_j with j < i is negative.  For j != i,
+t_j = mu_j - mu_i a_ji >= mu_j, so only mu's own first descent f, its
+first letter minus one, can block: with no f or f > i, t is accepted;
+with f < i, t is rejected when t_f = mu_f - mu_i a_fi < 0, and only the
+rest are reflected and their coordinates before i read.  With the letter
+in the outer loop and the layer in the inner one, each layer comes out
+in word order with no sort, and the walk yields exactly the minimal
+coset representatives W^P in (length, word) order.
+
+``WeylGroup.quotient`` checks P once and keeps one Quotient per
+parabolic, holding the walk as columns: each cell's first letter, its
+canonical parent's index, the layer offsets and the flattened points.
+Words, names and points are derived from the parent links on demand;
+the command line writes names and JSON rows from them, and a Schubert
+ring reads its per-cell data off the parent's.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
-constructor makes an element from y and keeps it per group, so equal
-elements are the same object.  It reads the canonical word off y by
-reflecting at the first negative coordinate until none is left, which
-ends at rho exactly when y is in the orbit.  No verb makes an element:
-cosets, certificates and Schubert rings read words, points, parent links
-and codes.  WeylElement and its product, ``min_coset_reps`` and
-``reflections`` stay only because the benchmark's tracer
-(perfbench/tracer.py) wraps them, and ``from_word`` because they and
-SchubertRing.basis, which the tracer reads, make elements with it.  The
-rest of the element API (the listed group, inverses, right descents,
-orders, the longest element) lives in the tests' oracles.
+constructor makes an element from y, keeps it per group and reads its
+canonical word by peeling first descents, which ends at rho exactly when
+y is in the orbit.  No verb makes an element: WeylElement and its
+product, ``min_coset_reps`` and ``reflections`` stay only because the
+benchmark's tracer (perfbench/tracer.py) wraps them, and ``from_word``
+because they and SchubertRing.basis, which the tracer reads, use it.
 
-|W| is the product of the degrees d_i of W, which are one more than the
-parts of the partition dual to the numbers of positive roots of each
-height (Kostant; Humphreys, "Reflection Groups and Coxeter Groups",
-3.20).  The length generating function prod [d_i]_t gives the size of
-every layer, so the cap is checked before anything is enumerated and the
-order needs no enumeration.  The same rule, applied to the roots
-supported on P, gives the degrees of W_P, from which motive counts the
-cells of G/P without a walk.  Nothing here lists W: coset words, names
-and Schubert rings read one walk of omega_P per parabolic, kept by the
-group.  Each word of W^P is a letter followed by its parent's word, so
-one pass over the parent links names a whole list, and the command line
-writes each word's JSON text the same way, from its parent's text.  No
-element is ever turned into a matrix; the tests derive matrices from the
-words as an independent cross-check.
+|W| is the product of the degrees d_i of W, one more than the parts of
+the partition dual to the numbers of positive roots of each height
+(Kostant; Humphreys, "Reflection Groups and Coxeter Groups", 3.20), and
+prod [d_i]_t counts every layer, so the cap is checked before anything
+is enumerated.  The roots supported on P give the degrees of W_P, from
+which motive counts the cells of G/P without a walk.  No element is
+turned into a matrix; the tests derive matrices from the words as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -66,9 +53,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from functools import cache, cached_property
+from typing import Iterable, Optional
 
 from .errors import CapExceededError
 from .rootsys import Root, RootSystem, check_cap, check_node, reflect_weight
@@ -77,7 +65,6 @@ DEFAULT_GROUP_CAP = 1_000_000
 
 Word = tuple[int, ...]
 Point = tuple[int, ...]
-Walk = tuple[tuple[Word, ...], tuple[Point, ...], tuple[int, ...]]
 
 
 def word_name(word: Word) -> str:
@@ -85,24 +72,6 @@ def word_name(word: Word) -> str:
     if not word:
         return "e"
     return "*".join(f"s{i}" for i in word)
-
-
-def word_names(words: Sequence[Word], parents: Sequence[int]) -> list[str]:
-    """word_name of each word, given the index of its canonical parent
-    (the word without its first letter, -1 for the empty word) in a list
-    of the same length, as ``orbit`` makes them: each name is "s<i>*" plus
-    the name of the parent, which must come first."""
-    out: list[str] = []
-    for k, (word, p) in enumerate(zip(words, parents, strict=True)):
-        if not word:
-            out.append("e")
-        elif not 0 <= p < k:
-            raise ValueError(f"cell {k} has parent {p}, which does not come before it")
-        elif len(word) > 1:
-            out.append(f"s{word[0]}*{out[p]}")
-        else:
-            out.append(f"s{word[0]}")
-    return out
 
 
 class WeylElement:
@@ -191,21 +160,112 @@ def check_order(degrees: tuple[int, ...], cap: int) -> int:
     return order
 
 
-class WeylGroup:
-    """Finite Weyl group of a root system, which owns the Cartan columns
-    the walk steps along and each positive root's weight and coroot.
+@cache
+def _typecode(bound: int) -> str:
+    """The narrowest signed array typecode that holds -bound..bound."""
+    from array import array
+    return next(c for c in "bhilq" if bound < 1 << 8 * array(c).itemsize - 1)
 
-    The order comes from the degrees, and CapExceededError is raised at
-    once when it passes ``cap``.  ``orbit`` keeps one walk of omega_P per
-    parabolic in ``_walks``, which coset words and Schubert rings read.
-    Next to it, ``_tables`` keeps per parabolic the Chevalley table that
-    schubert builds for the first ring of that quotient (codes, layers,
-    pairings, covers, coroot classes), so every later ring of it reads the
-    same table.
-    ``_at``, kept for the methods the benchmark's tracer wraps, makes an
-    element from its point w(rho) once, on first use, and keeps it in
-    ``_made``; nothing lists the group.
-    """
+
+class Quotient:
+    """W/W_P, one per group and parabolic (``WeylGroup.quotient``): the
+    walk of omega_P as columns.  Cell k has the first letter ``letters[k]``
+    of its word (0 for e), its parent's index ``parents[k]`` (-1) and the
+    point ``coords[k*rank:(k+1)*rank]``; ``offsets[n]`` is the first cell
+    of layer n, and the cell count for the two layers past the top.
+    ``table`` is the Chevalley table the first ring makes, None till then."""
+
+    __slots__ = ("group", "parabolic", "free_nodes", "letters", "parents", "coords",
+                 "offsets", "table")
+
+    def __init__(self, group: "WeylGroup", parabolic: tuple[int, ...]):
+        self.group, self.parabolic, self.table, rank = group, parabolic, None, group.rank
+        self.free_nodes = tuple([i for i in range(1, rank + 1) if i not in parabolic])
+        a, cols = group.root_system.cartan.entries, group.root_system.cartan.columns
+        omega = tuple([0 if i in parabolic else 1 for i in range(1, rank + 1)])
+        # array is loaded on the first walk, not with the library (about
+        # half a millisecond).  Wide enough by construction: a letter is at
+        # most the rank; a cell index is below |W| and sys.maxsize, the
+        # longest sequence; a coordinate is at most ht(theta_check) in
+        # absolute value (point_codes), the largest degree minus one.
+        from array import array
+        self.letters = array(_typecode(rank))
+        self.parents = array(_typecode(min(group.order, sys.maxsize)))
+        self.coords = array(_typecode(max(group.degrees) - 1))
+        # Two layers are kept as tuples, the one read and the one made; the
+        # columns go to the arrays in batches of 4096 cells or more.
+        # firsts[k] is the first letter of layer[k], rank + 1 for omega_P.
+        self.offsets = offsets = [0]
+        letters, parents, flat = [0], [-1], list(omega)
+        layer, firsts = [omega], [rank + 1]
+        while layer:
+            start = offsets[-1]
+            offsets.append(start + len(layer))
+            made: list[Point] = []
+            made_firsts: list[int] = []  # the letters of the cells made
+            for i in range(rank):
+                col, before = cols[i], len(made)
+                for k, mu in enumerate(layer):
+                    c = mu[i]
+                    if c > 0:
+                        if firsts[k] <= i:
+                            f = firsts[k] - 1
+                            if mu[f] < c * a[f][i]:
+                                continue  # t_f < 0: t's first descent is f
+                            t = reflect_weight(mu, i, col)
+                            if min(t[:i]) < 0:
+                                continue  # t's first descent is j < i: another parent
+                        else:
+                            t = reflect_weight(mu, i, col)
+                        made.append(t)
+                        parents.append(start + k)
+                        flat += t
+                made_firsts += [i + 1] * (len(made) - before)
+            letters += made_firsts
+            layer, firsts = made, made_firsts
+            if len(letters) >= 4096 or not layer:
+                for column, batch in (self.letters, letters), (self.parents, parents), \
+                        (self.coords, flat):
+                    column.fromlist(batch)
+                    batch.clear()
+        offsets.append(offsets[-1])
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def words(self) -> tuple[Word, ...]:
+        """Every cell's canonical word, each its letter plus its parent's."""
+        out: list[Word] = [()]
+        for i, p in zip(self.letters[1:], self.parents[1:]):
+            out.append((i,) + out[p])
+        return tuple(out)
+
+    def names(self) -> list[str]:
+        """word_name of every cell: "s<i>*" plus the parent's name."""
+        heads, out = {i: f"s{i}*" for i in set(self.letters)}, ["e"]
+        for i, p in zip(self.letters[1:], self.parents[1:]):
+            out.append(heads[i] + out[p] if p else heads[i][:-1])
+        return out
+
+    def points(self) -> tuple[Point, ...]:
+        """Every cell's point w(omega_P), cut out of ``coords``."""
+        cells = iter(self.coords)
+        return tuple(zip(*[cells] * self.group.rank))
+
+    def lengths(self) -> list[int]:
+        """The layer, length(w), of every cell, read off the offsets."""
+        offsets, out = self.offsets, []
+        for n in range(len(offsets) - 1):
+            out += [n] * (offsets[n + 1] - offsets[n])
+        return out
+
+
+class WeylGroup:
+    """Finite Weyl group of a root system.  The order comes from the
+    degrees, and CapExceededError is raised at once when it passes
+    ``cap``.  ``_quotients`` keeps one Quotient per parabolic; ``_at``
+    makes an element from its point w(rho) on first use and keeps it in
+    ``_made``; nothing lists the group."""
 
     def __init__(self, root_system: RootSystem, cap: int = DEFAULT_GROUP_CAP):
         check_cap(cap)
@@ -213,8 +273,7 @@ class WeylGroup:
         self.rank = rank = root_system.rank
         self.degrees = _degrees(root_system.positive_roots, rank)
         self.order = check_order(self.degrees, cap)
-        self._walks: dict[tuple[int, ...], Walk] = {}
-        self._tables: dict[tuple[int, ...], tuple] = {}
+        self._quotients: dict[tuple[int, ...], Quotient] = {}
         self._rho: Point = (1,) * rank
         self._made: dict[Point, WeylElement] = {}
 
@@ -241,46 +300,15 @@ class WeylGroup:
             y = reflect_weight(y, i - 1, cols[i - 1])
         return y
 
-    def orbit(self, nodes: Iterable[int]) -> Walk:
-        """The orbit of omega_P, P = ``nodes`` in any order, breadth first
-        in (length, word) order: the canonical words, the points and the
-        index of each point's canonical parent (-1 for omega_P).  Walked
-        once per parabolic and kept in ``_walks``, so every spelling of P
-        gets the same tuple.  A candidate s_i mu is accepted when mu has no
-        first descent f < i, rejected when f < i and mu_f - mu_i a_fi < 0,
-        and only otherwise reflected and checked."""
+    def quotient(self, nodes: Iterable[int]) -> Quotient:
+        """W/W_P, P = ``nodes`` in any order or spelling, checked and
+        normalized once and walked once per parabolic, so every spelling
+        gets the same object; a refused one raises before the cache."""
         p = self.normalize_parabolic(nodes)
-        walk = self._walks.get(p)
-        if walk is not None:
-            return walk
-        cartan, rank = self.root_system.cartan, self.rank
-        a, cols = cartan.entries, cartan.columns
-        words: list[Word] = [()]
-        points: list[Point] = [tuple(0 if i in p else 1 for i in range(1, rank + 1))]
-        parents = [-1]
-        start = 0
-        while start < len(points):
-            end = len(points)
-            for i in range(rank):
-                col, letter = cols[i], (i + 1,)
-                for k in range(start, end):
-                    mu = points[k]
-                    c = mu[i]
-                    if c > 0:
-                        if k and (f := words[k][0] - 1) < i:
-                            if mu[f] < c * a[f][i]:
-                                continue  # t_f < 0: t's first descent is f
-                            t = reflect_weight(mu, i, col)
-                            if min(t[:i]) < 0:
-                                continue  # t's first descent is j < i: another parent
-                        else:
-                            t = reflect_weight(mu, i, col)
-                        words.append(letter + words[k])
-                        points.append(t)
-                        parents.append(k)
-            start = end
-        walk = self._walks[p] = (tuple(words), tuple(points), tuple(parents))
-        return walk
+        q = self._quotients.get(p)
+        if q is None:
+            q = self._quotients[p] = Quotient(self, p)
+        return q
 
     def __repr__(self) -> str:
         return f"WeylGroup(rank {self.rank}, order {self.order})"
@@ -302,34 +330,19 @@ class WeylGroup:
         roots = (b for b in self.root_system.positive_roots if not any(b[i] for i in outside))
         return _degrees(roots, len(p))
 
-    def coset_words(self, nodes: Iterable[int]) -> tuple[Word, ...]:
-        """Canonical words of the minimal representatives of the cosets
-        w W_P, P generated by ``nodes``, sorted by (length, word): the
-        words of ``orbit``."""
-        return self.orbit(nodes)[0]
-
-    def coset_names(self, nodes: Iterable[int]) -> list[str]:
-        """word_name of each word of ``coset_words``, through the walk's links."""
-        words, _, parents = self.orbit(nodes)
-        return word_names(words, parents)
-
     def min_coset_reps(self, nodes: Iterable[int]) -> tuple[WeylElement, ...]:
-        """Shortest representatives of the cosets w W_P, P generated by
-        ``nodes``, as elements of this group, made from the words of the
-        walk of omega_P.  Sorted by (length, word) like everything else.
-        Kept for the benchmark's tracer, which wraps it."""
-        return tuple(map(self.from_word, self.coset_words(nodes)))
+        """The minimal coset representatives of W/W_P as elements, in
+        (length, word) order.  Kept for the benchmark's tracer."""
+        return tuple(map(self.from_word, self.quotient(nodes).words()))
 
     @cached_property
     def point_codes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Integer codes of weights, v -> sum of v_i * r^i with radix
-        r = 2 ht(theta_check) + 1, ht(theta_check) the largest height of a
-        positive coroot: the powers r^i and the code of each positive root
-        (weight coordinates), in root order.  A coordinate of w(omega_P) is
+        r = 2 ht(theta_check) + 1: the powers r^i and each positive root's
+        code, in root order.  A coordinate of w(omega_P) is
         <omega_P, w^-1 alpha_i_check>, a coroot's coefficient sum over the
-        nodes outside P, so at most ht(theta_check) in absolute value: the
-        digits are balanced and the code is injective on every orbit.  It is
-        linear, so s_gamma(mu) = mu - q gamma has code c(mu) - q c(gamma)."""
+        nodes outside P, at most ht(theta_check) in absolute value: the
+        digits are balanced, so the code is injective on every orbit."""
         rs = self.root_system
         radix = 2 * max(map(sum, rs.coroots)) + 1
         powers = tuple(radix**i for i in range(self.rank))
@@ -354,9 +367,8 @@ class WeylGroup:
         )
 
     def reflections(self) -> dict[Root, WeylElement]:
-        """Map positive root -> the reflection it defines (a fresh dict).
-        s_beta has y-point rho - <rho, beta_check> beta.  Kept for the
-        benchmark's tracer, which wraps it."""
+        """Map positive root -> its reflection, whose y-point is
+        rho - <rho, beta_check> beta.  Kept for the benchmark's tracer."""
         rs = self.root_system
         return {
             beta: self._at(tuple(1 - sum(coroot) * c for c in w))

@@ -5,13 +5,14 @@ same product over the degrees of W_P and visits no cell.  Here it is
 compared with the length counts of the omega_P walk, which builds every
 minimal coset representative, and with W(L) = W^P(L) W_P(L), where
 W_P(L) comes from enumerating the parabolic subgroup.  The names made
-through the walk's parent links (``coset_names``, ``word_names``) are
-compared with ``word_name`` on the same walks.  The reach tests run
-the command line on E7 and E8 quotients that no walk could visit in a
-second.
+through the walk's parent links (``Quotient.names`` and the rows of the
+``cosets`` document) are compared with ``word_name`` on the same walks.
+The reach tests run the command line on E7 and E8 quotients that no walk
+could visit in a second.
 """
 
 import itertools
+import json
 import time
 from collections import Counter
 from functools import cache
@@ -20,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2pair.cli import run
+from g2pair.cli import _json, _WalkRows, run
 from g2pair.motive import LPolynomial, poincare_polynomial
 from g2pair.rootsys import root_system
-from g2pair.weyl import WeylGroup, word_name, word_names
+from g2pair.weyl import WeylGroup, word_name
 from weyl_oracles import subgroup_length_poly
 
 SMALL = (
@@ -43,7 +44,7 @@ def parabolics(rank):
 
 
 def walked(g, nodes):
-    return LPolynomial(Counter(map(len, g.coset_words(nodes))))
+    return LPolynomial(Counter(map(len, g.quotient(nodes).words())))
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -62,8 +63,8 @@ def test_counts_match_the_walk(name):
 def test_names_match_word_name(name):
     g = group(name)
     for p in parabolics(g.rank):
-        words = g.coset_words(p)
-        assert g.coset_names(p) == [word_name(w) for w in words], p
+        words = g.quotient(p).words()
+        assert g.quotient(p).names() == [word_name(w) for w in words], p
 
 
 @given(st.sets(st.integers(1, 6), min_size=3))
@@ -73,31 +74,37 @@ def test_e6_counts_and_names_match_the_walk(nodes):
     cells = poincare_polynomial(g, nodes)
     assert cells == walked(g, nodes)
     assert cells.is_palindromic()
-    words = g.coset_words(nodes)
-    assert g.coset_names(nodes) == [word_name(w) for w in words]
+    words = g.quotient(nodes).words()
+    assert g.quotient(nodes).names() == [word_name(w) for w in words]
 
 
 def test_counts_leave_the_walks_alone():
     g = WeylGroup(root_system("E6"))
     assert poincare_polynomial(g, (2, 3)).evaluate(1) == 51840 // 4
-    assert g._walks == {}
+    assert g._quotients == {}
     assert "elements" not in vars(g)
 
 
+def row_names(letters, parents, offsets):
+    rows = json.loads(_json({"rows": _WalkRows(letters, parents, offsets)}))["rows"]
+    return [row["name"] for row in rows]
+
+
 def test_names_need_each_suffix_first():
-    # the parent link of a word points at its suffix word[1:]
-    words = [(), (1,), (2, 1), (1, 2, 1), ()]
-    assert word_names(words, [-1, 0, 1, 2, -1]) == ["e", "s1", "s2*s1", "s1*s2*s1", "e"]
-    assert word_names([], []) == []
-    for parents in ([-1, 0, 1, 3], [-1, 0, 1, 4], [-1, 0, 1, -1]):
-        with pytest.raises(ValueError, match="does not come before it"):
-            word_names(words[:4], parents)
-    with pytest.raises(ValueError, match="does not come before it"):
-        word_names([(1, 2)], [0])
-    with pytest.raises(ValueError, match="shorter"):
-        word_names(words, [-1, 0, 1, 2])
+    # the parent link of a word points at its suffix word[1:], one layer down
+    letters, offsets = [0, 1, 2, 1, 2], [0, 1, 2, 3, 5]
+    assert row_names(letters, [-1, 0, 1, 2, 2], offsets) == [
+        "e", "s1", "s2*s1", "s1*s2*s1", "s2*s2*s1"]
+    assert row_names([], [], [0]) == []
+    for parents in ([-1, 0, 1, 3, 2], [-1, 0, 1, 2, 4], [-1, 0, 1, 1, 2], [-1, 0, 1, -1, 2]):
+        with pytest.raises(ValueError, match="outside layer"):
+            row_names(letters, parents, offsets)
+    with pytest.raises(ValueError, match="outside layer"):
+        row_names([0, 1], [-1, 1], [0, 1, 2])
+    with pytest.raises(ValueError, match="disagree in length"):
+        row_names(letters, [-1, 0, 1, 2], offsets)
     # an empty word is "e" whatever its link says
-    assert word_names([(), (), (1,)], [-1, 0, 1]) == ["e", "e", "s1"]
+    assert row_names([0, 0, 1], [-1, 0, 1], [0, 2, 3]) == ["e", "e", "s1"]
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,10 @@ sort_keys=True)`` for every document the verbs can build, and refuse
 what they never build.  Lists of dicts that share one key set ("rows")
 take their own column-by-column path, so they get their own strategy:
 random dictionaries almost never share a key set.  The representatives
-of ``cosets`` reach the writer as columns of a walk (``_WalkRows``), each
-word written from its parent's text; random walks check them against
-the dict rows they stand for, and every parabolic of the rank 2-5 types
+of ``cosets`` reach the writer as the columns a quotient keeps
+(``_WalkRows``: letters, parent links, layer offsets), each name and
+word written from its parent's; random walks check them against the
+dict rows they stand for, and every parabolic of the rank 2-5 types
 checks the verb itself.
 """
 
@@ -129,7 +130,7 @@ def test_a_cosets_shaped_document():
         ],
     }
     assert _json(doc) == stdlib(doc)
-    assert _json({"representatives": _WalkRows([], [], [], [])}) == stdlib({"representatives": []})
+    assert _json({"representatives": _WalkRows([], [], [0])}) == stdlib({"representatives": []})
 
 
 @pytest.mark.parametrize(
@@ -179,7 +180,7 @@ FIRST_CASES = (
     "name, nodes", FIRST_CASES + [c for c in EVERY_PARABOLIC if c not in FIRST_CASES]
 )
 def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
-    words = WeylGroup(root_system(name)).coset_words(nodes)
+    words = WeylGroup(root_system(name)).quotient(nodes).words()
     doc = {
         "type": name,
         "parabolic": list(nodes),
@@ -198,29 +199,29 @@ def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
 
 @st.composite
 def walks(draw):
-    """The columns of a walk: random lengths and names, and words that are
-    each a letter plus the word at an earlier parent index, with empty
-    words (parent -1) among them; words are lists or tuples."""
-    words, parents = [], []
-    for k in range(draw(st.integers(min_value=1, max_value=10))):
-        p = draw(st.integers(min_value=-1, max_value=k - 1))
-        word = () if p < 0 else (draw(st.integers()),) + tuple(words[p])
-        words.append(list(word) if draw(st.booleans()) else word)
-        parents.append(p)
-    n = len(words)
-    lengths = draw(st.lists(st.integers(), min_size=n, max_size=n))
-    names = draw(st.lists(escaped_text, min_size=n, max_size=n))
-    return lengths, names, words, parents
+    """The columns of a walk and the words they stand for: layer 0 is the
+    empty word, and every cell of a later layer has a random letter and a
+    parent in the layer below.  The offsets end with the cell count,
+    once or three times as a Quotient keeps them."""
+    letters, parents, offsets, words = [0], [-1], [0, 1], [()]
+    for n in range(1, draw(st.integers(min_value=0, max_value=6)) + 1):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            p = draw(st.integers(min_value=offsets[n - 1], max_value=offsets[n] - 1))
+            i = draw(st.integers())
+            letters.append(i)
+            parents.append(p)
+            words.append((i,) + words[p])
+        offsets.append(len(letters))
+    if draw(st.booleans()):
+        offsets += [len(letters)] * 2
+    return (letters, parents, offsets), words
 
 
 @given(st.data())
 @settings(max_examples=200)
 def test_walk_rows_match_json_dumps(data):
-    columns = data.draw(walks())
-    dicts = [
-        {"length": n, "name": name, "word": word}
-        for n, name, word, _ in zip(*columns)
-    ]
+    columns, words = data.draw(walks())
+    dicts = [{"length": len(w), "name": word_name(w), "word": list(w)} for w in words]
     depth = data.draw(st.integers(min_value=0, max_value=3))
     doc, want = _WalkRows(*columns), dicts
     for _ in range(depth):
@@ -231,18 +232,21 @@ def test_walk_rows_match_json_dumps(data):
 
 @given(walks(), st.data())
 @settings(max_examples=200)
-def test_broken_walk_rows_raise(columns, data):
-    # a parent at or after its cell (or -1 under a nonempty word), or a
-    # column shorter than the others, is refused; nothing is written
-    lengths, names, words, parents = map(list, columns)
-    cells = [k for k, w in enumerate(words) if w]
-    if cells and data.draw(st.booleans()):
-        k = data.draw(st.sampled_from(cells))
-        parents[k] = data.draw(st.integers(min_value=k, max_value=k + 3) | st.just(-1))
-        match = "does not come before it"
+def test_broken_walk_rows_raise(walk, data):
+    # a parent outside the layer below its cell, or a column shorter than
+    # the offsets say, is refused; nothing is written
+    (letters, parents, offsets), _ = walk
+    if len(letters) > 1 and data.draw(st.booleans()):
+        k = data.draw(st.integers(min_value=1, max_value=len(letters) - 1))
+        n = next(n for n in range(len(offsets)) if offsets[n + 1] > k)
+        below = range(offsets[n - 1], offsets[n])
+        parents[k] = data.draw(
+            st.integers(min_value=-1, max_value=len(letters)).filter(lambda p: p not in below)
+        )
+        match = "outside layer"
     else:
-        column = data.draw(st.sampled_from((lengths, names, words, parents)))
+        column = data.draw(st.sampled_from((letters, parents)))
         del column[data.draw(st.integers(min_value=0, max_value=len(column) - 1))]
-        match = None
+        match = "disagree in length"
     with pytest.raises(ValueError, match=match):
-        _json({"representatives": _WalkRows(lengths, names, words, parents)})
+        _json({"representatives": _WalkRows(letters, parents, offsets)})

@@ -14,6 +14,7 @@ Two oracles keep the library honest, both implemented here from scratch:
 """
 
 import itertools
+import re
 import time
 from fractions import Fraction
 from functools import cache
@@ -29,6 +30,7 @@ from g2pair.cli import run
 from g2pair.errors import ConventionError, PicardError
 from g2pair.rootsys import root_system
 from g2pair.schubert import (
+    ChevalleyTable,
     CohomologyElement,
     DivisorClass,
     SchubertRing,
@@ -742,8 +744,8 @@ def test_projection_formula_on_rank3_fibrations(name):
 def test_rings_leave_the_group_unbuilt():
     for name in ("A3", "B3", "D4", "F4", "G2"):
         g = make_group(name)
-        g.coset_words((1,))
-        walks = dict(g._walks)
+        g.quotient((1,)).words()
+        quotients = dict(g._quotients)
         rings = []
         for parabolic in all_parabolics(g.rank):
             ring = SchubertRing(g, parabolic)
@@ -756,11 +758,11 @@ def test_rings_leave_the_group_unbuilt():
         assert not g._made, name
         # rings share the group's walk: the one made before them is kept,
         # and each ring's cells are the walk of its quotient
-        assert all(g._walks[p] is w for p, w in walks.items())
-        assert len(g._walks) == len(rings)
+        assert all(g._quotients[p] is q for p, q in quotients.items())
+        assert len(g._quotients) == len(rings)
         for ring in rings:
-            walk = g._walks[ring.parabolic]
-            assert ring.words is walk[0] and ring.words == g.coset_words(ring.parabolic)
+            q = g._quotients[ring.parabolic]
+            assert ring.quotient is q and ring.words == q.words()
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
@@ -768,35 +770,40 @@ def test_rings_read_the_group_walk(name):
     g = make_group(name)
     for parabolic in all_parabolics(g.rank):
         ring = SchubertRing(g, parabolic)
-        assert ring.words is g.coset_words(parabolic), parabolic
-        assert ring.points is g.orbit(parabolic)[1], parabolic
-        assert SchubertRing(g, parabolic[::-1]).points is ring.points, parabolic
+        q = g.quotient(parabolic)
+        assert ring.quotient is q and ring.words == q.words(), parabolic
+        assert ring.quotient.coords is q.coords and ring.table is q.table, parabolic
+        assert SchubertRing(g, parabolic[::-1]).quotient is ring.quotient, parabolic
 
 
 def test_one_walk_per_quotient(monkeypatch):
-    # Every step of a walk reflects through weyl.reflect_weight, so its
-    # calls count the walks: cosets and degrees of both sides of G2 must
-    # cost one walk each of G2/P1, G2/P2 and G2/B (six walks before they
-    # shared one).
-    reflections = []
-    real = weyl.reflect_weight
-    monkeypatch.setattr(weyl, "reflect_weight", lambda *a: reflections.append(1) or real(*a))
+    # Each walk makes one weyl.Quotient, so its constructions count the
+    # walks: cosets and degrees of both sides of G2 must cost one walk
+    # each of G2/P1, G2/P2 and G2/B (six walks before they shared one).
+    walks = []
+    real = weyl.Quotient
+    monkeypatch.setattr(weyl, "Quotient", lambda g, p: walks.append(p) or real(g, p))
     once = make_group("G2")
     for parabolic in ((1,), (2,), ()):
-        once.orbit(parabolic)
-    walked = len(reflections)
-    assert walked > 0
-    reflections.clear()
+        once.quotient(parabolic)
+    walked = len(walks)
+    assert walked == 3
+    walks.clear()
     g = make_group("G2")
     for side in (1, 2):
-        g.coset_words((side,))
-        g.coset_names((side,))
+        g.quotient((side,)).words()
+        g.quotient((side,)).names()
     assert (degree_of_zero_locus(g, 1), degree_of_zero_locus(g, 2)) == (42, 14)
-    assert len(reflections) == walked
-    assert sorted(g._walks) == [(), (1,), (2,)]
+    assert len(walks) == walked and sorted(walks) == [(), (1,), (2,)]
+    assert sorted(g._quotients) == [(), (1,), (2,)]
 
 
-TABLE_PARTS = ("_codes", "_at", "_layers", "_pairings", "_cover_lists", "_classes")
+TABLE_PARTS = ChevalleyTable._fields
+
+
+def tabled(g):
+    """The parabolics whose quotient holds a Chevalley table."""
+    return sorted(p for p, q in g._quotients.items() if q.table is not None)
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
@@ -810,11 +817,12 @@ def test_rings_of_a_quotient_share_one_table(name):
         for _ in range(first.dimension):
             x = first.chevalley(d, x)
         made = first._covers(0)
-        assert second._cover_lists[0] is made and second._covers(0) is made
+        assert second.table.covers[0] is made and second._covers(0) is made
+        assert first.quotient is second.quotient and first.table is second.table
         for part in TABLE_PARTS:
-            assert getattr(first, part) is getattr(second, part), (parabolic, part)
-        assert g._tables[first.parabolic][0] is first._codes
-        assert g._tables[first.parabolic].classes is first._classes
+            assert getattr(first.table, part) is getattr(second.table, part), (parabolic, part)
+        assert g.quotient(first.parabolic).table[0] is first.table.codes
+        assert g.quotient(first.parabolic).table.classes is first.table.classes
         # the rings stay two rings: their elements do not mix
         assert first.one() != second.one()
         with pytest.raises(ValueError):
@@ -823,7 +831,7 @@ def test_rings_of_a_quotient_share_one_table(name):
             first.chevalley(d, second.one())
         with pytest.raises(ValueError):
             second.integrate(x)
-    assert sorted(g._tables) == sorted(all_parabolics(g.rank))
+    assert tabled(g) == sorted(all_parabolics(g.rank))
 
 
 def top_power(ring, weights):
@@ -853,13 +861,13 @@ def test_one_table_per_quotient(monkeypatch, capsys):
     builds, groups = [], []
     real_table, real_group = schubert._chevalley_table, cli._group
     monkeypatch.setattr(
-        schubert, "_chevalley_table", lambda g, p: builds.append(p) or real_table(g, p)
+        schubert, "_chevalley_table", lambda q: builds.append(q.parabolic) or real_table(q)
     )
     monkeypatch.setattr(cli, "_group", lambda ns: groups.append(real_group(ns)) or groups[-1])
     assert run(["certificate", "G2"]) == 0
     assert "side 1: 42" in capsys.readouterr().out
     assert sorted(builds) == [(), (1,), (2,)]
-    assert sorted(groups[0]._tables) == [(), (1,), (2,)]
+    assert tabled(groups[0]) == [(), (1,), (2,)]
 
 
 def test_products_validate_nothing(monkeypatch):
@@ -949,8 +957,8 @@ def test_products_of_zero_and_of_the_top_cell_vanish(name, parabolic):
 @pytest.mark.parametrize("name, parabolic", PRODUCT_CASES)
 def test_layer_offsets_are_the_first_cell_of_each_layer(name, parabolic):
     ring = product_ring(name, parabolic)
-    layers = ring._layers
-    offsets = ring.group._tables[ring.parabolic].offsets
+    layers = ring.table.layers
+    offsets = ring.quotient.offsets
     assert offsets[:ring.dimension + 1] == [layers.index(n) for n in range(ring.dimension + 1)]
     assert offsets[ring.dimension + 1:] == [len(ring)] * 2
 
@@ -971,7 +979,7 @@ def test_counts_leave_the_tables_alone(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "_group", lambda ns: groups.append(real(ns)) or groups[-1])
     assert run(argv) == 0
     assert capsys.readouterr().out
-    assert len(groups) == 1 and groups[0]._tables == {}
+    assert len(groups) == 1 and tabled(groups[0]) == []
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -1064,7 +1072,7 @@ def tuple_cell_covers(ring, k, at):
     <w(omega_f), gamma_check> per free node f, read off ``_pairing``) for
     s_gamma mu = mu - q gamma, q = <mu, gamma_check> > 0, looked up as a
     tuple in ``at`` (point -> cell) and one layer up."""
-    mu, ps, covers = ring.points[k], ring._pairing(k), []
+    mu, ps, covers = ring.quotient.coords[k * ring.rank:(k + 1) * ring.rank], ring._pairing(k), []
     up = len(ring.words[k]) + 1
     rs = ring.group.root_system
     for n, (coroot, weight) in enumerate(zip(rs.coroots, rs.weights)):
@@ -1078,14 +1086,14 @@ def tuple_cell_covers(ring, k, at):
 
 def tuple_covers(ring):
     """Per cell, its covers by the tuple rule."""
-    at = {mu: j for j, mu in enumerate(ring.points)}
+    at = {mu: j for j, mu in enumerate(ring.quotient.points())}
     return [tuple_cell_covers(ring, k, at) for k in range(len(ring))]
 
 
 def pairing_product(ring, d, x):
     """d . x by the tuple covers, <w lambda, gamma_check> summed as
     sum(map(mul, lam, pairs)) per cover: the coefficients, zeros dropped."""
-    at = {mu: j for j, mu in enumerate(ring.points)}
+    at = {mu: j for j, mu in enumerate(ring.quotient.points())}
     lam = [d.weights[f - 1] for f in ring.free_nodes]
     out = {}
     for k, c in x.coefficients().items():
@@ -1096,19 +1104,20 @@ def pairing_product(ring, d, x):
 
 def class_parts(ring):
     """Each cover's class index mapped back to its free-node part."""
-    parts = list(ring._classes)
-    assert list(ring._classes.values()) == list(range(len(parts)))
+    parts = list(ring.table.classes)
+    assert list(ring.table.classes.values()) == list(range(len(parts)))
+    assert ring.table.columns == tuple(zip(*parts))
     return [[(j, parts[i]) for j, i in ring._covers(k)] for k in range(len(ring))]
 
 
 def tuple_push_targets(ring, node, target):
     """Per cell, its pushforward on point tuples: w(omega_P') =
     mu - w(omega_node), found among the target's points."""
-    at = {mu: j for j, mu in enumerate(target.points)}
+    at = {mu: j for j, mu in enumerate(target.quotient.points())}
     simple = [a for a, _ in ring.group.root_moves]
     drop = ring.dimension - target.dimension
     out = []
-    for k, mu in enumerate(ring.points):
+    for k, mu in enumerate(ring.quotient.points()):
         p = ring._pairing(k)[ring.free_nodes.index(node)]
         j = at[tuple(m - p[a] for m, a in zip(mu, simple))]
         out.append({j: 1} if len(target.words[j]) == len(ring.words[k]) - drop else {})
@@ -1155,9 +1164,9 @@ def test_classes_are_the_free_parts_of_the_positive_coroots():
         coroots = [coroot_coordinates(rs, beta) for beta in rs.positive_roots]
         free = [f - 1 for f in ring.free_nodes]
         want = {tuple(c[f] for f in free) for c in coroots} - {(0,) * len(free)}
-        assert set(ring._classes) == want, (name, parabolic)
-        assert sorted(ring._classes.values()) == list(range(len(want))), (name, parabolic)
-        assert g._tables[ring.parabolic].classes is ring._classes
+        assert set(ring.table.classes) == want, (name, parabolic)
+        assert sorted(ring.table.classes.values()) == list(range(len(want))), (name, parabolic)
+        assert g.quotient(ring.parabolic).table.classes is ring.table.classes
 
 
 def test_a_cover_outside_the_classes_raises():
@@ -1165,10 +1174,10 @@ def test_a_cover_outside_the_classes_raises():
     # class is a unit vector: without it no product leaves the identity
     g = make_group("B3")
     ring = SchubertRing(g, ())
-    del ring._classes[(1, 0, 0)]
+    del ring.table.classes[(1, 0, 0)]
     with pytest.raises(ConventionError, match="not the free part of a positive coroot"):
         ring.chevalley(DivisorClass((1, 1, 1)), ring.one())
-    assert ring._cover_lists[0] is None
+    assert ring.table.covers[0] is None
 
 
 def test_codes_from_the_parent_are_the_radix_sums():
@@ -1177,8 +1186,8 @@ def test_codes_from_the_parent_are_the_radix_sums():
         g = groups.setdefault(name, make_group(name))
         ring = SchubertRing(g, parabolic)
         powers = g.point_codes[0]
-        want = [sum(c * r for c, r in zip(mu, powers)) for mu in ring.points]
-        assert ring._codes == want, (name, parabolic)
+        want = [sum(c * r for c, r in zip(mu, powers)) for mu in ring.quotient.points()]
+        assert ring.table.codes == want, (name, parabolic)
 
 
 def test_orbit_coordinates_are_bounded_by_the_coroot_height():
@@ -1191,7 +1200,7 @@ def test_orbit_coordinates_are_bounded_by_the_coroot_height():
         g = groups.setdefault(name, WeylGroup(root_system(name), cap=10**9))
         h = coroot_height(g)
         assert g.point_codes == codes_with_radix(g, 2 * h + 1), name
-        points = g.orbit(parabolic)[1]
+        points = g.quotient(parabolic).points()
         assert max(abs(c) for mu in points for c in mu) <= h, (name, parabolic)
         if not parabolic:
             # the orbit of rho reaches the bound: <rho, theta_check> = ht(theta_check)
@@ -1211,12 +1220,12 @@ def test_a_radix_too_small_raises_or_is_harmless(name):
             except ConventionError as exc:
                 assert "point codes collide" in str(exc)
                 # a build that raises keeps nothing, so the next one raises too
-                assert parabolic not in g._tables
+                assert g.quotient(parabolic).table is None
                 with pytest.raises(ConventionError, match="point codes collide"):
                     SchubertRing(g, parabolic)
                 continue
             # the codes are injective on this orbit, so every lookup is right
-            assert len(set(ring._codes)) == len(ring)
+            assert len(set(ring.table.codes)) == len(ring)
             x = ring.one()
             for _ in range(ring.dimension):
                 x = ring.chevalley(DivisorClass(weights), x)
@@ -1226,7 +1235,28 @@ def test_a_radix_too_small_raises_or_is_harmless(name):
     for _ in range(2):
         with pytest.raises(ConventionError, match="point codes collide"):
             SchubertRing(g, ())
-        assert g._tables == {}
+        assert tabled(g) == []
+
+
+@pytest.mark.parametrize("name", ("G2", "B3"))
+def test_a_bad_fiber_node_is_named(name):
+    # the fibre node is checked as such before any quotient is read
+    g = make_group(name)
+    rank = g.rank
+    flag, base = SchubertRing(g, ()), SchubertRing(g, (1,))
+    kept = dict(g._quotients)
+    for bad, message in (
+        (0, f"fiber node 0 out of range 1..{rank}"),
+        (rank + 1, f"fiber node {rank + 1} out of range 1..{rank}"),
+        (True, "fiber node must be an int, got bool True"),
+        ("1", "fiber node must be an int, got str '1'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pushforward(flag.one(), bad, base)
+        fresh = make_group(name)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chern_of_pushforward_bundle(fresh, bad)
+        assert fresh._quotients == {} and g._quotients == kept, bad
 
 
 def test_pushforward_rejects_other_targets():

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from g2pair import cli
 from g2pair.errors import CapExceededError, NotFiniteTypeError
 from g2pair.rootsys import root_system
-from g2pair.weyl import WeylGroup, word_names
+from g2pair.weyl import WeylGroup, word_name
 from weyl_oracles import elements, has_right_descent, reflect_then_slice_orbit
 
 EXCEPTIONAL = {
@@ -100,8 +101,8 @@ def divide(num, den):
 
 
 def cell_counts(g, nodes):
-    counts = [0] * (max(map(len, g.coset_words(nodes))) + 1)
-    for word in g.coset_words(nodes):
+    counts = [0] * (max(map(len, g.quotient(nodes).words())) + 1)
+    for word in g.quotient(nodes).words():
         counts[len(word)] += 1
     return counts
 
@@ -125,7 +126,7 @@ def test_named_family_orders(letter, n):
 def test_walk_words_are_the_right_descent_filter(name):
     g = group(name)
     for nodes in subsets(g.rank):
-        words = g.coset_words(nodes)
+        words = g.quotient(nodes).words()
         assert words == right_descent_filter(g, nodes), (name, nodes)
         reps = g.min_coset_reps(nodes)
         assert tuple(w.word for w in reps) == words
@@ -136,7 +137,7 @@ def test_walk_words_are_the_right_descent_filter(name):
 @settings(max_examples=8)
 def test_e6_walk_words_are_the_right_descent_filter(nodes):
     g = group("E6")
-    assert g.coset_words(nodes) == right_descent_filter(g, nodes)
+    assert g.quotient(nodes).words() == right_descent_filter(g, nodes)
 
 
 def walk_cases():
@@ -153,45 +154,85 @@ def walk_cases():
 def test_walk_matches_the_reflect_then_slice_oracle():
     for name, nodes in walk_cases():
         g = group(name)
-        words, points, parents = g.orbit(nodes)
+        q = g.quotient(nodes)
+        words, points, parents = q.words(), q.points(), q.parents
         assert (words, points) == reflect_then_slice_orbit(g, nodes), (name, nodes)
         assert len(parents) == len(words) and parents[0] == -1, (name, nodes)
 
 
 def test_walk_links_name_the_canonical_parent():
     for name, nodes in walk_cases():
-        words, points, parents = group(name).orbit(nodes)
+        q = group(name).quotient(nodes)
+        words, points, parents = q.words(), q.points(), q.parents
         assert not words[0] and min(points[0]) >= 0
         for k in range(1, len(words)):
             p = parents[k]
             assert words[k] == (words[k][0],) + words[p], (name, nodes, k)
             assert 0 <= p < k and len(words[k]) == len(words[p]) + 1, (name, nodes, k)
             first = next(j for j, c in enumerate(points[k]) if c < 0)
-            assert first == words[k][0] - 1, (name, nodes, k)
+            assert first == words[k][0] - 1 == q.letters[k] - 1, (name, nodes, k)
+        # the offsets bound the layers: layer n is the words of length n
+        lengths = [len(w) for w in words]
+        assert q.offsets == [lengths.index(n) for n in range(lengths[-1] + 1)] + [len(words)] * 2
+
+
+def test_the_kept_walk_of_e6_is_columns():
+    # E6 G/B has 51,840 cells; kept as tuples of words and points its walk
+    # took 18 MB, as letters, parent links and flattened points under 2 MB
+    g = WeylGroup(root_system("E6"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        q = g.quotient(())
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(q) == len(q.parents) == len(q.coords) // 6 == 51840
+    assert kept < 2 * 2**20, kept
 
 
 def test_coset_walks_keep_the_links():
     g = WeylGroup(root_system("F4"))
     for nodes in subsets(4):
-        walk = words, _, parents = g.orbit(nodes)
-        assert g.orbit(nodes) is walk and g.coset_words(nodes) is words
-        assert g.coset_names(nodes) == word_names(words, parents)
-    assert len(g._walks) == 2**4
+        q = g.quotient(nodes)
+        letters, parents = q.letters, q.parents
+        assert g.quotient(nodes) is q and g.quotient(nodes).letters is letters
+        words = q.words()
+        assert q.names() == [word_name(w) for w in words]
+        assert all(words[k] == (letters[k],) + words[parents[k]] for k in range(1, len(q)))
+    assert len(g._quotients) == 2**4
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
 def test_every_spelling_of_a_parabolic_reads_one_walk(name):
     g = WeylGroup(root_system(name))
-    walk = g.orbit((1, 2))
+    q = g.quotient((1, 2))
     for spelling in ([2, 1, 1], (2, 1), iter((1, 2, 2)), {1: 0, 2: 0}):
-        assert g.orbit(spelling) is walk, spelling
-    assert g.orbit([]) is g.orbit(()) and list(g._walks) == [(1, 2), ()]
+        assert g.quotient(spelling) is q, spelling
+    assert g.quotient([]) is g.quotient(()) and list(g._quotients) == [(1, 2), ()]
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_one_quotient_per_spelling_and_none_for_a_refused_one(name):
+    g = WeylGroup(root_system(name))
+    rank = g.rank
+    q = g.quotient((1, 2))
+    spellings = ((1, 2), [1, 2], (2, 1), [2, 1, 2, 1], iter([2, 1]), {2: "x", 1: "y"}.keys(),
+                 (n for n in (1, 2)))
+    assert all(g.quotient(s) is q for s in spellings)
+    assert g.quotient([]) is g.quotient(()) is g.quotient(iter(()))
+    kept = dict(g._quotients)
+    for bad in ([0], [rank + 1], [True], ["1"], (1, 0), [2, True], (1.0,), [1, "2"]):
+        with pytest.raises(ValueError, match="parabolic node"):
+            g.quotient(bad)
+        assert g._quotients == kept, bad
+    assert list(kept) == [(1, 2), ()] and kept[(1, 2)] is q
 
 
 def test_coset_words_leave_the_group_unbuilt():
     g = WeylGroup(root_system("B3"))
-    assert [len(w) for w in g.coset_words((2, 3))] == [0, 1, 2, 3, 4, 5]
-    assert g.coset_words(()) == g.coset_words([])
+    assert [len(w) for w in g.quotient((2, 3)).words()] == [0, 1, 2, 3, 4, 5]
+    assert g.quotient(()).words() == g.quotient([]).words()
     assert not g._made
     reps = g.min_coset_reps((1,))
     assert set(g._made.values()) == set(reps)

@@ -88,7 +88,8 @@ def coroot_coordinates(rs, beta):
 def elements(group):
     """Every element, from the walk of rho, in (length, word) order.  An
     element the group has already made must carry the walk's word."""
-    words, ys, _ = group.orbit(())
+    flag = group.quotient(())
+    words, ys = flag.words(), flag.points()
     made = group._made
     for word, y in zip(words, ys):
         if y not in made:
@@ -165,8 +166,8 @@ class LengthBijection(NamedTuple):
 def length_bijection(group, left_nodes, right_nodes):
     left = group.min_coset_reps(left_nodes)
     right = group.min_coset_reps(right_nodes)
-    ll = tuple(map(len, group.coset_words(left_nodes)))
-    lr = tuple(map(len, group.coset_words(right_nodes)))
+    ll = tuple(map(len, group.quotient(left_nodes).words()))
+    lr = tuple(map(len, group.quotient(right_nodes).words()))
     pairs = tuple(zip(left, right)) if ll == lr else None
     return LengthBijection(left=left, right=right, lengths_left=ll, lengths_right=lr, pairs=pairs)
 
@@ -207,7 +208,7 @@ def chevalley(ring, d, x):
         raise ValueError("element belongs to a different ring")
     ring.check_divisor(d)
     lam = [d.weights[j - 1] for j in ring.free_nodes]
-    values = [sum(map(mul, lam, part)) for part in ring._classes]
+    values = [sum(map(mul, lam, part)) for part in ring.table.classes]
     out = {}
     for k, c in x.coefficients().items():
         for j, i in ring._covers(k):
@@ -279,7 +280,8 @@ def reflect_then_slice_orbit(group, nodes):
     order, by the plain canonical-parent rule: reflect every candidate
     t = s_i mu with mu_i > 0 and keep it when no t_j with j < i is
     negative.  Reflections come straight from the Cartan matrix, so this
-    shares no code with ``WeylGroup.orbit`` and its first-descent test."""
+    shares no code with the walk of ``WeylGroup.quotient`` and its
+    first-descent test."""
     a = group.root_system.cartan.entries
     rank = len(a)
     words = [()]
