@@ -32,14 +32,11 @@ def _json(doc: dict) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written
     without json's pure-Python indenting encoder.  Takes exactly dict (str
     keys), list, tuple, str, int, bool, None and _WalkRows, with one join
-    per container; anything else, floats included, raises TypeError.  A
-    list of dicts that share one key set is written column by column."""
+    per container; anything else, floats included, raises TypeError."""
     return _write(doc, "\n")
 
 
 _INT = {int}
-_STR = {str}
-_DICT = {dict}
 
 
 class _WalkRows(namedtuple("_WalkRows", "letters parents offsets")):
@@ -99,12 +96,8 @@ def _write(v, nl: str) -> str:
     if t is list or t is tuple:
         if not v:
             return "[]"
-        types = {*map(type, v)}
-        if types == _INT:
+        if {*map(type, v)} == _INT:
             return "[" + inner + sep.join(map(int.__repr__, v)) + nl + "]"
-        keys = v[0].keys() if types == _DICT else None
-        if keys and all(d.keys() == keys for d in v):
-            return "[" + inner + sep.join(_rows(v, inner)) + nl + "]"
         return "[" + inner + sep.join([_write(x, inner) for x in v]) + nl + "]"
     if t is _WalkRows:
         return v(nl)
@@ -115,29 +108,6 @@ def _write(v, nl: str) -> str:
     if v is False:
         return "false"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
-def _rows(rows: Sequence[dict], nl: str) -> list[str]:
-    """_write of each dict in ``rows``, which share one key set: one
-    %-template of the sorted, quoted keys, filled from columns written in
-    one pass each (the rows of a walk come as columns, in _WalkRows)."""
-    keys = sorted(rows[0])
-    inner = nl + "  "
-    template = "{" + inner + ("," + inner).join(
-        _quote(k).replace("%", "%%") + ": %s" for k in keys
-    ) + nl + "}"
-    columns = [_column([d[k] for d in rows], inner) for k in keys]
-    return [template % cells for cells in zip(*columns)]
-
-
-def _column(col: list, nl: str) -> list[str]:
-    """[_write(x, nl) for x in col], with one map for a column of ints or strs."""
-    types = {*map(type, col)}
-    if types == _INT:
-        return list(map(int.__repr__, col))
-    if types == _STR:
-        return list(map(_quote, col))
-    return [_write(x, nl) for x in col]
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:
@@ -172,15 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     verbs = {
         name: sub.add_parser(name, help=text, parents=[common])
-        for name, text in (
-            ("roots", "positive roots in simple-root coordinates"),
-            ("weyl-order", "order of the Weyl group"),
-            ("cosets", "minimal coset representatives of W/W_P"),
-            ("poincare", "cell-count polynomial of G/P in L"),
-            ("verify-identity", "derive and replay-check the relation L*([X] - [Y]) = 0"),
-            ("degree", "degree of the 3-fold zero locus on one side"),
-            ("certificate", "full report: cosets, cell counts, identity derivation, degrees"),
-        )
+        for name, (_, text) in _VERBS.items()
     }
     verbs["cosets"].add_argument(
         "--parabolic", type=_parse_nodes, required=True, metavar="i[,j...]",
@@ -367,27 +329,36 @@ def _cmd_certificate(ns: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-_DISPATCH = {
-    "roots": _cmd_roots,
-    "weyl-order": _cmd_weyl_order,
-    "cosets": _cmd_cosets,
-    "poincare": _cmd_poincare,
-    "verify-identity": _cmd_verify_identity,
-    "degree": _cmd_degree,
-    "certificate": _cmd_certificate,
+# verb -> (handler, help), in the order --help lists them
+_VERBS = {
+    "roots": (_cmd_roots, "positive roots in simple-root coordinates"),
+    "weyl-order": (_cmd_weyl_order, "order of the Weyl group"),
+    "cosets": (_cmd_cosets, "minimal coset representatives of W/W_P"),
+    "poincare": (_cmd_poincare, "cell-count polynomial of G/P in L"),
+    "verify-identity": (
+        _cmd_verify_identity, "derive and replay-check the relation L*([X] - [Y]) = 0"
+    ),
+    "degree": (_cmd_degree, "degree of the 3-fold zero locus on one side"),
+    "certificate": (
+        _cmd_certificate, "full report: cosets, cell counts, identity derivation, degrees"
+    ),
 }
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and execute one invocation; returns the exit code instead of
-    raising SystemExit so tests can call it in-process."""
+    raising SystemExit so tests can call it in-process.  ``argv`` is a
+    list or tuple of arguments; a single string raises TypeError, since
+    argparse would read it one character per argument."""
+    if isinstance(argv, str):
+        raise TypeError(f"argv must be a list of arguments, not a str: {argv!r}")
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out = _DISPATCH[ns.verb](ns)
+        out = _VERBS[ns.verb][0](ns)
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

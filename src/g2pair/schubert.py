@@ -255,17 +255,6 @@ class SchubertRing:
                     f"node(s) {blocked} must vanish"
                 )
 
-    def from_divisor(self, d: DivisorClass) -> CohomologyElement:
-        """sum_i d_i sigma[s_i]: the walk lists the cells (i,) of the free
-        nodes i in order, right after the identity."""
-        self.check_divisor(d)
-        out: dict[int, int] = {}
-        for k, i in enumerate(self.free_nodes, start=1):
-            c = d.weights[i - 1]
-            if c:
-                out[k] = c
-        return CohomologyElement(self, out)
-
     def ample_generator(self) -> DivisorClass:
         """Fundamental weight of the unique uncollapsed node."""
         if len(self.free_nodes) != 1:
@@ -438,14 +427,14 @@ def chern_of_pushforward_bundle(
     base = SchubertRing(group, (fiber_node,))
     if zeta is None:
         zeta = DivisorClass((1,) * group.rank)
-    zeta_elem = flag.from_divisor(zeta)
+    zeta_elem = flag.chevalley(zeta, flag.one())
     if pushforward(zeta_elem, fiber_node, base) != base.one():
         raise ConventionError(
             f"divisor {zeta} does not push to 1 through node {fiber_node}"
         )
     alpha = [row[fiber_node - 1] for row in group.root_system.cartan.entries]
     s = DivisorClass(map(sub, zeta.weights, alpha))
-    c1 = base.from_divisor(DivisorClass(map(add, zeta.weights, s.weights)))
+    c1 = base.chevalley(DivisorClass(map(add, zeta.weights, s.weights)), base.one())
     c2 = pushforward(flag.chevalley(s, flag.chevalley(zeta, zeta_elem)), fiber_node, base)
     up = flag.chevalley(s, zeta_elem)
     if not pushforward(up, fiber_node, base).is_zero:
@@ -470,8 +459,11 @@ def check_rank2_pair(group: WeylGroup) -> None:
 
 
 def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
-    """Degree of the 3-fold cut out of the 5-dimensional quotient on the
-    given side of the rank-2 pair, in its minimal ample polarization.
+    """Degree of the codimension-2 zero locus on the given side of the
+    rank-2 pair, in its minimal ample polarization.  Every connected
+    rank-2 type is taken: on G2 the locus is a 3-fold in a 5-dimensional
+    quotient, of degree 42 on side 1 and 14 on side 2; B2 and C2
+    (3-dimensional quotients) give 5 on both sides, and A2 gives 3.
 
     Side i is the quotient polarized by the i-th fundamental weight; the
     line fibration from the full flag variety runs through the other
@@ -479,7 +471,8 @@ def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
     ample generator.
     """
     check_rank2_pair(group)
-    if isinstance(side, bool) or side not in (1, 2):
+    # 1.0 and Fraction(1) compare equal to 1 but would make a float node
+    if type(side) is not int or side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
     fiber_node = 3 - side
     _, c2 = chern_of_pushforward_bundle(group, fiber_node)

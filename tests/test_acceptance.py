@@ -196,7 +196,7 @@ def test_criterion_7_property_suites():
     zeta = DivisorClass((1, 1))
     for fiber in (1, 2):
         c1, c2 = chern_of_pushforward_bundle(g2, fiber)
-        z1 = flag.from_divisor(zeta)
+        z1 = flag.chevalley(zeta, flag.one())
         z2 = flag.chevalley(zeta, z1)
         residual = (
             z2 - flag.chevalley(zeta, lift(c1, flag)) + lift(c2, flag)

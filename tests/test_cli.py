@@ -8,7 +8,10 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import time
@@ -493,6 +496,92 @@ def test_node_lists_with_an_empty_part_are_refused(capsys, nodes):
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "degree", "--help")[0] == 0
+
+
+VERB_HELP = (
+    ("roots", "positive roots in simple-root coordinates"),
+    ("weyl-order", "order of the Weyl group"),
+    ("cosets", "minimal coset representatives of W/W_P"),
+    ("poincare", "cell-count polynomial of G/P in L"),
+    ("verify-identity", "derive and replay-check the relation L*([X] - [Y]) = 0"),
+    ("degree", "degree of the 3-fold zero locus on one side"),
+    ("certificate", "full report: cosets, cell counts, identity derivation, degrees"),
+)
+COMMON_OPTIONS = (
+    "type Cartan type name (A1..G2) or JSON matrix literal",
+    "--format {text,json} output format",
+    "--cap N enumeration cap for roots and group elements",
+)
+OWN_OPTIONS = {
+    "cosets": ("--parabolic i[,j...] nodes generating the parabolic subgroup",),
+    "poincare": (
+        "--parabolic i[,j...] nodes generating the parabolic subgroup "
+        "(default: none, full flag)",
+        "--at q evaluate at L = q (point count over a field with q elements)",
+    ),
+    "degree": ("--side {1,2} which 5-dimensional quotient carries the zero locus",),
+}
+
+
+def help_words(capsys, monkeypatch, *argv):
+    # words joined by single spaces, so argparse's line wrapping is moot
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    return " ".join(out.split())
+
+
+def test_help_lists_the_verbs_in_order(capsys, monkeypatch):
+    text = help_words(capsys, monkeypatch, "--help")
+    choices = "{" + ",".join(verb for verb, _ in VERB_HELP) + "}"
+    assert text.startswith(f"usage: g2pair [-h] {choices} ...")
+    assert f"{choices} " + " ".join(f"{v} {h}" for v, h in VERB_HELP) in text
+
+
+@pytest.mark.parametrize("verb", sorted(OWN_OPTIONS))
+def test_verb_help_names_its_own_options(capsys, monkeypatch, verb):
+    text = help_words(capsys, monkeypatch, verb, "--help")
+    assert text.startswith(f"usage: g2pair {verb} [-h] [--format {{text,json}}] [--cap N]")
+    for line in COMMON_OPTIONS + OWN_OPTIONS[verb]:
+        assert line in text, line
+    own = {line.split()[0] for line in OWN_OPTIONS[verb]}
+    for option in {"--parabolic", "--at", "--side"} - own:
+        assert option not in text, option
+
+
+def test_run_refuses_a_single_string(capsys):
+    # argparse would read a str one character per argument
+    with pytest.raises(TypeError, match="argv must be a list of arguments"):
+        run("weyl-order G2")
+    assert capsys.readouterr() == ("", "")
+    for argv in (["weyl-order", "G2"], ("weyl-order", "G2")):
+        assert run(argv) == 0
+        assert capsys.readouterr() == ("12\n", "")
+
+
+def readme_commands():
+    """(argv, the value its comment starts with or None) for each g2pair
+    line of the fenced block under the README's "## Command line"."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("g2pair "):
+            command, _, comment = line.partition("#")
+            value = re.match(r"(\d[^,(]*?)\s*(?:[,(]|$)", comment.strip())
+            commands.append((shlex.split(command)[1:], value and value[1]))
+    return commands
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    values = [value for _, value in commands if value]
+    assert values == ["12", P5_TEXT, "42", "14"]
+    for argv, value in commands:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if value is not None:
+            assert out.split("\n", 1)[0] == value, argv
 
 
 @pytest.mark.parametrize(

@@ -3,13 +3,14 @@
 ``cli._json`` must give the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` for every document the verbs can build, and refuse
 what they never build.  Lists of dicts that share one key set ("rows")
-take their own column-by-column path, so they get their own strategy:
-random dictionaries almost never share a key set.  The representatives
-of ``cosets`` reach the writer as the columns a quotient keeps
-(``_WalkRows``: letters, parent links, layer offsets), each name and
-word written from its parent's; random walks check them against the
-dict rows they stand for, and every parabolic of the rank 2-5 types
-checks the verb itself.
+get a strategy of their own, since random dictionaries almost never
+share a key set; they go through the same writer as everything else.
+The representatives of ``cosets`` reach the writer as the columns a
+quotient keeps (``_WalkRows``: letters, parent links, layer offsets),
+each name and word written from its parent's; random walks check them
+against the dict rows they stand for, and every parabolic of the rank
+2-5 types checks the verb itself.  Every other verb's printed document
+is checked against the stdlib on the rank-2 types and on B4, F4, D5.
 """
 
 import itertools
@@ -39,8 +40,8 @@ documents = st.recursive(
     max_leaves=40,
 )
 
-# Keys and strings that need escapes, "%" (the row template's own marker)
-# or non-ASCII; the writer quotes keys and strings itself.
+# Keys and strings that need escapes, "%" (which a %-template would
+# misread) or non-ASCII; the writer quotes keys and strings itself.
 key_text = st.text(alphabet='ab%"\\\né☃', max_size=4)
 escaped_text = st.text(alphabet='a%"\\\x00\x1f\n\té☃\U0001f600', max_size=5)
 cell_kinds = (
@@ -195,6 +196,33 @@ def test_cosets_json_is_the_stdlib_dump(name, nodes, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert run(argv[:-1] + ["text"]) == 0
     assert capsys.readouterr().out == "".join(word_name(w) + "\n" for w in words)
+
+
+RANK2_TYPES = ("G2", "B2", "C2", "A2", "[[2,-1],[-3,2]]", "[[2,-3],[-1,2]]")
+RANK2_ARGS = (
+    ["roots"], ["weyl-order"],
+    ["cosets", "--parabolic", "1"], ["cosets", "--parabolic", "2"],
+    ["poincare"], ["poincare", "--parabolic", "1", "--at", "2"],
+    ["verify-identity"], ["degree", "--side", "1"], ["degree", "--side", "2"],
+    ["certificate"],
+)
+LARGER_ARGS = (
+    ["roots"], ["weyl-order"],
+    ["poincare", "--parabolic", "1"], ["poincare", "--parabolic", "2", "--at", "3"],
+)
+PRINTED = [
+    [verb, name, *extra]
+    for names, table in ((RANK2_TYPES, RANK2_ARGS), (("B4", "F4", "D5"), LARGER_ARGS))
+    for name in names
+    for verb, *extra in table
+]
+
+
+@pytest.mark.parametrize("argv", PRINTED, ids=" ".join)
+def test_every_printed_document_is_the_stdlib_dump(argv, capsys):
+    assert run(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 @st.composite
