@@ -24,7 +24,7 @@ from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
 from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system, series_exponents
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import DEFAULT_GROUP_CAP, WeylGroup, check_order
+from .weyl import _INT, DEFAULT_GROUP_CAP, WeylGroup, check_order
 from . import grothring
 
 
@@ -34,9 +34,6 @@ def _json(doc: dict) -> str:
     keys), list, tuple, str, int, bool, None and _WalkRows, with one join
     per container; anything else, floats included, raises TypeError."""
     return _write(doc, "\n")
-
-
-_INT = {int}
 
 
 class _WalkRows(namedtuple("_WalkRows", "letters parents offsets")):
@@ -158,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verbs["degree"].add_argument(
         "--side", type=int, required=True, choices=(1, 2),
-        help="which 5-dimensional quotient carries the zero locus",
+        help="which of the two quotients carries the zero locus",
     )
     return parser
 
@@ -338,7 +335,7 @@ _VERBS = {
     "verify-identity": (
         _cmd_verify_identity, "derive and replay-check the relation L*([X] - [Y]) = 0"
     ),
-    "degree": (_cmd_degree, "degree of the 3-fold zero locus on one side"),
+    "degree": (_cmd_degree, "degree of the codimension-2 zero locus on one side"),
     "certificate": (
         _cmd_certificate, "full report: cosets, cell counts, identity derivation, degrees"
     ),

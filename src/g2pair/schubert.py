@@ -69,7 +69,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .errors import ConventionError, PicardError
 from .motive import Combination
 from .rootsys import check_node
-from .weyl import Quotient, WeylElement, WeylGroup, word_name
+from .weyl import _INT, Quotient, WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
@@ -78,12 +78,14 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 
     def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
         weights = tuple(weights)
-        for c in weights:
-            if isinstance(c, bool) or not isinstance(c, int):
-                raise ValueError(
-                    f"divisor weights must be ints, got {type(c).__name__} {c!r}"
-                )
-        return super().__new__(cls, weights)
+        if not {*map(type, weights)} <= _INT:
+            # name the first entry that is not an int; int subclasses pass
+            for c in weights:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise ValueError(
+                        f"divisor weights must be ints, got {type(c).__name__} {c!r}"
+                    )
+        return tuple.__new__(cls, (weights,))
 
     def __str__(self) -> str:
         parts = [f"{c}*w{i}" for i, c in enumerate(self.weights, start=1) if c]
@@ -95,8 +97,9 @@ class CohomologyElement(Combination):
     cell index.  The constructor takes only int cells 0 <= k < len(ring)
     and int coefficients (bools refused) and raises ValueError otherwise;
     sums and multiples of elements of the ring are built through the
-    trusted _with, Chevalley products straight from their sorted layer
-    list (SchubertRing.chevalley), and both keep the ring."""
+    trusted _with, and the ring's zero, one, point class and Chevalley
+    products through the trusted SchubertRing._element; both keep the
+    ring."""
 
     __slots__ = ("ring",)
 
@@ -209,17 +212,20 @@ class SchubertRing:
     """Schubert basis of H*(G/P) for P spanned by the given simple nodes:
     cell k is cell k of the group's quotient (weyl.Quotient), with its
     canonical word and point w(omega_P).  The ring keeps a reference to
-    the quotient and its table, shared by every ring of it; each ring is
-    still its own, and elements of two rings do not mix."""
+    the quotient and its table, shared by every ring of it, and to the
+    columns products read; it copies none of them.  Each ring is still
+    its own, and elements of two rings do not mix."""
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
         self.group, self.rank = group, group.rank
         self.quotient = q = group.quotient(parabolic)
-        self.table = q.table or _chevalley_table(q)
+        self.table = t = q.table or _chevalley_table(q)
         self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
+        self._layers, self._cover_lists, self._offsets = t.layers, t.covers, q.offsets
+        self._columns = t.columns
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
-        self.dimension, self._top = len(q.offsets) - 3, len(q) - 1
+        self.dimension, self._top = len(q.offsets) - 3, len(t.codes) - 1
 
     def __len__(self) -> int:
         return len(self.table.codes)
@@ -234,14 +240,21 @@ class SchubertRing:
         """The cells as group elements.  Kept for the benchmark's tracer."""
         return tuple(map(self.group.from_word, self.words))
 
+    def _element(self, terms: dict) -> CohomologyElement:
+        """An element of this ring from terms known valid: cells of the
+        ring in order, nonzero int coefficients.  Nothing is checked."""
+        out = CohomologyElement.__new__(CohomologyElement)
+        out.ring, out._terms = self, terms
+        return out
+
     def zero(self) -> CohomologyElement:
-        return CohomologyElement(self, {})
+        return self._element({})
 
     def one(self) -> CohomologyElement:
-        return CohomologyElement(self, {0: 1})
+        return self._element({0: 1})
 
     def point_class(self) -> CohomologyElement:
-        return CohomologyElement(self, {self._top: 1})
+        return self._element({self._top: 1})
 
     def check_divisor(self, d: DivisorClass) -> None:
         weights = d.weights
@@ -324,7 +337,7 @@ class SchubertRing:
         self.check_divisor(d)
         weights = d.weights
         values = None
-        for j, column in zip(self.free_nodes, self.table.columns):
+        for j, column in zip(self.free_nodes, self._columns):
             if c := weights[j - 1]:
                 values = ([c * x for x in column] if values is None
                           else [v + c * x for v, x in zip(values, column)])
@@ -342,13 +355,11 @@ class SchubertRing:
         if weights != d.weights:
             values = self._lambda_values(d)
         terms = x._terms
-        out = CohomologyElement.__new__(CohomologyElement)
-        out.ring = self
-        out._terms = result = {}
+        out = self._element(result := {})
         if not terms:
             return out
         # x's keys are sorted, so its first and last cells bound its layers
-        layers, cover_lists, offsets = self.table.layers, self.table.covers, self.quotient.offsets
+        layers, cover_lists, offsets = self._layers, self._cover_lists, self._offsets
         lo = offsets[layers[next(iter(terms))] + 1]
         acc = [0] * (offsets[layers[next(reversed(terms))] + 2] - lo)
         for k, c in terms.items():

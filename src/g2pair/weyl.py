@@ -62,6 +62,7 @@ from .errors import CapExceededError
 from .rootsys import Root, RootSystem, check_cap, check_node, reflect_weight
 
 DEFAULT_GROUP_CAP = 1_000_000
+_INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
 
 Word = tuple[int, ...]
 Point = tuple[int, ...]
@@ -303,8 +304,14 @@ class WeylGroup:
     def quotient(self, nodes: Iterable[int]) -> Quotient:
         """W/W_P, P = ``nodes`` in any order or spelling, checked and
         normalized once and walked once per parabolic, so every spelling
-        gets the same object; a refused one raises before the cache."""
-        p = self.normalize_parabolic(nodes)
+        gets the same object; a refused one raises before the cache.  A
+        spelling of exact ints that is already a kept key is normalized,
+        so it is returned unchecked; (True,) and (1.0,) hash equal to
+        (1,) and are checked, and refused."""
+        key = tuple(nodes)
+        if {*map(type, key)} <= _INT and (q := self._quotients.get(key)) is not None:
+            return q
+        p = self.normalize_parabolic(key)
         q = self._quotients.get(p)
         if q is None:
             q = self._quotients[p] = Quotient(self, p)

@@ -504,7 +504,7 @@ VERB_HELP = (
     ("cosets", "minimal coset representatives of W/W_P"),
     ("poincare", "cell-count polynomial of G/P in L"),
     ("verify-identity", "derive and replay-check the relation L*([X] - [Y]) = 0"),
-    ("degree", "degree of the 3-fold zero locus on one side"),
+    ("degree", "degree of the codimension-2 zero locus on one side"),
     ("certificate", "full report: cosets, cell counts, identity derivation, degrees"),
 )
 COMMON_OPTIONS = (
@@ -519,7 +519,7 @@ OWN_OPTIONS = {
         "(default: none, full flag)",
         "--at q evaluate at L = q (point count over a field with q elements)",
     ),
-    "degree": ("--side {1,2} which 5-dimensional quotient carries the zero locus",),
+    "degree": ("--side {1,2} which of the two quotients carries the zero locus",),
 }
 
 

@@ -870,8 +870,8 @@ def test_one_table_per_quotient(monkeypatch, capsys):
 
 def test_products_validate_nothing(monkeypatch):
     # Elements are validated where they are made from outside; a product
-    # of valid operands is trusted.  After a warm-up pass, lambda^dim on
-    # every maximal quotient of F4 validates the terms of ring.one() alone.
+    # of valid operands is trusted, and so is ring.one().  After a warm-up
+    # pass, lambda^dim on every maximal quotient of F4 validates no term.
     g = make_group("F4")
     maximal = [p for p in all_parabolics(g.rank) if len(p) == g.rank - 1]
 
@@ -886,7 +886,7 @@ def test_products_validate_nothing(monkeypatch):
         CohomologyElement, "_key", lambda x, k, c: keys.append(k) or real(x, k, c)
     )
     assert top_powers() == want
-    assert keys == [0] * len(maximal)
+    assert keys == []
 
 
 def test_products_build_one_lambda_table_per_ring(monkeypatch):
@@ -1306,3 +1306,89 @@ def test_a_side_that_is_not_an_int_is_named(side):
     # any fiber node is formed from them
     with pytest.raises(ValueError, match=rf"^side must be 1 or 2, got {re.escape(repr(side))}$"):
         degree_of_zero_locus(make_group("G2"), side)
+
+
+# Spellings that compare and hash equal to a kept key of exact ints
+EQUAL_TO_KEPT = ((True,), (1.0,), [1.0, 2], (True, 2), (1, 2.0))
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_a_spelling_equal_to_a_kept_key_is_still_refused(name):
+    g = make_group(name)
+    walked = {p: g.quotient(p) for p in ((1,), (1, 2))}
+    for bad in EQUAL_TO_KEPT:
+        assert tuple(bad) in g._quotients, bad
+        with pytest.raises(ValueError, match="parabolic node"):
+            g.quotient(bad)
+        with pytest.raises(ValueError, match="parabolic node"):
+            SchubertRing(g, bad)
+        assert g._quotients == walked, bad
+        assert all(g._quotients[p] is q for p, q in walked.items()), bad
+        assert all({*map(type, p)} <= {int} for p in g._quotients), bad
+
+
+def test_a_ring_on_a_walked_quotient_checks_its_parabolic_once(monkeypatch):
+    calls = []
+    real = WeylGroup.normalize_parabolic
+    monkeypatch.setattr(
+        WeylGroup, "normalize_parabolic", lambda g, nodes: calls.append(nodes) or real(g, nodes)
+    )
+    g = make_group("B3")
+    for parabolic in ((1, 3), ()):
+        calls.clear()
+        q = SchubertRing(g, parabolic).quotient  # the first walk
+        assert len(calls) == 1, parabolic
+        for sorted_spelling in (parabolic, list(parabolic), iter(parabolic)):
+            calls.clear()
+            assert SchubertRing(g, sorted_spelling).quotient is q
+            assert calls == [], sorted_spelling
+    for spelling in ((3, 1), [3, 1], (1, 3, 3), [1, 1, 3], iter((3, 1))):
+        calls.clear()
+        assert SchubertRing(g, spelling).quotient is g.quotient((1, 3))
+        assert len(calls) == 1, spelling
+
+
+@pytest.mark.parametrize("name, parabolic", (("G2", ()), ("B3", (2,)), ("F4", (1, 2, 3))))
+def test_the_trusted_unit_classes_are_the_checked_ones(name, parabolic):
+    ring = SchubertRing(make_group(name), parabolic)
+    top = len(ring) - 1
+    made = (ring.one(), ring.zero(), ring.point_class())
+    wants = ({0: 1}, {}, {top: 1})
+    for x, want in zip(made, wants):
+        assert type(x) is CohomologyElement and x.ring is ring, want
+        assert x == CohomologyElement(ring, want) and x.coefficients() == want
+    assert [x.degree() for x in made] == [0, None, ring.dimension]
+    assert ring.integrate(ring.point_class()) == 1
+    # another ring of the same quotient: its elements still do not mix
+    other = SchubertRing(ring.group, parabolic)
+    d = DivisorClass(free_weights((1,) * ring.rank, parabolic))
+    for x, y in zip(made, (other.one(), other.zero(), other.point_class())):
+        assert x != y
+        for mix in (lambda: x + y, lambda: x - y, lambda: ring.chevalley(d, y),
+                    lambda: other.integrate(x)):
+            with pytest.raises(ValueError, match="different ring"):
+                mix()
+
+
+@pytest.mark.parametrize("bad", (True, 1.5, "1", None), ids=repr)
+def test_a_divisor_weight_that_is_not_an_int_is_named(bad):
+    message = f"^divisor weights must be ints, got {type(bad).__name__} {re.escape(repr(bad))}$"
+    for n in range(3):
+        weights = [1, 0, 2]
+        weights[n] = bad
+        with pytest.raises(ValueError, match=message):
+            DivisorClass(weights)
+        with pytest.raises(ValueError, match=message):
+            DivisorClass(iter(weights + [None]))  # the first bad entry is named
+
+
+def test_int_subclasses_and_iterators_make_divisors():
+    class Weight(int):
+        pass
+
+    for weights in (iter([Weight(1), 0, 2]), (c for c in (1, 0, 2)), map(int, "102"),
+                    (Weight(1), Weight(0), Weight(2))):
+        d = DivisorClass(weights)
+        assert type(d) is DivisorClass and d == DivisorClass((1, 0, 2)), weights
+        assert type(d.weights) is tuple and d.weights == (1, 0, 2) and str(d) == "1*w1 + 2*w3"
+    assert DivisorClass(()) == DivisorClass([]) and str(DivisorClass(())) == "0"
