@@ -31,6 +31,7 @@ from .errors import (
     SymbolProductError,
 )
 from .motive import Combination, LPolynomial, l_power
+from .rootsys import _checked_make
 
 PURE = "1"
 
@@ -136,6 +137,8 @@ class RewriteRule(
 ):
     """Substitution [lhs] -> rhs.  The lhs symbol may not reappear on the
     right, so each application eliminates it."""
+
+    _make = classmethod(_checked_make)
 
     def __new__(cls, lhs: str, rhs: MotivicClass, justification: str = "") -> "RewriteRule":
         if not isinstance(lhs, str) or not lhs:

@@ -76,9 +76,16 @@ def reflect_weight(v: Weight, i: int, column: tuple[tuple[int, int], ...]) -> We
     return tuple(out)
 
 
+def _checked_make(cls, fields):
+    """A NamedTuple's ``_make``, and ``_replace`` with it, through ``cls.__new__``."""
+    return cls(*fields)
+
+
 class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
     """Square integer matrix with diagonal 2, nonpositive off-diagonal
     entries, and zeros placed symmetrically."""
+
+    _make = classmethod(_checked_make)
 
     def __new__(cls, entries: Matrix) -> "CartanMatrix":
         n = len(entries)

@@ -4,13 +4,13 @@ The integral cohomology of G/P has a basis of Schubert classes sigma[w]
 indexed by minimal coset representatives, with sigma[w] in degree
 2*length(w).  A ring is built from the orbit of omega_P alone: the cell
 of w is the point mu = w(omega_P), at layer length(w), and the group is
-never enumerated.  Every ring of a quotient reads the group's one
-weyl.Quotient of it, which holds the walk as columns and the table
-(ChevalleyTable) of per-cell codes, pairings and covers and the coroot
-classes below, made by the first ring of the quotient.  Full products
-are not implemented; the degree computations need only Chevalley's
-divisor rule (Fulton-Woodward, "On the quantum product of Schubert
-classes"), read on the orbit:
+never enumerated.  The first ``SchubertRing(group, P)`` builds the ring
+of G/P from the group's weyl.Quotient, which holds the walk as columns
+and keeps the ring; every later call returns it.  The ring holds the
+per-cell codes, pairings, covers and the coroot classes below.  Full
+products are not implemented; the degree computations need only
+Chevalley's divisor rule (Fulton-Woodward, "On the quantum product of
+Schubert classes"), read on the orbit:
 
     sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
@@ -41,13 +41,14 @@ coordinate of a point of an orbit of omega_P is at most ht(theta_check)
 in absolute value, so the code is injective on the orbit, and it is
 linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
 and one int-keyed lookup per candidate root, and a cell's code is its
-parent's minus mu_i c(alpha_i).  The table checks that its codes are
-distinct and raises ConventionError if two collide, keeping nothing, so
+parent's minus mu_i c(alpha_i).  A ring checks that its codes are
+distinct and raises ConventionError if two collide, keeping no ring, so
 a radix too small fails before any product of that quotient.
 
 The projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to
 the point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
-layers lower, and to zero otherwise.  With Chevalley products on G/B it
+layers lower, and to zero otherwise; P and j fix P', so pushforward
+finds the ring of G/P' itself.  With Chevalley products on G/B it
 gives the Chern classes of the rank-2 bundle V with P(V) = G/B over G/P
 from its Chern roots zeta and zeta - alpha_j, and from those the degree
 of the anticanonical zero locus of a section of V.  The conventions are
@@ -57,7 +58,8 @@ rank-2 relation zeta^2 - p*(c1).zeta + p*(c2) = 0, exactly.
 
 A CohomologyElement is a Combination (motive.py) keyed by cell index:
 sums, multiples and rendering are the ones L-polynomials and motivic
-classes use, while equality and sums also require the same ring.
+classes use, while equality and sums also require the same ring, that
+is the same group and quotient.
 """
 
 from __future__ import annotations
@@ -68,13 +70,15 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .rootsys import check_node
-from .weyl import _INT, Quotient, WeylElement, WeylGroup, word_name
+from .rootsys import _checked_make, check_node
+from .weyl import _INT, WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
     """Integral divisor class sum_i weights[i-1] * omega_i in fundamental
     weight coordinates."""
+
+    _make = classmethod(_checked_make)
 
     def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
         weights = tuple(weights)
@@ -93,9 +97,9 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 
 
 class CohomologyElement(Combination):
-    """Integer combination of Schubert classes of one fixed ring, keyed by
-    cell index.  The constructor takes only int cells 0 <= k < len(ring)
-    and int coefficients (bools refused) and raises ValueError otherwise;
+    """Integer combination of Schubert classes of one ring (one quotient of
+    one group), keyed by cell index.  The constructor takes only int cells
+    0 <= k < len(ring) and int coefficients (bools refused) and raises ValueError otherwise;
     sums and multiples of elements of the ring are built through the
     trusted _with, and the ring's zero, one, point class and Chevalley
     products through the trusted SchubertRing._element; both keep the
@@ -130,7 +134,7 @@ class CohomologyElement(Combination):
     def degree(self) -> Optional[int]:
         """Common cohomological degree (half, i.e. the Weyl length), or
         None for zero.  Mixed-degree elements are rejected."""
-        lengths = {self.ring.table.layers[k] for k in self._terms}
+        lengths = {self.ring.layers[k] for k in self._terms}
         if not lengths:
             return None
         if len(lengths) > 1:
@@ -160,75 +164,68 @@ class CohomologyElement(Combination):
         return f"CohomologyElement({self})"
 
 
-class ChevalleyTable(NamedTuple):
-    """What every ring of G/P reads, kept as ``Quotient.table`` by the
-    first ring: the point codes, the index code -> cell, each cell's layer,
-    per cell (made on first use) the coroot pairings and the Chevalley
-    covers, the coroot classes (nonzero free-node parts of the positive
-    coroots) mapped to their index, and the classes as one column per
-    free node, which products read."""
-
-    codes: list[int]
-    at: dict[int, int]
-    layers: list[int]
-    pairings: list[Optional[tuple[list[int], ...]]]
-    covers: list[Optional[list[tuple[int, int]]]]
-    classes: dict[tuple[int, ...], int]
-    columns: tuple[tuple[int, ...], ...]
-
-
-def _chevalley_table(q: Quotient) -> ChevalleyTable:
-    """The table of G/P, made once and kept as ``q.table``.  Raises
-    ConventionError, keeping nothing, when two codes collide or the
-    quotient has no unique top class."""
-    group, rank, coords = q.group, q.group.rank, q.coords
-    # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
-    powers, root_codes = group.point_codes
-    simple = [0] + [root_codes[a] for a, _ in group.root_moves]
-    codes = [sum(map(mul, coords[:rank], powers))]
-    for i, p in zip(q.letters[1:], q.parents[1:]):
-        codes.append(codes[p] - coords[p * rank + i - 1] * simple[i])
-    at = dict(zip(codes, range(len(codes))))
-    if len(at) != len(codes):
-        raise ConventionError(
-            f"point codes collide on the orbit of omega_P, P = {list(q.parabolic)}"
-        )
-    if q.offsets[-3] != len(codes) - 1:
-        raise ConventionError("quotient has no unique top class")
-    # <w(omega_j), gamma_check> per free node j; at the identity, the
-    # coefficient of alpha_j_check in gamma_check
-    identity = tuple([c[j - 1] for c in group.root_system.coroots] for j in q.free_nodes)
-    pairings: list = [identity] + [None] * (len(codes) - 1)
-    classes: dict[tuple[int, ...], int] = {}
-    for part in zip(*identity):
-        if any(part):
-            classes.setdefault(part, len(classes))
-    q.table = ChevalleyTable(codes, at, q.lengths(), pairings, [None] * len(codes), classes,
-                             tuple(zip(*classes)))
-    return q.table
-
-
 class SchubertRing:
     """Schubert basis of H*(G/P) for P spanned by the given simple nodes:
     cell k is cell k of the group's quotient (weyl.Quotient), with its
-    canonical word and point w(omega_P).  The ring keeps a reference to
-    the quotient and its table, shared by every ring of it, and to the
-    columns products read; it copies none of them.  Each ring is still
-    its own, and elements of two rings do not mix."""
+    canonical word and point w(omega_P).  One ring per quotient: the first
+    call builds it in ``__init__`` and keeps it as ``Quotient.ring``, and
+    every later call, with any spelling of P, returns it; a build that
+    raises ConventionError (two codes collide, or no unique top class)
+    keeps nothing.  The ring holds the point codes, the index code -> cell,
+    each cell's layer, per cell (made on first use) the coroot pairings
+    and the Chevalley covers, the coroot classes (nonzero free-node parts
+    of the positive coroots) mapped to their index, and the classes as
+    one column per free node."""
+
+    def __new__(cls, group: WeylGroup, parabolic: Iterable[int] = ()) -> "SchubertRing":
+        q = group.quotient(parabolic)
+        if q.ring is not None:
+            return q.ring
+        ring = super().__new__(cls)
+        ring.quotient = q
+        return ring
 
     def __init__(self, group: WeylGroup, parabolic: Iterable[int] = ()):
-        self.group, self.rank = group, group.rank
-        self.quotient = q = group.quotient(parabolic)
-        self.table = t = q.table or _chevalley_table(q)
+        q = self.quotient  # found by __new__
+        if q.ring is self:
+            return
+        rank, coords = group.rank, q.coords
+        # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
+        powers, root_codes = group.point_codes
+        simple = [0] + [root_codes[a] for a, _ in group.root_moves]
+        codes = [sum(map(mul, coords[:rank], powers))]
+        for i, p in zip(q.letters[1:], q.parents[1:]):
+            codes.append(codes[p] - coords[p * rank + i - 1] * simple[i])
+        at = dict(zip(codes, range(len(codes))))
+        if len(at) != len(codes):
+            raise ConventionError(
+                f"point codes collide on the orbit of omega_P, P = {list(q.parabolic)}"
+            )
+        if q.offsets[-3] != len(codes) - 1:
+            raise ConventionError("quotient has no unique top class")
+        # <w(omega_j), gamma_check> per free node j; at the identity, the
+        # coefficient of alpha_j_check in gamma_check
+        identity = tuple([c[j - 1] for c in group.root_system.coroots] for j in q.free_nodes)
+        classes: dict[tuple[int, ...], int] = {}
+        for part in zip(*identity):
+            if any(part):
+                classes.setdefault(part, len(classes))
+        self.group, self.rank = group, rank
         self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
-        self._layers, self._cover_lists, self._offsets = t.layers, t.covers, q.offsets
-        self._columns = t.columns
+        self.codes, self.at, self.layers = codes, at, q.lengths()
+        self.pairings: list = [identity] + [None] * (len(codes) - 1)
+        self.covers: list = [None] * len(codes)
+        self.classes, self.columns = classes, tuple(zip(*classes))
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
-        self.dimension, self._top = len(q.offsets) - 3, len(t.codes) - 1
+        self.dimension, self._top = len(q.offsets) - 3, len(codes) - 1
+        q.ring = self
+
+    def __reduce__(self):  # copies and pickles restore the state; nothing is rebuilt
+        return object.__new__, (SchubertRing,), self.__dict__
 
     def __len__(self) -> int:
-        return len(self.table.codes)
+        return len(self.codes)
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
@@ -283,7 +280,7 @@ class SchubertRing:
         roots gamma in root order, at the cell k = w: its canonical parent's
         lists permuted by s_i, as <s_i v, gamma_check> = <v, s_i(gamma)_check>.
         The pairings with the simple coroots are the coordinates of w(omega_j)."""
-        memo, parents, chain = self.table.pairings, self.quotient.parents, []
+        memo, parents, chain = self.pairings, self.quotient.parents, []
         while memo[k] is None:
             chain.append(k)
             k = parents[k]
@@ -304,11 +301,10 @@ class SchubertRing:
         layer above the cell k = w, gamma = w beta > 0, whose class is
         (<w(omega_f), gamma_check>)_f over the free nodes f; made once per
         cell.  A pairing vector that is not a class raises ConventionError."""
-        table = self.table
-        covers = table.covers[k]
+        covers = self.covers[k]
         if covers is not None:
             return covers
-        code, at, layers, classes = table.codes[k], table.at, table.layers, table.classes
+        code, at, layers, classes = self.codes[k], self.at, self.layers, self.classes
         roots = self.group.point_codes[1]
         up = layers[k] + 1
         ps = self._pairing(k)
@@ -328,7 +324,7 @@ class SchubertRing:
                             f"free part of a positive coroot"
                         )
                     covers.append((j, i))
-        table.covers[k] = covers
+        self.covers[k] = covers
         return covers
 
     def _lambda_values(self, d: DivisorClass) -> list[int]:
@@ -337,11 +333,11 @@ class SchubertRing:
         self.check_divisor(d)
         weights = d.weights
         values = None
-        for j, column in zip(self.free_nodes, self._columns):
+        for j, column in zip(self.free_nodes, self.columns):
             if c := weights[j - 1]:
                 values = ([c * x for x in column] if values is None
                           else [v + c * x for v, x in zip(values, column)])
-        self._lam = (weights, values or [0] * len(self.table.classes))
+        self._lam = (weights, values or [0] * len(self.classes))
         return self._lam[1]
 
     def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:
@@ -359,7 +355,7 @@ class SchubertRing:
         if not terms:
             return out
         # x's keys are sorted, so its first and last cells bound its layers
-        layers, cover_lists, offsets = self._layers, self._cover_lists, self._offsets
+        layers, cover_lists, offsets = self.layers, self.covers, self.quotient.offsets
         lo = offsets[layers[next(iter(terms))] + 1]
         acc = [0] * (offsets[layers[next(reversed(terms))] + 2] - lo)
         for k, c in terms.items():
@@ -380,12 +376,8 @@ class SchubertRing:
         return x._terms.get(self._top, 0)
 
 
-def pushforward(
-    x: CohomologyElement,
-    fiber_node: int,
-    target: SchubertRing,
-) -> CohomologyElement:
-    """Along G/P -> G/P', P' = P + {fiber_node}, the target's ring: the
+def pushforward(x: CohomologyElement, fiber_node: int) -> CohomologyElement:
+    """Along G/P -> G/P', P' = P + {fiber_node}, into the ring of G/P': the
     cell of w goes to the cell of its point w(omega_P') when that cell
     lies dim(fibre) layers lower, and to zero otherwise.  Through the line
     fibration G/B -> G/P_i, sigma[w] goes to sigma[w*s_i] when that
@@ -394,23 +386,18 @@ def pushforward(
     check_node(fiber_node, ring.rank, "fiber node")
     if fiber_node in ring.parabolic:
         raise ValueError(f"node {fiber_node} is already collapsed")
-    coarser = sorted(ring.parabolic + (fiber_node,))
-    if target.group is not ring.group or list(target.parabolic) != coarser:
-        raise ValueError(
-            f"pushforward through node {fiber_node} goes to the quotient by "
-            f"{coarser} of the same group"
-        )
+    target = SchubertRing(ring.group, sorted(ring.parabolic + (fiber_node,)))
     drop = ring.dimension - target.dimension
     f = ring.free_nodes.index(fiber_node)
     simple = [a for a, _ in ring.group.root_moves]
     powers = ring.group.point_codes[0]
-    fine, coarse = ring.table, target.table
+    codes, layers, at, coarse = ring.codes, ring.layers, target.at, target.layers
     out: dict[int, int] = {}
     for k, c in x._terms.items():
         # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
         p = ring._pairing(k)[f]
-        j = coarse.at[fine.codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
-        if coarse.layers[j] == fine.layers[k] - drop:
+        j = at[codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
+        if coarse[j] == layers[k] - drop:
             out[j] = out.get(j, 0) + c
     return CohomologyElement(target, out)
 
@@ -439,18 +426,18 @@ def chern_of_pushforward_bundle(
     if zeta is None:
         zeta = DivisorClass((1,) * group.rank)
     zeta_elem = flag.chevalley(zeta, flag.one())
-    if pushforward(zeta_elem, fiber_node, base) != base.one():
+    if pushforward(zeta_elem, fiber_node) != base.one():
         raise ConventionError(
             f"divisor {zeta} does not push to 1 through node {fiber_node}"
         )
     alpha = [row[fiber_node - 1] for row in group.root_system.cartan.entries]
     s = DivisorClass(map(sub, zeta.weights, alpha))
     c1 = base.chevalley(DivisorClass(map(add, zeta.weights, s.weights)), base.one())
-    c2 = pushforward(flag.chevalley(s, flag.chevalley(zeta, zeta_elem)), fiber_node, base)
+    c2 = pushforward(flag.chevalley(s, flag.chevalley(zeta, zeta_elem)), fiber_node)
     up = flag.chevalley(s, zeta_elem)
-    if not pushforward(up, fiber_node, base).is_zero:
+    if not pushforward(up, fiber_node).is_zero:
         raise ConventionError(f"s.zeta = {up} is not pulled back from G/P")
-    if pushforward(flag.chevalley(zeta, up), fiber_node, base) != c2:
+    if pushforward(flag.chevalley(zeta, up), fiber_node) != c2:
         raise ConventionError(f"s.zeta = {up} is not the pullback of c2 = {c2}")
     return c1, c2
 

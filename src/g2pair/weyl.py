@@ -27,8 +27,8 @@ coset representatives W^P in (length, word) order.
 parabolic, holding the walk as columns: each cell's first letter, its
 canonical parent's index, the layer offsets and the flattened points.
 Words, names and points are derived from the parent links on demand;
-the command line writes names and JSON rows from them, and a Schubert
-ring reads its per-cell data off the parent's.
+the command line writes names and JSON rows from them, and the one
+Schubert ring of a quotient builds its per-cell data from the parent's.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
 constructor makes an element from y, keeps it per group and reads its
@@ -174,13 +174,13 @@ class Quotient:
     of its word (0 for e), its parent's index ``parents[k]`` (-1) and the
     point ``coords[k*rank:(k+1)*rank]``; ``offsets[n]`` is the first cell
     of layer n, and the cell count for the two layers past the top.
-    ``table`` is the Chevalley table the first ring makes, None till then."""
+    ``ring`` is its one SchubertRing, made by the first call, else None."""
 
     __slots__ = ("group", "parabolic", "free_nodes", "letters", "parents", "coords",
-                 "offsets", "table")
+                 "offsets", "ring")
 
     def __init__(self, group: "WeylGroup", parabolic: tuple[int, ...]):
-        self.group, self.parabolic, self.table, rank = group, parabolic, None, group.rank
+        self.group, self.parabolic, self.ring, rank = group, parabolic, None, group.rank
         self.free_nodes = tuple([i for i in range(1, rank + 1) if i not in parabolic])
         a, cols = group.root_system.cartan.entries, group.root_system.cartan.columns
         omega = tuple([0 if i in parabolic else 1 for i in range(1, rank + 1)])

@@ -1,10 +1,14 @@
 """Cartan matrix parsing and positive root generation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2pair.errors import CapExceededError, UnknownTypeError
+from g2pair.grothring import MotivicClass, RewriteRule
 from g2pair.rootsys import (
     CartanMatrix,
     RootSystem,
@@ -16,6 +20,7 @@ from g2pair.rootsys import (
     root_system,
     series_exponents,
 )
+from g2pair.schubert import DivisorClass
 from g2pair.weyl import WeylGroup
 from weyl_oracles import coroot_coordinates, matvec, reflect, simple_root
 
@@ -449,3 +454,26 @@ def test_root_data_on_named_types(name):
 @settings(max_examples=60)
 def test_root_data_on_drawn_literals(literal):
     check_root_data(root_system(literal))
+
+
+# A valid value of each checked NamedTuple, and fields its __new__ refuses
+CHECKED_TUPLES = {
+    "CartanMatrix": (CartanMatrix(((2, -1), (-1, 2))), (((3, 1), (1, 3)),)),
+    "DivisorClass": (DivisorClass((1, 2)), ((True, 1.5),)),
+    "RewriteRule": (RewriteRule("X", MotivicClass.atom("Y")), ("", MotivicClass.atom("Y"), "")),
+}
+
+
+@pytest.mark.parametrize("helper", ("_make", "_replace"))
+@pytest.mark.parametrize("name", sorted(CHECKED_TUPLES))
+def test_namedtuple_helpers_check_their_fields(name, helper):
+    good, bad = CHECKED_TUPLES[name]
+    with pytest.raises(ValueError):
+        if helper == "_make":
+            type(good)._make(bad)
+        else:
+            good._replace(**dict(zip(good._fields, bad)))
+    # valid fields still pass, and pickle and copy round-trip
+    assert type(good)._make(good) == good and good._replace() == good
+    for twin in (pickle.loads(pickle.dumps(good)), copy.copy(good), copy.deepcopy(good)):
+        assert type(twin) is type(good) and twin == good

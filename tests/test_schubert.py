@@ -13,9 +13,13 @@ Two oracles keep the library honest, both implemented here from scratch:
     multiplication.
 """
 
+import copy
+import gc
 import itertools
+import pickle
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -25,12 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2pair import cli, schubert, weyl
+from g2pair import cli, weyl
 from g2pair.cli import run
 from g2pair.errors import ConventionError, PicardError
 from g2pair.rootsys import root_system
 from g2pair.schubert import (
-    ChevalleyTable,
     CohomologyElement,
     DivisorClass,
     SchubertRing,
@@ -301,13 +304,13 @@ def test_pushforward_pullback_basics():
     for fiber in (1, 2):
         base = SchubertRing(g, (fiber,))
         zeta = flag.chevalley(DivisorClass((1, 1)), flag.one())
-        assert pushforward(flag.one(), fiber, base).is_zero
-        assert pushforward(zeta, fiber, base) == base.one()
+        assert pushforward(flag.one(), fiber).is_zero
+        assert pushforward(zeta, fiber) == base.one()
         assert lift(base.one(), flag) == flag.one()
         # pushforward annihilates every pullback (fiber-degree 0)
         for w in base.basis:
             lifted = lift(sigma(base, w), flag)
-            assert pushforward(lifted, fiber, base).is_zero
+            assert pushforward(lifted, fiber).is_zero
         # pullback of the ample generator is the Schubert divisor of the
         # node outside the Levi
         h = base.chevalley(base.ample_generator(), base.one())
@@ -323,7 +326,7 @@ def test_pushforward_matches_oracle():
         for fiber in (1, 2):
             base = SchubertRing(g, (fiber,))
             for w in flag.basis:
-                got = as_dict(pushforward(sigma(flag, w), fiber, base))
+                got = as_dict(pushforward(sigma(flag, w), fiber))
                 want = oracle_pushforward(g, fiber, (fiber,), {w: 1})
                 assert got == want, (name, fiber, w.name)
 
@@ -341,8 +344,8 @@ def test_projection_formula_exhaustive():
             for d in divisors:
                 for w in flag.basis:
                     x = sigma(flag, w)
-                    left = pushforward(flag.chevalley(d, x), fiber, base)
-                    right = base.chevalley(d, pushforward(x, fiber, base))
+                    left = pushforward(flag.chevalley(d, x), fiber)
+                    right = base.chevalley(d, pushforward(x, fiber))
                     assert left == right, (name, fiber, w.name)
 
 
@@ -369,7 +372,7 @@ def test_grading_shifts():
     x = flag.chevalley(zeta, flag.one())
     assert x.degree() == 1
     assert flag.chevalley(zeta, x).degree() == 2
-    assert pushforward(flag.chevalley(zeta, x), 1, base).degree() == 1
+    assert pushforward(flag.chevalley(zeta, x), 1).degree() == 1
     assert lift(base.one(), flag).degree() == 0
     mixed = flag.one() + x
     with pytest.raises(ValueError):
@@ -583,7 +586,7 @@ def test_pushforward_collapsed_node_rejected():
     g = make_group("G2")
     base = SchubertRing(g, (1,))
     with pytest.raises(ValueError):
-        pushforward(base.one(), 1, base)
+        pushforward(base.one(), 1)
 
 
 def test_cohomology_element_api():
@@ -729,12 +732,12 @@ def test_projection_formula_on_rank3_fibrations(name):
             ]
             for w in source.basis:
                 x = sigma(source, w)
-                pushed = pushforward(x, node, base)
+                pushed = pushforward(x, node)
                 if line:
                     want = oracle_pushforward(g, node, base.parabolic, {w: 1})
                     assert as_dict(pushed) == want, (parabolic, node, w.name)
                 for d in divisors:
-                    left = pushforward(source.chevalley(d, x), node, base)
+                    left = pushforward(source.chevalley(d, x), node)
                     assert left == base.chevalley(d, pushed), (parabolic, node, d, w.name)
     assert lines > g.rank  # every G/B -> G/P_i, and more
 
@@ -770,7 +773,7 @@ def test_rings_read_the_group_walk(name):
         ring = SchubertRing(g, parabolic)
         q = g.quotient(parabolic)
         assert ring.quotient is q and ring.words == q.words(), parabolic
-        assert ring.quotient.coords is q.coords and ring.table is q.table, parabolic
+        assert ring.quotient.coords is q.coords and ring is q.ring, parabolic
         assert SchubertRing(g, parabolic[::-1]).quotient is ring.quotient, parabolic
 
 
@@ -796,12 +799,12 @@ def test_one_walk_per_quotient(monkeypatch):
     assert sorted(g._quotients) == [(), (1,), (2,)]
 
 
-TABLE_PARTS = ChevalleyTable._fields
+TABLE_PARTS = ("codes", "at", "layers", "pairings", "covers", "classes", "columns")
 
 
 def tabled(g):
-    """The parabolics whose quotient holds a Chevalley table."""
-    return sorted(p for p, q in g._quotients.items() if q.table is not None)
+    """The parabolics whose quotient holds its Schubert ring."""
+    return sorted(p for p, q in g._quotients.items() if q.ring is not None)
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
@@ -815,20 +818,17 @@ def test_rings_of_a_quotient_share_one_table(name):
         for _ in range(first.dimension):
             x = first.chevalley(d, x)
         made = first._covers(0)
-        assert second.table.covers[0] is made and second._covers(0) is made
-        assert first.quotient is second.quotient and first.table is second.table
+        assert second.covers[0] is made and second._covers(0) is made
+        assert first.quotient is second.quotient and first is second
         for part in TABLE_PARTS:
-            assert getattr(first.table, part) is getattr(second.table, part), (parabolic, part)
-        assert g.quotient(first.parabolic).table[0] is first.table.codes
-        assert g.quotient(first.parabolic).table.classes is first.table.classes
-        # the rings stay two rings: their elements do not mix
-        assert first.one() != second.one()
-        with pytest.raises(ValueError):
-            first.one() + second.one()
-        with pytest.raises(ValueError):
-            first.chevalley(d, second.one())
-        with pytest.raises(ValueError):
-            second.integrate(x)
+            assert getattr(first, part) is getattr(second, part), (parabolic, part)
+        assert g.quotient(first.parabolic).ring.codes is first.codes
+        assert g.quotient(first.parabolic).ring.classes is first.classes
+        # one ring, so the elements of both calls mix
+        assert first.one() == second.one()
+        assert first.one() + second.one() == 2 * first.one()
+        assert first.chevalley(d, second.one()) == second.chevalley(d, first.one())
+        assert second.integrate(x) == first.integrate(x) > 0
     assert tabled(g) == sorted(all_parabolics(g.rank))
 
 
@@ -854,18 +854,24 @@ def test_a_reused_group_gives_what_fresh_groups_give(name):
 
 
 def test_one_table_per_quotient(monkeypatch, capsys):
-    # both degrees of a certificate read the table of G/B: one build each
-    # of G2/B, G2/P1 and G2/P2
-    builds, groups = [], []
-    real_table, real_group = schubert._chevalley_table, cli._group
-    monkeypatch.setattr(
-        schubert, "_chevalley_table", lambda q: builds.append(q.parabolic) or real_table(q)
-    )
+    # both degrees of a certificate read the ring of G/B: one build each
+    # of G2/B, G2/P1 and G2/P2, and every later call returns a kept ring
+    calls, groups = [], []
+    real_init, real_group = SchubertRing.__init__, cli._group
+
+    def init(ring, group, parabolic=()):
+        calls.append(ring)
+        real_init(ring, group, parabolic)
+
+    monkeypatch.setattr(SchubertRing, "__init__", init)
     monkeypatch.setattr(cli, "_group", lambda ns: groups.append(real_group(ns)) or groups[-1])
     assert run(["certificate", "G2"]) == 0
     assert "side 1: 42" in capsys.readouterr().out
+    builds = [ring.parabolic for ring in {id(ring): ring for ring in calls}.values()]
     assert sorted(builds) == [(), (1,), (2,)]
+    assert len(calls) > len(builds)
     assert tabled(groups[0]) == [(), (1,), (2,)]
+    assert all(groups[0].quotient(p).ring in calls for p in builds)
 
 
 def test_products_validate_nothing(monkeypatch):
@@ -891,16 +897,20 @@ def test_products_validate_nothing(monkeypatch):
 
 def test_products_build_one_lambda_table_per_ring(monkeypatch):
     # A product checks its divisor and makes its class values only when
-    # the divisor differs from the ring's last one: after a warm-up pass,
-    # lambda^dim on every maximal quotient of F4 does both once per ring.
+    # the divisor differs from the ring's last one: after a warm-up pass
+    # with another divisor, lambda^dim on every maximal quotient of F4
+    # does both once per ring, and a second pass, on the kept rings,
+    # does neither.
     g = make_group("F4")
     maximal = [p for p in all_parabolics(g.rank) if len(p) == g.rank - 1]
 
-    def top_powers():
-        return [top_power(SchubertRing(g, p), free_weights((1, 2, 3, 1), p)) for p in maximal]
+    def top_powers(weights=(1, 2, 3, 1)):
+        return [top_power(SchubertRing(g, p), free_weights(weights, p)) for p in maximal]
 
-    want = top_powers()
+    want = [top_power(SchubertRing(make_group("F4"), p), free_weights((1, 2, 3, 1), p))
+            for p in maximal]
     assert all(want)
+    assert all(top_powers((5,) * 4))
     builds, checks = [], []
     real_build, real_check = SchubertRing._lambda_values, SchubertRing.check_divisor
     monkeypatch.setattr(
@@ -913,6 +923,9 @@ def test_products_build_one_lambda_table_per_ring(monkeypatch):
     assert [r.parabolic for r in builds] == maximal
     assert len(set(map(id, builds))) == len(maximal)
     assert checks == builds
+    builds.clear()
+    assert top_powers() == want
+    assert builds == [] and checks == [g.quotient(p).ring for p in maximal]
 
 
 # (type, parabolic): every quotient of the rank-3 types and G2, and the
@@ -955,7 +968,7 @@ def test_products_of_zero_and_of_the_top_cell_vanish(name, parabolic):
 @pytest.mark.parametrize("name, parabolic", PRODUCT_CASES)
 def test_layer_offsets_are_the_first_cell_of_each_layer(name, parabolic):
     ring = product_ring(name, parabolic)
-    layers = ring.table.layers
+    layers = ring.layers
     offsets = ring.quotient.offsets
     assert offsets[:ring.dimension + 1] == [layers.index(n) for n in range(ring.dimension + 1)]
     assert offsets[ring.dimension + 1:] == [len(ring)] * 2
@@ -1104,9 +1117,9 @@ def pairing_product(ring, d, x):
 
 def class_parts(ring):
     """Each cover's class index mapped back to its free-node part."""
-    parts = list(ring.table.classes)
-    assert list(ring.table.classes.values()) == list(range(len(parts)))
-    assert ring.table.columns == tuple(zip(*parts))
+    parts = list(ring.classes)
+    assert list(ring.classes.values()) == list(range(len(parts)))
+    assert ring.columns == tuple(zip(*parts))
     return [[(j, parts[i]) for j, i in ring._covers(k)] for k in range(len(ring))]
 
 
@@ -1144,8 +1157,9 @@ def test_code_covers_and_pushforward_match_tuple_lookup():
         for i in ring.free_nodes:
             target = SchubertRing(g, parabolic + (i,))
             for k, pushed in enumerate(tuple_push_targets(ring, i, target)):
-                got = pushforward(CohomologyElement(ring, {k: 1}), i, target)
+                got = pushforward(CohomologyElement(ring, {k: 1}), i)
                 assert got.coefficients() == pushed, (name, parabolic, k, i)
+                assert got.ring is target, (name, parabolic, k, i)
 
 
 def class_cases():
@@ -1164,9 +1178,9 @@ def test_classes_are_the_free_parts_of_the_positive_coroots():
         coroots = [coroot_coordinates(rs, beta) for beta in rs.positive_roots]
         free = [f - 1 for f in ring.free_nodes]
         want = {tuple(c[f] for f in free) for c in coroots} - {(0,) * len(free)}
-        assert set(ring.table.classes) == want, (name, parabolic)
-        assert sorted(ring.table.classes.values()) == list(range(len(want))), (name, parabolic)
-        assert g.quotient(ring.parabolic).table.classes is ring.table.classes
+        assert set(ring.classes) == want, (name, parabolic)
+        assert sorted(ring.classes.values()) == list(range(len(want))), (name, parabolic)
+        assert g.quotient(ring.parabolic).ring.classes is ring.classes
 
 
 def test_a_cover_outside_the_classes_raises():
@@ -1174,10 +1188,10 @@ def test_a_cover_outside_the_classes_raises():
     # class is a unit vector: without it no product leaves the identity
     g = make_group("B3")
     ring = SchubertRing(g, ())
-    del ring.table.classes[(1, 0, 0)]
+    del ring.classes[(1, 0, 0)]
     with pytest.raises(ConventionError, match="not the free part of a positive coroot"):
         ring.chevalley(DivisorClass((1, 1, 1)), ring.one())
-    assert ring.table.covers[0] is None
+    assert ring.covers[0] is None
 
 
 def test_codes_from_the_parent_are_the_radix_sums():
@@ -1187,7 +1201,7 @@ def test_codes_from_the_parent_are_the_radix_sums():
         ring = SchubertRing(g, parabolic)
         powers = g.point_codes[0]
         want = [sum(c * r for c, r in zip(mu, powers)) for mu in ring.quotient.points()]
-        assert ring.table.codes == want, (name, parabolic)
+        assert ring.codes == want, (name, parabolic)
 
 
 def test_orbit_coordinates_are_bounded_by_the_coroot_height():
@@ -1220,12 +1234,12 @@ def test_a_radix_too_small_raises_or_is_harmless(name):
             except ConventionError as exc:
                 assert "point codes collide" in str(exc)
                 # a build that raises keeps nothing, so the next one raises too
-                assert g.quotient(parabolic).table is None
+                assert g.quotient(parabolic).ring is None
                 with pytest.raises(ConventionError, match="point codes collide"):
                     SchubertRing(g, parabolic)
                 continue
             # the codes are injective on this orbit, so every lookup is right
-            assert len(set(ring.table.codes)) == len(ring)
+            assert len(set(ring.codes)) == len(ring)
             x = ring.one()
             for _ in range(ring.dimension):
                 x = ring.chevalley(DivisorClass(weights), x)
@@ -1252,7 +1266,7 @@ def test_a_bad_fiber_node_is_named(name):
         ("1", "fiber node must be an int, got str '1'"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            pushforward(flag.one(), bad, base)
+            pushforward(flag.one(), bad)
         fresh = make_group(name)
         with pytest.raises(ValueError, match=re.escape(message)):
             chern_of_pushforward_bundle(fresh, bad)
@@ -1260,17 +1274,20 @@ def test_a_bad_fiber_node_is_named(name):
 
 
 def test_pushforward_rejects_other_targets():
+    # the target follows from the source and the node: the ring of the
+    # same group's quotient by P + {node}, and never another ring
     g = make_group("G2")
     flag = SchubertRing(g, ())
     zeta = flag.chevalley(DivisorClass((1, 1)), flag.one())
     base = SchubertRing(g, (1,))
-    assert pushforward(zeta, 1, base) == base.one()
+    assert pushforward(zeta, 1) == base.one()
     twin = WeylGroup(root_system("G2"))
-    for target in (flag, SchubertRing(g, (2,)), SchubertRing(twin, (1,))):
-        with pytest.raises(ValueError):
-            pushforward(zeta, 1, target)
+    for other in (flag, SchubertRing(g, (2,)), SchubertRing(twin, (1,))):
+        assert pushforward(zeta, 1).ring is not other
+        with pytest.raises(ValueError, match="different ring"):
+            pushforward(zeta, 1) + other.one()
     with pytest.raises(ValueError):
-        pushforward(zeta, 3, SchubertRing(g, (1, 2)))
+        pushforward(zeta, 3)
 
 
 def test_bools_and_non_ints_are_refused():
@@ -1291,7 +1308,7 @@ def test_bools_and_non_ints_are_refused():
     with pytest.raises(ValueError, match="letter must be an int"):
         g.from_word([1, True])
     with pytest.raises(ValueError, match="must be an int"):
-        pushforward(SchubertRing(g, ()).one(), True, SchubertRing(g, (1,)))
+        pushforward(SchubertRing(g, ()).one(), True)
     with pytest.raises(ValueError, match="side must be 1 or 2"):
         degree_of_zero_locus(g, True)
     with pytest.raises(ValueError, match="node index must be an int"):
@@ -1359,8 +1376,10 @@ def test_the_trusted_unit_classes_are_the_checked_ones(name, parabolic):
         assert x == CohomologyElement(ring, want) and x.coefficients() == want
     assert [x.degree() for x in made] == [0, None, ring.dimension]
     assert ring.integrate(ring.point_class()) == 1
-    # another ring of the same quotient: its elements still do not mix
-    other = SchubertRing(ring.group, parabolic)
+    # a second call gives the same ring; the same quotient of another
+    # group gives another ring, whose elements do not mix
+    assert SchubertRing(ring.group, parabolic) is ring
+    other = SchubertRing(make_group(name), parabolic)
     d = DivisorClass(free_weights((1,) * ring.rank, parabolic))
     for x, y in zip(made, (other.one(), other.zero(), other.point_class())):
         assert x != y
@@ -1392,3 +1411,109 @@ def test_int_subclasses_and_iterators_make_divisors():
         assert type(d) is DivisorClass and d == DivisorClass((1, 0, 2)), weights
         assert type(d.weights) is tuple and d.weights == (1, 0, 2) and str(d) == "1*w1 + 2*w3"
     assert DivisorClass(()) == DivisorClass([]) and str(DivisorClass(())) == "0"
+
+
+# --- one ring per quotient ----------------------------------------------
+
+
+def spellings(parabolic):
+    """Spellings of one parabolic: in and out of order, as a list, an
+    iterator and a generator, and with repeats."""
+    return (parabolic, parabolic[::-1], list(parabolic), iter(parabolic[::-1]),
+            parabolic + parabolic, (n for n in parabolic))
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_every_spelling_of_a_parabolic_gives_one_ring(name):
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank):
+        # the first call spells P backwards
+        ring = SchubertRing(g, parabolic[::-1])
+        for spelling in spellings(parabolic):
+            assert SchubertRing(g, spelling) is ring, (parabolic, spelling)
+        assert ring is g.quotient(parabolic).ring and ring.parabolic == parabolic
+    assert SchubertRing(g) is SchubertRing(g, ()) is SchubertRing(g, [])
+    assert sorted(g._quotients) == sorted(all_parabolics(g.rank))
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_a_refused_spelling_keeps_no_ring(name):
+    fresh, g = make_group(name), make_group(name)
+    kept = {p: SchubertRing(g, p) for p in ((1,), (1, 2))}
+    quotients = dict(g._quotients)
+    for bad in EQUAL_TO_KEPT + ((0,), (g.rank + 1,), ("1",), (1, None), [2, 1.0]):
+        for group in (fresh, g):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="parabolic node"):
+                    SchubertRing(group, bad)
+        assert fresh._quotients == {}, bad
+        assert g._quotients == quotients, bad
+        assert all(g._quotients[p].ring is ring for p, ring in kept.items()), bad
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_rings_of_other_quotients_or_groups_do_not_mix(name):
+    g, twin = make_group(name), make_group(name)
+    ring = SchubertRing(g, (1,))
+    d = DivisorClass(free_weights((1,) * g.rank, (1,)))
+    for other in (SchubertRing(g, ()), SchubertRing(g, (2,)), SchubertRing(twin, (1,))):
+        assert other is not ring
+        x, y = ring.one(), other.one()
+        assert x != y
+        for mix in (lambda: x + y, lambda: x - y, lambda: ring.chevalley(d, y),
+                    lambda: ring.integrate(y), lambda: other.integrate(x)):
+            with pytest.raises(ValueError, match="different ring"):
+                mix()
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_pushforward_lands_in_the_ring_of_the_coarser_quotient(name):
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank):
+        ring = SchubertRing(g, parabolic)
+        for node in ring.free_nodes:
+            coarser = tuple(sorted(parabolic + (node,)))
+            pushed = pushforward(ring.point_class(), node)
+            assert pushed.ring is SchubertRing(g, coarser) is g.quotient(coarser).ring
+            assert pushed.ring.parabolic == coarser and pushed == pushed.ring.point_class()
+
+
+def test_a_kept_ring_costs_nothing_after_its_first_call():
+    # On a warmed F4 group, 50 more calls of SchubertRing(g, P) with
+    # lambda^dim return the kept ring and keep no memory per call.
+    g = make_group("F4")
+    maximal = [p for p in all_parabolics(g.rank) if len(p) == g.rank - 1]
+
+    def call(p):
+        ring = SchubertRing(g, p)
+        return ring, top_power(ring, free_weights((1, 2, 3, 1), p))
+
+    want = {p: call(p) for p in maximal}  # the warm-up: walks, rings, covers
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(maximal[0])
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(50):
+            p = maximal[n % len(maximal)]
+            assert call(p) == want[p], p
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 50 * 8, kept  # less than one pointer per call
+
+
+def test_rings_and_their_elements_copy_and_pickle():
+    # a deep copy or a pickle carries the group, whose quotient keeps the
+    # copied ring; a shallow copy of an element keeps the ring itself
+    ring = SchubertRing(make_group("G2"), (1,))
+    x = ring.chevalley(ring.ample_generator(), ring.one())
+    for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        other = twin.ring
+        assert other is not ring and other.group is not ring.group
+        assert other.quotient.ring is other and SchubertRing(other.group, [1]) is other
+        assert twin == other.chevalley(other.ample_generator(), other.one())
+        assert str(twin) == str(x) and len(other) == len(ring)
+    assert copy.copy(x) == x and copy.copy(x).ring is ring

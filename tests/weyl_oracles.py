@@ -208,7 +208,7 @@ def chevalley(ring, d, x):
         raise ValueError("element belongs to a different ring")
     ring.check_divisor(d)
     lam = [d.weights[j - 1] for j in ring.free_nodes]
-    values = [sum(map(mul, lam, part)) for part in ring.table.classes]
+    values = [sum(map(mul, lam, part)) for part in ring.classes]
     out = {}
     for k, c in x.coefficients().items():
         for j, i in ring._covers(k):
