@@ -23,7 +23,6 @@ from .errors import (
     PicardError,
     PoincareMismatchError,
     ReplayError,
-    SymbolProductError,
     UnknownTypeError,
 )
 from .rootsys import CartanMatrix, RootSystem, parse_cartan, root_system
@@ -39,7 +38,7 @@ from .grothring import (
     normal_form,
     verify_g2_identity,
 )
-from .replay import check_certificate, check_derivation, check_step
+from .replay import check_certificate, check_derivation, check_document, check_step
 from .schubert import (
     CohomologyElement,
     DivisorClass,
@@ -73,13 +72,13 @@ __all__ = [
     "RootSystem",
     "SchubertRing",
     "Step",
-    "SymbolProductError",
     "UnknownTypeError",
     "WeylElement",
     "WeylGroup",
     "blowup_rule",
     "check_certificate",
     "check_derivation",
+    "check_document",
     "check_step",
     "chern_of_pushforward_bundle",
     "degree_of_zero_locus",

@@ -28,10 +28,6 @@ class CircularRuleError(DomainError):
     """Rewrite rules whose symbols form a cycle; substitution would not halt."""
 
 
-class SymbolProductError(DomainError):
-    """Product of two classes that both carry opaque variety symbols."""
-
-
 class PicardError(DomainError):
     """Divisor weight with support on a Levi node of the quotient."""
 

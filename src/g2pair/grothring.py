@@ -2,16 +2,17 @@
 
 A MotivicClass is a finite integer combination of atoms L^k*[S], where S
 is an opaque variety symbol and the reserved symbol "1" marks pure
-L-polynomial terms; its linear arithmetic is the Combination base it
-shares with LPolynomial (motive.py).  The only products defined are by
-pure classes: multiplying two classes that both carry opaque symbols is
-rejected, because nothing here knows the geometry of such a product.
+L-polynomial terms; its linear arithmetic (sums and int multiples) is
+the Combination base it shares with LPolynomial (motive.py), and its one
+other operation is the shift times_L.  No product of two classes is
+defined: nothing here knows the geometry of such a product.
 
 Rewrite rules substitute a symbol by a class (scissor relations, cell
 decompositions).  normal_form applies rules deterministically - rule
 declaration order first, lowest L-power atom next - and records every
-step, so the result travels with a Derivation that a separate checker
-(see replay.py) can re-execute without trusting this engine.
+step, so the result travels with a Derivation.  Every object here has
+one way out, to_json; the separate checker (replay.py) re-executes that
+document with its own arithmetic, without trusting this module.
 
 verify_g2_identity builds the certificate for the zero-divisor identity:
 two chains rewrite the same divisor symbol [D] through the two blow-up
@@ -23,13 +24,9 @@ deliberately cannot conclude [X] = [Y].
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
-from .errors import (
-    CircularRuleError,
-    PoincareMismatchError,
-    SymbolProductError,
-)
+from .errors import CircularRuleError, PoincareMismatchError
 from .motive import Combination, LPolynomial, l_power
 from .rootsys import _checked_make
 
@@ -76,42 +73,10 @@ class MotivicClass(Combination):
     def symbols(self) -> set[str]:
         return {s for (s, _) in self._terms if s != PURE}
 
-    @property
-    def is_pure(self) -> bool:
-        return all(s == PURE for (s, _) in self._terms)
-
-    def pure_part(self) -> LPolynomial:
-        return LPolynomial({p: c for (s, p), c in self._terms.items() if s == PURE})
-
     def times_L(self, power: int) -> "MotivicClass":
         if isinstance(power, bool) or not isinstance(power, int) or power < 0:
             raise ValueError("L-power must be a nonnegative integer")
         return self._with({(s, p + power): c for (s, p), c in self._terms.items()})
-
-    def times_lpoly(self, p: LPolynomial) -> "MotivicClass":
-        out: dict[TermKey, int] = {}
-        for (s, k), c in self._terms.items():
-            for d, cd in p._terms.items():
-                key = (s, k + d)
-                out[key] = out.get(key, 0) + c * cd
-        return self._with(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.times_int(other)
-        if isinstance(other, LPolynomial):
-            return self.times_lpoly(other)
-        if isinstance(other, MotivicClass):
-            if other.is_pure:
-                return self.times_lpoly(other.pure_part())
-            if self.is_pure:
-                return other.times_lpoly(self.pure_part())
-            raise SymbolProductError(
-                "product of two classes with opaque symbols is not defined here"
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def _body(self, key: TermKey, mag: int) -> str:
         s, p = key
@@ -127,10 +92,6 @@ class MotivicClass(Combination):
     def to_json(self) -> dict:
         return {"terms": [[s, p, c] for (s, p), c in self._terms.items()]}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MotivicClass":
-        return cls(((s, p), c) for s, p, c in doc["terms"])
-
 
 class RewriteRule(
     NamedTuple("RewriteRule", [("lhs", str), ("rhs", MotivicClass), ("justification", str)])
@@ -145,6 +106,8 @@ class RewriteRule(
             raise ValueError("rule symbol must be a nonempty string")
         if lhs == PURE:
             raise ValueError("the pure symbol cannot head a rewrite rule")
+        if not isinstance(rhs, MotivicClass):
+            raise ValueError(f"rule right side must be a MotivicClass, got {type(rhs).__name__}")
         if lhs in rhs.symbols():
             raise ValueError(f"rule right side mentions its own symbol [{lhs}]")
         if not isinstance(justification, str):
@@ -162,20 +125,8 @@ class RewriteRule(
             "justification": self.justification,
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "RewriteRule":
-        return cls(
-            lhs=doc["lhs"],
-            rhs=MotivicClass.from_json(doc["rhs"]),
-            justification=doc.get("justification", ""),
-        )
 
-
-def blowup_rule(
-    total: str,
-    ambient: Union[str, LPolynomial],
-    center: Union[str, LPolynomial],
-) -> RewriteRule:
+def blowup_rule(total: str, ambient: str, center: str) -> RewriteRule:
     """Scissor relation of a blow-up with line fibers over the center:
 
         [total] = [ambient] + L*[center]
@@ -183,26 +134,16 @@ def blowup_rule(
     obtained from [total] = [total minus exceptional] + [exceptional],
     with the complement untouched and the exceptional locus fibered in
     lines: [exceptional] = (1 + L)*[center] minus the embedded copy of
-    the center leaves [ambient] + L*[center].  ``ambient`` and ``center``
-    accept either an opaque symbol or an already-known pure class.
+    the center leaves [ambient] + L*[center].  All three pieces are
+    distinct opaque symbols.
     """
-
-    def as_class(part: Union[str, LPolynomial], shift: int) -> MotivicClass:
-        if isinstance(part, str):
-            return MotivicClass.atom(part, power=shift)
-        if isinstance(part, LPolynomial):
-            return MotivicClass.from_lpoly(part).times_L(shift)
-        raise ValueError("ambient and center must be symbols or L-polynomials")
-
-    names = {p for p in (total, ambient, center) if isinstance(p, str)}
-    if isinstance(total, str) is False:
-        raise ValueError("the total space must be an opaque symbol")
-    if len(names) != sum(1 for p in (total, ambient, center) if isinstance(p, str)):
+    if not all(isinstance(p, str) for p in (total, ambient, center)):
+        raise ValueError("blow-up pieces must be symbols")
+    if len({total, ambient, center}) != 3:
         raise ValueError("blow-up pieces must use distinct symbols")
-    rhs = as_class(ambient, 0) + as_class(center, 1)
     return RewriteRule(
         lhs=total,
-        rhs=rhs,
+        rhs=MotivicClass.atom(ambient) + MotivicClass.atom(center, power=1),
         justification=f"blow-up structure: [{total}] splits off the center with line fibers",
     )
 
@@ -218,14 +159,6 @@ class Step(NamedTuple):
             "rule": self.rule.to_json(),
             "after": self.after.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Step":
-        return cls(
-            before=MotivicClass.from_json(doc["before"]),
-            rule=RewriteRule.from_json(doc["rule"]),
-            after=MotivicClass.from_json(doc["after"]),
-        )
 
 
 class Derivation(NamedTuple):
@@ -246,13 +179,6 @@ class Derivation(NamedTuple):
 
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "steps": [s.to_json() for s in self.steps]}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Derivation":
-        return cls(
-            start=MotivicClass.from_json(doc["start"]),
-            steps=tuple(Step.from_json(s) for s in doc["steps"]),
-        )
 
 
 def _check_acyclic(rules: tuple[RewriteRule, ...]) -> None:
@@ -364,14 +290,6 @@ class IdentityCertificate(NamedTuple):
             "difference": self.difference.to_json(),
             "final_line": self.final_line,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "IdentityCertificate":
-        return cls(
-            left=Derivation.from_json(doc["left"]),
-            right=Derivation.from_json(doc["right"]),
-            difference=MotivicClass.from_json(doc["difference"]),
-        )
 
 
 def verify_g2_identity(f1: LPolynomial, f2: LPolynomial) -> IdentityCertificate:

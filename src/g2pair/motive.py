@@ -39,10 +39,11 @@ class Combination:
     without zero coefficients.
 
     The linear structure lives here once: sums, negation, differences,
-    integer multiples, equality, hashing, the coefficient dict and the
-    sign-joined text form.  A subclass validates keys and coefficients
-    (_key), says which other operands it absorbs (_coerce), renders one
-    term (_body) and defines its own products.
+    integer multiples (times_int and the * operator), equality, hashing,
+    the coefficient dict and the sign-joined text form.  A subclass
+    validates keys and coefficients (_key), says which other operands it
+    absorbs (_coerce) and renders one term (_body); only LPolynomial
+    defines a product of two values.
 
     The constructor validates: every key and coefficient passes _key.
     Arithmetic builds its results through _with, which trusts them: keys
@@ -111,6 +112,11 @@ class Combination:
             raise ValueError("coefficients must be integers")
         return self._with({k: n * c for k, c in self._terms.items()})
 
+    def __mul__(self, n):
+        return self.times_int(n) if isinstance(n, int) else NotImplemented
+
+    __rmul__ = __mul__
+
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -177,7 +183,11 @@ class LPolynomial(Combination):
         return sum(c * q**d for d, c in self._terms.items())
 
     def _coerce(self, other) -> "LPolynomial | None":
-        return LPolynomial({0: other}) if isinstance(other, int) else super()._coerce(other)
+        # a bool is no constant polynomial: L + True is refused, and
+        # L == True is False rather than an error
+        if isinstance(other, int) and not isinstance(other, bool):
+            return LPolynomial({0: other})
+        return super()._coerce(other)
 
     def _body(self, deg: int, mag: int) -> str:
         return l_power(deg, mag)

@@ -141,13 +141,6 @@ class CohomologyElement(Combination):
             raise ValueError("element is not homogeneous")
         return lengths.pop()
 
-    def __mul__(self, n: int) -> "CohomologyElement":
-        if not isinstance(n, int):
-            return NotImplemented
-        return self.times_int(n)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomologyElement):
             return NotImplemented
@@ -221,7 +214,10 @@ class SchubertRing:
         self.dimension, self._top = len(q.offsets) - 3, len(codes) - 1
         q.ring = self
 
-    def __reduce__(self):  # copies and pickles restore the state; nothing is rebuilt
+    def __copy__(self) -> "SchubertRing":  # the one ring of its quotient
+        return self
+
+    def __reduce__(self):  # deep copies and pickles restore the state; nothing is rebuilt
         return object.__new__, (SchubertRing,), self.__dict__
 
     def __len__(self) -> int:

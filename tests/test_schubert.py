@@ -1517,3 +1517,12 @@ def test_rings_and_their_elements_copy_and_pickle():
         assert twin == other.chevalley(other.ample_generator(), other.one())
         assert str(twin) == str(x) and len(other) == len(ring)
     assert copy.copy(x) == x and copy.copy(x).ring is ring
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_a_ring_copies_to_itself(name):
+    # the one ring of a quotient: a shallow copy is the ring, so the
+    # copy's elements mix with the original's
+    ring = SchubertRing(make_group(name), (1,))
+    assert copy.copy(ring) is ring
+    assert copy.copy(ring).one() + ring.one() == 2 * ring.one()
