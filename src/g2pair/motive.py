@@ -171,12 +171,6 @@ class LPolynomial(Combination):
             return None
         return max(self._terms)
 
-    def is_palindromic(self) -> bool:
-        d = self.degree()
-        if d is None:
-            return True
-        return all(self.coefficient(k) == self.coefficient(d - k) for k in range(d + 1))
-
     def evaluate(self, q: int) -> int:
         if isinstance(q, bool) or not isinstance(q, int):
             raise ValueError("evaluation point must be an integer")
@@ -203,14 +197,6 @@ class LPolynomial(Combination):
         return self._with(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = LPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __bool__(self) -> bool:
         return bool(self._terms)

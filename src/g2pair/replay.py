@@ -18,8 +18,9 @@ container, a float, a numeric string or a bool where an int belongs, a
 symbol or justification that is not a string, a term listed twice or
 with coefficient 0, and a rule symbol that is empty, "1" or on its own
 right side are refused, as is any tampered coefficient, rule or
-intermediate class, each with ReplayError.  The ``final_line`` text is
-not read: nothing here vouches for it.
+intermediate class, each with ReplayError.  A ``final_line``, if any,
+must be the line rendered here from the replayed difference, so a
+document claiming [X] - [Y] = 0 for L*[X] - L*[Y] is refused.
 """
 
 from __future__ import annotations
@@ -50,6 +51,27 @@ def _add(a: Class, b: Class, coeff: int = 1, shift: int = 0) -> Class:
         key = (s, p + shift)
         out[key] = out.get(key, 0) + coeff * c
     return {k: c for k, c in out.items() if c}
+
+
+def _render(cls: Class) -> str:
+    """The text of a class as the package prints it: terms in (symbol,
+    L-power) order, sign-joined, each mag*L^p*[s] without its unit factors."""
+    out = ""
+    for (s, p), c in sorted(cls.items()):
+        parts = [str(abs(c))] if abs(c) != 1 else []
+        parts += [f"L^{p}" if p > 1 else "L"] if p else []
+        parts += [f"[{s}]"] if s != PURE else []
+        out += ((" + " if c > 0 else " - ") if out else ("" if c > 0 else "-"))
+        out += "*".join(parts) or "1"
+    return out or "0"
+
+
+def _final_line(difference: Class) -> str:
+    """The statement a certified difference proves: L is factored out when
+    every term carries it, and never divided away."""
+    if difference and all(p >= 1 for _, p in difference):
+        return f"L*({_render({(s, p - 1): c for (s, p), c in difference.items()})}) = 0"
+    return f"{_render(difference)} = 0"
 
 
 def read_class(doc) -> Class:
@@ -125,6 +147,10 @@ def check_document(doc: dict) -> Class:
         raise ReplayError(
             f"recorded difference {sorted(recorded.items())} != replayed {sorted(actual.items())}"
         )
+    if "final_line" in doc:
+        line, want = _get(doc, "final_line", str), _final_line(actual)
+        if line != want:
+            raise ReplayError(f"final line {line!r} is not the replayed {want!r}")
     return actual
 
 

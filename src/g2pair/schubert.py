@@ -99,11 +99,12 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 class CohomologyElement(Combination):
     """Integer combination of Schubert classes of one ring (one quotient of
     one group), keyed by cell index.  The constructor takes only int cells
-    0 <= k < len(ring) and int coefficients (bools refused) and raises ValueError otherwise;
-    sums and multiples of elements of the ring are built through the
-    trusted _with, and the ring's zero, one, point class and Chevalley
-    products through the trusted SchubertRing._element; both keep the
-    ring."""
+    0 <= k < len(ring) and int coefficients (bools refused) and raises
+    ValueError otherwise; sums and multiples of elements of the ring are
+    built through the trusted _with, and the ring's zero, one and
+    Chevalley products through the trusted SchubertRing._element; both
+    keep the ring.  An element's layers are ``ring.layers[k]`` over its
+    cells."""
 
     __slots__ = ("ring",)
 
@@ -130,16 +131,6 @@ class CohomologyElement(Combination):
         if self.ring is not other.ring:
             raise ValueError("elements live in different rings")
         return other
-
-    def degree(self) -> Optional[int]:
-        """Common cohomological degree (half, i.e. the Weyl length), or
-        None for zero.  Mixed-degree elements are rejected."""
-        lengths = {self.ring.layers[k] for k in self._terms}
-        if not lengths:
-            return None
-        if len(lengths) > 1:
-            raise ValueError("element is not homogeneous")
-        return lengths.pop()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CohomologyElement):
@@ -245,9 +236,6 @@ class SchubertRing:
 
     def one(self) -> CohomologyElement:
         return self._element({0: 1})
-
-    def point_class(self) -> CohomologyElement:
-        return self._element({self._top: 1})
 
     def check_divisor(self, d: DivisorClass) -> None:
         weights = d.weights

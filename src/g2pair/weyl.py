@@ -26,9 +26,10 @@ coset representatives W^P in (length, word) order.
 ``WeylGroup.quotient`` checks P once and keeps one Quotient per
 parabolic, holding the walk as columns: each cell's first letter, its
 canonical parent's index, the layer offsets and the flattened points.
-Words, names and points are derived from the parent links on demand;
-the command line writes names and JSON rows from them, and the one
-Schubert ring of a quotient builds its per-cell data from the parent's.
+Words and names are derived from the parent links on demand, and a
+cell's point is its row of the flat ``coords``; the command line writes
+names and JSON rows from them, and the one Schubert ring of a quotient
+builds its per-cell data from the parent's.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
 constructor makes an element from y, keeps it per group and reads its
@@ -172,9 +173,10 @@ class Quotient:
     """W/W_P, one per group and parabolic (``WeylGroup.quotient``): the
     walk of omega_P as columns.  Cell k has the first letter ``letters[k]``
     of its word (0 for e), its parent's index ``parents[k]`` (-1) and the
-    point ``coords[k*rank:(k+1)*rank]``; ``offsets[n]`` is the first cell
-    of layer n, and the cell count for the two layers past the top.
-    ``ring`` is its one SchubertRing, made by the first call, else None."""
+    point ``coords[k*rank:(k+1)*rank]``, kept only flat: no method lists
+    the points as tuples.  ``offsets[n]`` is the first cell of layer n,
+    and the cell count for the two layers past the top.  ``ring`` is its
+    one SchubertRing, made by the first call, else None."""
 
     __slots__ = ("group", "parabolic", "free_nodes", "letters", "parents", "coords",
                  "offsets", "ring")
@@ -247,11 +249,6 @@ class Quotient:
         for i, p in zip(self.letters[1:], self.parents[1:]):
             out.append(heads[i] + out[p] if p else heads[i][:-1])
         return out
-
-    def points(self) -> tuple[Point, ...]:
-        """Every cell's point w(omega_P), cut out of ``coords``."""
-        cells = iter(self.coords)
-        return tuple(zip(*[cells] * self.group.rank))
 
     def lengths(self) -> list[int]:
         """The layer, length(w), of every cell, read off the offsets."""

@@ -10,7 +10,7 @@ from g2pair.motive import (
 )
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
-from weyl_oracles import subgroup_length_poly
+from weyl_oracles import is_palindromic, subgroup_length_poly
 
 
 def make_group(name):
@@ -18,6 +18,7 @@ def make_group(name):
 
 
 P5 = LPolynomial({k: 1 for k in range(6)})
+lef = LPolynomial.lefschetz
 
 
 def test_constructors():
@@ -32,10 +33,10 @@ def test_constructors():
 
 def test_arithmetic():
     p = 1 + L
-    assert p * p == 1 + 2 * L + L**2
+    assert p * p == 1 + 2 * L + L * L
     assert p - p == LPolynomial.zero()
-    assert (1 + L) * (1 - L) == 1 - L**2
-    assert L**0 == 1
+    assert (1 + L) * (1 - L) == 1 - L * L
+    assert lef(0) == 1
     assert 2 - L == LPolynomial({0: 2, 1: -1})
     assert -(1 - L) == L - 1
 
@@ -50,25 +51,26 @@ def test_equal_values_hash_equal():
 
 
 def test_pow_and_degree():
-    assert (L**3).degree() == 3
+    assert lef(3) == L * L * L and lef(2) == lef() * L
+    assert lef(3).degree() == 3
     assert LPolynomial.zero().degree() is None
     with pytest.raises(ValueError):
-        L ** (-1)
+        lef(-1)
 
 
 def test_str_formats():
     assert str(P5) == "1 + L + L^2 + L^3 + L^4 + L^5"
     assert str(LPolynomial.zero()) == "0"
-    assert str(2 * L**3) == "2*L^3"
+    assert str(2 * lef(3)) == "2*L^3"
     assert str(1 - L) == "1 - L"
     assert str(LPolynomial({0: -1, 1: 1})) == "-1 + L"
-    assert str(1 + 2 * L + 2 * L**2 + 2 * L**3 + 2 * L**4 + 2 * L**5 + L**6) == (
+    assert str(1 + 2 * L + 2 * lef(2) + 2 * lef(3) + 2 * lef(4) + 2 * lef(5) + lef(6)) == (
         "1 + 2*L + 2*L^2 + 2*L^3 + 2*L^4 + 2*L^5 + L^6"
     )
 
 
 def test_pairs_round_trip():
-    p = 3 - 2 * L**4 + L**7
+    p = 3 - 2 * lef(4) + lef(7)
     assert LPolynomial(p.to_pairs()) == p
 
 
@@ -90,7 +92,7 @@ def test_evaluate_exact():
     assert P5.evaluate(2) == 63
     q = 10**6
     assert (1 + L).evaluate(q) == q + 1
-    assert (L**5).evaluate(q) == q**30 // q**25  # exact huge integers
+    assert lef(5).evaluate(q) == q**30 // q**25  # exact huge integers
     with pytest.raises(ValueError):
         P5.evaluate(1.5)
 
@@ -133,23 +135,24 @@ def test_palindromic():
         g = make_group(name)
         subsets = [(), (1,), (2,)]
         for p in subsets:
-            assert poincare_polynomial(g, p).is_palindromic(), (name, p)
-    assert not (1 + 2 * L).is_palindromic()
-    assert LPolynomial.zero().is_palindromic()
+            assert is_palindromic(poincare_polynomial(g, p)), (name, p)
+    assert not is_palindromic(1 + 2 * L)
+    assert is_palindromic(LPolynomial.zero())
+    assert is_palindromic(L) is False and is_palindromic(1 + lef(2))
 
 
 def test_projective_bundle_poly():
-    base = 1 + L + L**2
+    base = 1 + L + lef(2)
     assert projective_bundle_poly(base, 1) == base
     assert projective_bundle_poly(base, 2) == base * (1 + L)
-    assert projective_bundle_poly(LPolynomial.one(), 6) == P5 + L**5 - L**5
+    assert projective_bundle_poly(LPolynomial.one(), 6) == P5 + lef(5) - lef(5)
     with pytest.raises(ValueError):
         projective_bundle_poly(base, 0)
 
 
 def test_a2_quotients():
     g = make_group("A2")
-    p2 = 1 + L + L**2
+    p2 = 1 + L + lef(2)
     assert poincare_polynomial(g, (1,)) == p2
     assert poincare_polynomial(g, (2,)) == p2
     assert poincare_polynomial(g, ()) == p2 * (1 + L)

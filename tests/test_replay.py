@@ -1,9 +1,11 @@
 """The replay checker on printed certificate documents.
 
 Every tamper of one scalar in the certificate that ``verify-identity
---format json`` prints, and every missing key or wrong container, must
-be refused with ReplayError; and the checker must keep refusing when the
-class arithmetic of the package is broken, since it shares none of it.
+--format json`` prints, every missing key or wrong container, every
+moved term, swapped, dropped or repeated step, and every final line but
+the one the replayed difference proves must be refused with
+ReplayError; and the checker must keep refusing when the class
+arithmetic of the package is broken, since it shares none of it.
 """
 
 import ast
@@ -12,23 +14,33 @@ import copy
 import io
 import json
 import pathlib
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import g2pair.replay
 from g2pair.cli import run
 from g2pair.errors import ReplayError
-from g2pair.motive import Combination
+from g2pair.grothring import (
+    IdentityCertificate,
+    MotivicClass,
+    RewriteRule,
+    blowup_rule,
+    normal_form,
+)
+from g2pair.motive import Combination, L
 from g2pair.replay import check_document
 
 RANK2 = ("G2", "B2", "C2", "A2", "[[2,-1],[-3,2]]", "[[2,-3],[-1,2]]")
 CERTIFIED = {("X", 1): 1, ("Y", 1): -1}
 
 
-def printed_certificate(name):
+def printed_certificate(name, verb="verify-identity"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert run(["verify-identity", name, "--format", "json"]) == 0
+        assert run([verb, name, "--format", "json"]) == 0
     return json.loads(out.getvalue())["certificate"]
 
 
@@ -75,7 +87,7 @@ def test_every_scalar_of_the_wrong_type_is_refused(name):
         if type(value) is int:
             for bad in (float(value), str(value), bool(value), not value):
                 refused(replaced(doc, path, bad))
-        elif isinstance(value, str) and path != ("final_line",):
+        elif isinstance(value, str):
             for bad in (7, None, [value]):
                 refused(replaced(doc, path, bad))
 
@@ -111,10 +123,77 @@ def test_a_term_listed_twice_or_with_coefficient_zero_is_refused(name):
                 refused(replaced(doc, path, value + [extra]))
 
 
-def test_a_final_line_is_not_vouched_for():
-    doc = printed_certificate("G2")
-    doc["final_line"] = "[X] - [Y] = 0"
-    assert check_document(doc) == CERTIFIED
+def test_a_final_line_that_divides_by_l_is_refused():
+    # the certified identity is L*([X] - [Y]) = 0, never [X] - [Y] = 0;
+    # a document without a final line still replays
+    for name in RANK2:
+        for verb in ("verify-identity", "certificate"):
+            doc = printed_certificate(name, verb)
+            assert doc["final_line"] == "L*([X] - [Y]) = 0"
+            assert check_document(doc) == CERTIFIED
+            for line in ("[X] - [Y] = 0", "L*([Y] - [X]) = 0", "L*[X] - L*[Y] = 0",
+                         "L*([X] - [Y]) = 0 ", "L*([X]-[Y]) = 0", ""):
+                refused(replaced(doc, ("final_line",), line))
+            del doc["final_line"]
+            assert check_document(doc) == CERTIFIED
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(("1", "D1", "D2", "X")), st.integers(0, 3)),
+        st.integers(-3, 3).filter(bool),
+        max_size=5,
+    )
+)
+@settings(max_examples=80)
+def test_every_final_line_the_package_prints_replays(terms):
+    # two chains from one start under different rules: their difference
+    # takes any sign, L-power and pure part, or vanishes, and the line the
+    # package prints for it must be the one replay renders
+    start = MotivicClass(terms)
+    cells = RewriteRule("F1", MotivicClass.from_lpoly(1 + 2 * L))
+    left_final, left = normal_form(start, (blowup_rule("D1", "F1", "X"), cells))
+    right_final, right = normal_form(start, (blowup_rule("D2", "F2", "Y"),))
+    cert = IdentityCertificate(left, right, left_final - right_final)
+    assert check_document(cert.to_json()) == cert.difference.terms()
+
+
+@st.composite
+def tampered(draw, doc, kind):
+    """A copy of doc that says something else: one term moved to another
+    L-power, two steps swapped, a step dropped or a step repeated."""
+    out = copy.deepcopy(doc)
+    steps = [(side, k) for side in ("left", "right") for k in range(len(out[side]["steps"]))]
+    if kind == "move":
+        classes = [v["terms"] for _, v in paths(out) if isinstance(v, dict) and v.get("terms")]
+        term = draw(st.sampled_from(draw(st.sampled_from(classes))))
+        term[1] = draw(st.integers(0, 9).filter(lambda p: p != term[1]))
+    elif kind == "swap":
+        (a, i), (b, j) = draw(st.lists(st.sampled_from(steps), min_size=2, max_size=2, unique=True))
+        out[a]["steps"][i], out[b]["steps"][j] = out[b]["steps"][j], out[a]["steps"][i]
+    else:
+        side, k = draw(st.sampled_from(steps))
+        chain = out[side]["steps"]
+        if kind == "drop":
+            del chain[k]
+        else:
+            chain.insert(draw(st.integers(0, len(chain))), copy.deepcopy(chain[k]))
+    return out
+
+
+def test_moved_terms_and_swapped_dropped_or_repeated_steps_are_refused():
+    docs = {name: printed_certificate(name) for name in RANK2}
+
+    @given(st.data())
+    @settings(max_examples=20)
+    def refuses_every_tampering(data):
+        for name, doc in docs.items():
+            for kind in ("move", "swap", "drop", "repeat"):
+                refused(data.draw(tampered(doc, kind), label=f"{name} {kind}"))
+
+    start = time.perf_counter()
+    refuses_every_tampering()
+    assert time.perf_counter() - start < 2
 
 
 def test_replay_refuses_with_the_class_equality_broken(monkeypatch):

@@ -26,7 +26,7 @@ from g2pair import cli
 from g2pair.errors import CapExceededError, NotFiniteTypeError
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup, word_name
-from weyl_oracles import elements, has_right_descent, reflect_then_slice_orbit
+from weyl_oracles import elements, has_right_descent, points, reflect_then_slice_orbit
 
 EXCEPTIONAL = {
     "E6": (2, 5, 6, 8, 9, 12),
@@ -155,21 +155,21 @@ def test_walk_matches_the_reflect_then_slice_oracle():
     for name, nodes in walk_cases():
         g = group(name)
         q = g.quotient(nodes)
-        words, points, parents = q.words(), q.points(), q.parents
-        assert (words, points) == reflect_then_slice_orbit(g, nodes), (name, nodes)
+        words, ys, parents = q.words(), points(q), q.parents
+        assert (words, ys) == reflect_then_slice_orbit(g, nodes), (name, nodes)
         assert len(parents) == len(words) and parents[0] == -1, (name, nodes)
 
 
 def test_walk_links_name_the_canonical_parent():
     for name, nodes in walk_cases():
         q = group(name).quotient(nodes)
-        words, points, parents = q.words(), q.points(), q.parents
-        assert not words[0] and min(points[0]) >= 0
+        words, ys, parents = q.words(), points(q), q.parents
+        assert not words[0] and min(ys[0]) >= 0
         for k in range(1, len(words)):
             p = parents[k]
             assert words[k] == (words[k][0],) + words[p], (name, nodes, k)
             assert 0 <= p < k and len(words[k]) == len(words[p]) + 1, (name, nodes, k)
-            first = next(j for j, c in enumerate(points[k]) if c < 0)
+            first = next(j for j, c in enumerate(ys[k]) if c < 0)
             assert first == words[k][0] - 1 == q.letters[k] - 1, (name, nodes, k)
         # the offsets bound the layers: layer n is the words of length n
         lengths = [len(w) for w in words]

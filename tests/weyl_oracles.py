@@ -1,6 +1,13 @@
 """Test oracles: the element API the library no longer carries, the
 whole enumerated group, and root-lattice matrices.
 
+Reads the library keeps only in one form are made here: ``points`` cuts
+a quotient's flat ``coords`` into one tuple per cell, ``layers`` gives
+the layers of a class's cells (one layer for a homogeneous class, none
+for zero), ``point_class`` is the top cell of a ring through the
+checking constructor, and ``is_palindromic`` reads the symmetry of
+cell counts off an L-polynomial's (degree, coefficient) pairs.
+
 The library makes an element only where the benchmark's tracer needs
 one; no verb lists W, inverts, orders or tests a right descent.  Those
 live here, on the library's constructor ``WeylGroup._at`` and its
@@ -84,12 +91,37 @@ def coroot_coordinates(rs, beta):
     return tuple(coords)
 
 
+def points(q):
+    """Every cell's point w(omega_P) of a quotient: its row of ``coords``."""
+    rank, coords = q.group.rank, q.coords
+    return tuple(tuple(coords[k:k + rank]) for k in range(0, len(coords), rank))
+
+
+def layers(x):
+    """The layers, Weyl lengths, of the cells of a cohomology class."""
+    return {x.ring.layers[k] for k in x.coefficients()}
+
+
+def point_class(ring):
+    """The class of a point: the ring's top cell."""
+    return CohomologyElement(ring, {len(ring) - 1: 1})
+
+
+def is_palindromic(p):
+    """Whether an L-polynomial's coefficients c_0, ..., c_d, spelled out
+    from its (degree, coefficient) pairs, read the same backwards."""
+    cs = []
+    for d, c in p.to_pairs():
+        cs += [0] * (d - len(cs)) + [c]
+    return cs == cs[::-1]
+
+
 @cache
 def elements(group):
     """Every element, from the walk of rho, in (length, word) order.  An
     element the group has already made must carry the walk's word."""
     flag = group.quotient(())
-    words, ys = flag.words(), flag.points()
+    words, ys = flag.words(), points(flag)
     made = group._made
     for word, y in zip(words, ys):
         if y not in made:
