@@ -212,6 +212,11 @@ def _cmd_cosets(ns: argparse.Namespace) -> str:
 def _cmd_poincare(ns: argparse.Namespace) -> str:
     group = _group(ns)
     poly = poincare_polynomial(group, ns.parabolic)
+    value = None if ns.at is None else poly.evaluate(ns.at)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if value is not None and limit and abs(value) >= 10**limit:
+        raise DomainError(f"the value at L = q has more than {limit} digits, "
+                          "this interpreter's limit for printing an integer")
     if ns.format == "json":
         doc = {
             "type": ns.type,
@@ -219,13 +224,11 @@ def _cmd_poincare(ns: argparse.Namespace) -> str:
             "pairs": poly.to_pairs(),
             "text": str(poly),
         }
-        if ns.at is not None:
+        if value is not None:
             doc["at"] = ns.at
-            doc["value"] = poly.evaluate(ns.at)
+            doc["value"] = value
         return _json(doc)
-    if ns.at is not None:
-        return str(poly.evaluate(ns.at))
-    return str(poly)
+    return str(poly if value is None else value)
 
 
 def _identity_pipeline(

@@ -53,22 +53,12 @@ class MotivicClass(Combination):
         return (sym, power)
 
     @classmethod
-    def zero(cls) -> "MotivicClass":
-        return cls()
-
-    @classmethod
     def atom(cls, symbol: str, power: int = 0, coeff: int = 1) -> "MotivicClass":
         return cls({(symbol, power): coeff})
 
     @classmethod
     def from_lpoly(cls, p: LPolynomial) -> "MotivicClass":
         return cls({(PURE, d): c for d, c in p.coefficients().items()})
-
-    def terms(self) -> dict[TermKey, int]:
-        return dict(self._terms)
-
-    def coefficient(self, symbol: str, power: int) -> int:
-        return self._terms.get((symbol, power), 0)
 
     def symbols(self) -> set[str]:
         return {s for (s, _) in self._terms if s != PURE}
@@ -213,21 +203,26 @@ def normal_form(
     Deterministic: the first rule (declaration order) with a live symbol
     fires, at its lowest-power atom; the whole coefficient of that atom
     is replaced at once.  Acyclicity is checked up front so the loop
-    terminates.
+    terminates; a start or rule of another type raises ValueError.
     """
+    if not isinstance(cls, MotivicClass):
+        raise ValueError(f"normal form start must be a MotivicClass, got {type(cls).__name__}")
     rules = tuple(rules)
+    for r in rules:
+        if not isinstance(r, RewriteRule):
+            raise ValueError(f"rewrite rule must be a RewriteRule, got {type(r).__name__}")
     _check_acyclic(rules)
     steps: list[Step] = []
     cur = cls
     while True:
         fired = False
+        terms = cur.coefficients()
         for rule in rules:
-            powers = sorted(p for (s, p) in cur.terms() if s == rule.lhs)
+            powers = sorted(p for (s, p) in terms if s == rule.lhs)
             if not powers:
                 continue
             k = powers[0]
-            coeff = cur.coefficient(rule.lhs, k)
-            delta = (rule.rhs - MotivicClass.atom(rule.lhs)).times_L(k).times_int(coeff)
+            delta = (rule.rhs - MotivicClass.atom(rule.lhs)).times_L(k) * terms[(rule.lhs, k)]
             after = cur + delta
             steps.append(Step(before=cur, rule=rule, after=after))
             cur = after
@@ -253,7 +248,7 @@ class IdentityCertificate(NamedTuple):
 
     @property
     def final_line(self) -> str:
-        terms = self.difference.terms()
+        terms = self.difference.coefficients()
         if terms and all(p >= 1 for (_, p) in terms):
             inner = MotivicClass({(s, p - 1): c for (s, p), c in terms.items()})
             return f"L*({inner}) = 0"

@@ -39,8 +39,8 @@ class Combination:
     without zero coefficients.
 
     The linear structure lives here once: sums, negation, differences,
-    integer multiples (times_int and the * operator), equality, hashing,
-    the coefficient dict and the sign-joined text form.  A subclass
+    integer multiples (the * operator), equality, hashing, the
+    coefficient dict and the sign-joined text form.  A subclass
     validates keys and coefficients (_key), says which other operands it
     absorbs (_coerce) and renders one term (_body); only LPolynomial
     defines a product of two values.
@@ -107,13 +107,12 @@ class Combination:
     def __rsub__(self, other):
         return (-self).__add__(other)
 
-    def times_int(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int):
+    def __mul__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if isinstance(n, bool):
             raise ValueError("coefficients must be integers")
         return self._with({k: n * c for k, c in self._terms.items()})
-
-    def __mul__(self, n):
-        return self.times_int(n) if isinstance(n, int) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -149,27 +148,11 @@ class LPolynomial(Combination):
         return deg
 
     @classmethod
-    def zero(cls) -> "LPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LPolynomial":
-        return cls({0: 1})
-
-    @classmethod
     def lefschetz(cls, power: int = 1) -> "LPolynomial":
         return cls({power: 1})
 
     def to_pairs(self) -> PairList:
         return [[d, c] for d, c in self._terms.items()]
-
-    def coefficient(self, deg: int) -> int:
-        return self._terms.get(deg, 0)
-
-    def degree(self) -> int | None:
-        if not self._terms:
-            return None
-        return max(self._terms)
 
     def evaluate(self, q: int) -> int:
         if isinstance(q, bool) or not isinstance(q, int):
@@ -203,8 +186,8 @@ class LPolynomial(Combination):
 
     def __hash__(self) -> int:
         # A constant polynomial equals its int, so it hashes as that int.
-        if self.degree() in (None, 0):
-            return hash(self.coefficient(0))
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return super().__hash__()
 
     def __repr__(self) -> str:

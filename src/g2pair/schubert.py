@@ -101,10 +101,10 @@ class CohomologyElement(Combination):
     one group), keyed by cell index.  The constructor takes only int cells
     0 <= k < len(ring) and int coefficients (bools refused) and raises
     ValueError otherwise; sums and multiples of elements of the ring are
-    built through the trusted _with, and the ring's zero, one and
-    Chevalley products through the trusted SchubertRing._element; both
-    keep the ring.  An element's layers are ``ring.layers[k]`` over its
-    cells."""
+    built through the trusted _with, and the ring's one and Chevalley
+    products through the trusted SchubertRing._element; both keep the
+    ring.  A ring's zero is CohomologyElement(ring, {}), and an element's
+    layers are ``ring.layers[k]`` over its cells."""
 
     __slots__ = ("ring",)
 
@@ -230,9 +230,6 @@ class SchubertRing:
         out = CohomologyElement.__new__(CohomologyElement)
         out.ring, out._terms = self, terms
         return out
-
-    def zero(self) -> CohomologyElement:
-        return self._element({})
 
     def one(self) -> CohomologyElement:
         return self._element({0: 1})

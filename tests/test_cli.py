@@ -157,7 +157,7 @@ def test_verify_identity_json_replays(capsys):
     doc = json.loads(out)
     assert doc["replay"] == {"ok": True, "checked_steps": 4}
     diff = check_document(doc["certificate"])
-    assert diff == (atom("X", 1) - atom("Y", 1)).terms()
+    assert diff == (atom("X", 1) - atom("Y", 1)).coefficients()
     assert doc["certificate"]["final_line"] == FINAL_LINE
 
 
@@ -409,6 +409,24 @@ def test_oversized_integers_are_one_error_line(capsys, verb):
         assert (code, out) == (1, ""), (verb, name[:8])
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_a_value_past_the_digit_limit_is_one_error_line(capsys, fmt):
+    # poincare A5 at 300 nines is a 4,500-digit value; A1 is 1 + q, so
+    # q = 10^limit - 2 prints limit digits and one more q is past the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    message = (f"error: the value at L = q has more than {limit} digits, "
+               "this interpreter's limit for printing an integer\n")
+    for name, q in (("A5", "9" * 300), ("A1", str(10**limit - 1))):
+        assert invoke(capsys, "poincare", name, "--at", q, "--format", fmt) == (1, "", message)
+    code, out, err = invoke(capsys, "poincare", "A1", "--at", str(10**limit - 2), "--format", fmt)
+    assert (code, err) == (0, "")
+    value = int(out) if fmt == "text" else json.loads(out)["value"]
+    assert value == 10**limit - 1
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_roots_of_a_large_rank_answer_quickly():

@@ -32,8 +32,8 @@ def test_lpolynomial_absorbs_integers_only():
 
 
 def test_classes_of_different_kinds_never_compare_equal():
-    assert (atom("X") == LPolynomial.one()) is False
-    assert (LPolynomial.one() == MotivicClass.atom("1")) is False
+    assert (atom("X") == LPolynomial({0: 1})) is False
+    assert (LPolynomial({0: 1}) == MotivicClass.atom("1")) is False
 
 
 def test_cohomology_elements_stay_in_their_ring():
@@ -70,7 +70,7 @@ def test_non_integer_operands_rejected():
 
 def test_lpolynomial_compares_unequal_to_bools():
     # True is an int to isinstance, but no constant polynomial
-    one = LPolynomial.one()
+    one = LPolynomial({0: 1})
     assert (one == True) is False and (one != True) is True  # noqa: E712
     assert one not in [True] and {True: "a"}.get(one) is None
     assert one == 1 and {1: "a"}.get(one) == "a"
@@ -102,16 +102,17 @@ def test_equal_values_hash_equal():
     assert hash(atom("X") + atom("X")) == hash(atom("X", 0, 2))
     ring = SchubertRing(WeylGroup(root_system("A2")), ())
     assert hash(ring.one() * 2) == hash(ring.one() + ring.one())
-    assert len({ring.one(), 1 * ring.one(), ring.zero(), ring.one() - ring.one()}) == 2
+    zero = CohomologyElement(ring, {})
+    assert len({ring.one(), 1 * ring.one(), zero, ring.one() - ring.one()}) == 2
 
 
 def test_boolean_value_only_on_lpolynomial():
-    assert not LPolynomial.zero()
+    assert not LPolynomial()
     assert L
     # MotivicClass and CohomologyElement keep default truthiness
-    assert MotivicClass.zero()
+    assert MotivicClass()
     ring = SchubertRing(WeylGroup(root_system("A2")), ())
-    assert ring.zero()
+    assert CohomologyElement(ring, {})
 
 
 @pytest.mark.parametrize(
@@ -210,9 +211,9 @@ motives = st.dictionaries(
 @given(lpolys, lpolys, motives, motives, small_ints, st.integers(0, 3))
 @settings(max_examples=200)
 def test_polynomial_and_motive_results_are_canonical(p, q, x, y, n, k):
-    for r in (p + q, p - q, -p, p.times_int(n), p * q, p * n, n - p):
+    for r in (p + q, p - q, -p, n * p, p * q, p * n, n - p):
         assert_canonical(r, LPolynomial)
-    for r in (x + y, x - y, -x, x.times_int(n), x.times_L(k), x * n, n * x):
+    for r in (x + y, x - y, -x, x.times_L(k), x * n, n * x):
         assert_canonical(r, MotivicClass)
 
 
@@ -235,7 +236,7 @@ def ring_elements(draw):
 def test_cohomology_results_are_canonical(case, n):
     ring, x, y, d, node = case
     target = SchubertRing(ring.group, ring.parabolic + (node,))
-    for r in (x + y, x - y, -x, x.times_int(n), n * x, ring.chevalley(d, x)):
+    for r in (x + y, x - y, -x, x * n, n * x, ring.chevalley(d, x)):
         assert_canonical(r, CohomologyElement)
         assert r.ring is ring
     pushed = pushforward(x, node)

@@ -36,8 +36,8 @@ def test_class_basic_arithmetic():
     assert (x - x).is_zero
     assert x + x == atom("X", coeff=2)
     assert -x == atom("X", coeff=-1)
-    assert x.coefficient("X", 0) == 1
-    assert x.coefficient("X", 1) == 0
+    assert x.coefficients() == {("X", 0): 1}
+    assert ("X", 1) not in x.coefficients()
 
 
 def test_linearity_of_l_multiplication():
@@ -51,13 +51,13 @@ def test_linearity_of_l_multiplication():
 
 def test_mixed_class():
     c = MotivicClass.from_lpoly(P5) + atom("X", 1)
-    assert len(c.terms()) == 7
+    assert len(c.coefficients()) == 7
     assert c.symbols() == {"X"}
     assert str(c) == "1 + L + L^2 + L^3 + L^4 + L^5 + L*[X]"
 
 
 def test_str_formats():
-    assert str(MotivicClass.zero()) == "0"
+    assert str(MotivicClass()) == "0"
     assert str(atom("X", 1) - atom("Y", 1)) == "L*[X] - L*[Y]"
     assert str(atom("X", 2, coeff=3)) == "3*L^2*[X]"
     assert str(-atom("X")) == "-[X]"
@@ -95,8 +95,8 @@ def test_blowup_rule_validation():
     with pytest.raises(ValueError):
         blowup_rule("D", "F", "D")
     with pytest.raises(ValueError):
-        blowup_rule(LPolynomial.one(), "F", "X")  # total must be a symbol
-    for ambient, center in ((1 + L, "X"), ("F", LPolynomial.one()), (1 + L, "pt")):
+        blowup_rule(LPolynomial({0: 1}), "F", "X")  # total must be a symbol
+    for ambient, center in ((1 + L, "X"), ("F", LPolynomial({0: 1})), (1 + L, "pt")):
         with pytest.raises(ValueError, match="blow-up pieces must be symbols"):
             blowup_rule("D", ambient, center)
 
@@ -129,9 +129,29 @@ def test_normal_form_one_step():
 
 
 def test_normal_form_zero():
-    nf, deriv = normal_form(MotivicClass.zero(), [blowup_rule("D", "F1", "X")])
+    nf, deriv = normal_form(MotivicClass(), [blowup_rule("D", "F1", "X")])
     assert nf.is_zero
     assert deriv.steps == ()
+
+
+@pytest.mark.parametrize("start", ("X", None, L, {("X", 0): 1}),
+                         ids=("str", "None", "LPolynomial", "dict"))
+def test_normal_form_start_must_be_a_class(start):
+    # refused before any rule is read: no derivation may start at a str
+    message = f"normal form start must be a MotivicClass, got {type(start).__name__}"
+    for rules in ([], [blowup_rule("D", "F1", "X")], ["junk"]):
+        with pytest.raises(ValueError, match=message):
+            normal_form(start, rules)
+
+
+@pytest.mark.parametrize("rule", ("junk", None, ("A", atom("B"), ""), atom("B")),
+                         ids=("str", "None", "tuple", "MotivicClass"))
+def test_normal_form_rules_must_be_rewrite_rules(rule):
+    # refused by type, with ValueError rather than an AttributeError
+    message = f"rewrite rule must be a RewriteRule, got {type(rule).__name__}"
+    for rules in ([rule], [blowup_rule("D", "F1", "X"), rule], iter([rule])):
+        with pytest.raises(ValueError, match=message):
+            normal_form(atom("X"), rules)
 
 
 def test_normal_form_two_route_difference():
@@ -152,7 +172,7 @@ def test_normal_form_chained_rules():
     assert nf == MotivicClass.from_lpoly((1 + L) * (1 + L))
     # lowest power of the live symbol is rewritten first
     assert deriv.steps[1].rule.lhs == "B"
-    powers = [min(p for (s, p) in st.before.terms() if s == "B") for st in deriv.steps[1:]]
+    powers = [min(p for (s, p) in st.before.coefficients() if s == "B") for st in deriv.steps[1:]]
     assert powers == sorted(powers)
 
 
@@ -199,7 +219,7 @@ def test_no_l_cancellation():
     cert = verify_g2_identity(P5, P5)
     # the certified difference carries the factor of L; it is not [X] - [Y]
     assert cert.difference != atom("X") - atom("Y")
-    assert all(p >= 1 for (_, p) in cert.difference.terms())
+    assert all(p >= 1 for (_, p) in cert.difference.coefficients())
     # [X] - [Y] itself is inert under the certificate's rules: nonzero
     nf, _ = normal_form(atom("X") - atom("Y"), cert.rules())
     assert nf == atom("X") - atom("Y")
@@ -233,11 +253,11 @@ def test_json_round_trips():
     # serialization pass, and replay reads back the classes written into it
     cert = verify_g2_identity(P5, P5)
     c = MotivicClass.from_lpoly(P5) + atom("X", 1) - atom("Y", 3)
-    assert read_class(json.loads(json.dumps(c.to_json()))) == c.terms()
+    assert read_class(json.loads(json.dumps(c.to_json()))) == c.coefficients()
     doc = json.loads(json.dumps(cert.to_json()))
     assert doc == cert.to_json()
-    assert check_derivation(doc["left"]) == cert.left.final.terms()
-    assert check_document(doc) == cert.difference.terms()
+    assert check_derivation(doc["left"]) == cert.left.final.coefficients()
+    assert check_document(doc) == cert.difference.coefficients()
 
 
 @given(st.lists(st.integers(-5, 5), max_size=9))
@@ -255,9 +275,10 @@ def test_certificate_documents_round_trip(coefficients):
 
 def test_replay_accepts_genuine_certificate():
     cert = verify_g2_identity(P5, P5)
-    assert check_derivation(cert.left.to_json()) == cert.left.final.terms()
-    assert check_derivation(cert.right.to_json()) == cert.right.final.terms()
-    assert check_certificate(cert) == check_document(cert.to_json()) == cert.difference.terms()
+    assert check_derivation(cert.left.to_json()) == cert.left.final.coefficients()
+    assert check_derivation(cert.right.to_json()) == cert.right.final.coefficients()
+    difference = cert.difference.coefficients()
+    assert check_certificate(cert) == check_document(cert.to_json()) == difference
 
 
 def test_replay_accepts_all_normal_forms():
@@ -270,10 +291,10 @@ def test_replay_accepts_all_normal_forms():
         atom("D1"),
         atom("D1") - atom("D2"),
         atom("D1", 2, coeff=5) + atom("F1"),
-        MotivicClass.zero(),
+        MotivicClass(),
     ):
         _, deriv = normal_form(start, rules)
-        assert check_derivation(deriv.to_json()) == deriv.final.terms()
+        assert check_derivation(deriv.to_json()) == deriv.final.coefficients()
 
 
 def tampered(cert, mutate):

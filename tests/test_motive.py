@@ -10,7 +10,7 @@ from g2pair.motive import (
 )
 from g2pair.rootsys import root_system
 from g2pair.weyl import WeylGroup
-from weyl_oracles import is_palindromic, subgroup_length_poly
+from weyl_oracles import degree, is_palindromic, subgroup_length_poly
 
 
 def make_group(name):
@@ -22,10 +22,10 @@ lef = LPolynomial.lefschetz
 
 
 def test_constructors():
-    assert LPolynomial.zero().is_zero
-    assert LPolynomial.one() == 1
+    assert LPolynomial().is_zero
+    assert LPolynomial({0: 1}) == 1
     assert L == LPolynomial({1: 1})
-    assert LPolynomial({0: 1, 2: 0}) == LPolynomial.one()  # zero dropped
+    assert LPolynomial({0: 1, 2: 0}) == LPolynomial({0: 1})  # zero dropped
     assert LPolynomial([(1, 2), (1, 3)]) == LPolynomial({1: 5})  # merged
     with pytest.raises(ValueError):
         LPolynomial({-1: 1})
@@ -34,7 +34,7 @@ def test_constructors():
 def test_arithmetic():
     p = 1 + L
     assert p * p == 1 + 2 * L + L * L
-    assert p - p == LPolynomial.zero()
+    assert p - p == LPolynomial()
     assert (1 + L) * (1 - L) == 1 - L * L
     assert lef(0) == 1
     assert 2 - L == LPolynomial({0: 2, 1: -1})
@@ -43,24 +43,24 @@ def test_arithmetic():
 
 def test_equal_values_hash_equal():
     # a constant polynomial equals its int, so sets and dicts must agree
-    assert len({1, LPolynomial.one()}) == 1
-    assert {LPolynomial.one(): "x"}.get(1) == "x"
-    assert {0: "z"}.get(LPolynomial.zero()) == "z"
+    assert len({1, LPolynomial({0: 1})}) == 1
+    assert {LPolynomial({0: 1}): "x"}.get(1) == "x"
+    assert {0: "z"}.get(LPolynomial()) == "z"
     assert hash(LPolynomial({0: -7})) == hash(-7)
     assert len({L, LPolynomial.lefschetz(), 1 + L, L + 1}) == 2
 
 
 def test_pow_and_degree():
     assert lef(3) == L * L * L and lef(2) == lef() * L
-    assert lef(3).degree() == 3
-    assert LPolynomial.zero().degree() is None
+    assert degree(lef(3)) == 3
+    assert degree(LPolynomial()) is None
     with pytest.raises(ValueError):
         lef(-1)
 
 
 def test_str_formats():
     assert str(P5) == "1 + L + L^2 + L^3 + L^4 + L^5"
-    assert str(LPolynomial.zero()) == "0"
+    assert str(LPolynomial()) == "0"
     assert str(2 * lef(3)) == "2*L^3"
     assert str(1 - L) == "1 - L"
     assert str(LPolynomial({0: -1, 1: 1})) == "-1 + L"
@@ -114,7 +114,7 @@ def test_g2_flag_factors():
     g = make_group("G2")
     flag = poincare_polynomial(g, ())
     assert flag == (1 + L) * P5
-    assert flag.degree() == 6
+    assert degree(flag) == 6
     assert flag.evaluate(1) == 12
 
 
@@ -137,7 +137,7 @@ def test_palindromic():
         for p in subsets:
             assert is_palindromic(poincare_polynomial(g, p)), (name, p)
     assert not is_palindromic(1 + 2 * L)
-    assert is_palindromic(LPolynomial.zero())
+    assert is_palindromic(LPolynomial())
     assert is_palindromic(L) is False and is_palindromic(1 + lef(2))
 
 
@@ -145,7 +145,7 @@ def test_projective_bundle_poly():
     base = 1 + L + lef(2)
     assert projective_bundle_poly(base, 1) == base
     assert projective_bundle_poly(base, 2) == base * (1 + L)
-    assert projective_bundle_poly(LPolynomial.one(), 6) == P5 + lef(5) - lef(5)
+    assert projective_bundle_poly(LPolynomial({0: 1}), 6) == P5 + lef(5) - lef(5)
     with pytest.raises(ValueError):
         projective_bundle_poly(base, 0)
 

@@ -155,7 +155,7 @@ def test_every_final_line_the_package_prints_replays(terms):
     left_final, left = normal_form(start, (blowup_rule("D1", "F1", "X"), cells))
     right_final, right = normal_form(start, (blowup_rule("D2", "F2", "Y"),))
     cert = IdentityCertificate(left, right, left_final - right_final)
-    assert check_document(cert.to_json()) == cert.difference.terms()
+    assert check_document(cert.to_json()) == cert.difference.coefficients()
 
 
 @st.composite

@@ -5,8 +5,9 @@ Reads the library keeps only in one form are made here: ``points`` cuts
 a quotient's flat ``coords`` into one tuple per cell, ``layers`` gives
 the layers of a class's cells (one layer for a homogeneous class, none
 for zero), ``point_class`` is the top cell of a ring through the
-checking constructor, and ``is_palindromic`` reads the symmetry of
-cell counts off an L-polynomial's (degree, coefficient) pairs.
+checking constructor, ``is_palindromic`` reads the symmetry of cell
+counts off an L-polynomial's (degree, coefficient) pairs, and ``degree``
+is its top power of L (None for zero).
 
 The library makes an element only where the benchmark's tracer needs
 one; no verb lists W, inverts, orders or tests a right descent.  Those
@@ -114,6 +115,11 @@ def is_palindromic(p):
     for d, c in p.to_pairs():
         cs += [0] * (d - len(cs)) + [c]
     return cs == cs[::-1]
+
+
+def degree(p):
+    """The top power of L in an L-polynomial, None for zero."""
+    return max(p.coefficients(), default=None)
 
 
 @cache
