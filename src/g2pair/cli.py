@@ -22,9 +22,9 @@ from .errors import DomainError
 from .grothring import IdentityCertificate
 from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
-from .rootsys import DEFAULT_ROOT_CAP, RootSystem, root_system, series_exponents
+from .rootsys import _INT, DEFAULT_ROOT_CAP, RootSystem, root_system, series_exponents
 from .schubert import check_rank2_pair, degree_of_zero_locus
-from .weyl import _INT, DEFAULT_GROUP_CAP, WeylGroup, check_order
+from .weyl import DEFAULT_GROUP_CAP, WeylGroup, check_order
 from . import grothring
 
 
@@ -212,11 +212,7 @@ def _cmd_cosets(ns: argparse.Namespace) -> str:
 def _cmd_poincare(ns: argparse.Namespace) -> str:
     group = _group(ns)
     poly = poincare_polynomial(group, ns.parabolic)
-    value = None if ns.at is None else poly.evaluate(ns.at)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if value is not None and limit and abs(value) >= 10**limit:
-        raise DomainError(f"the value at L = q has more than {limit} digits, "
-                          "this interpreter's limit for printing an integer")
+    value = None if ns.at is None else _value_at(poly, ns.at)
     if ns.format == "json":
         doc = {
             "type": ns.type,
@@ -229,6 +225,25 @@ def _cmd_poincare(ns: argparse.Namespace) -> str:
             doc["value"] = value
         return _json(doc)
     return str(poly if value is None else value)
+
+
+def _value_at(poly: LPolynomial, q: int) -> int:
+    """poly(q), refused when it has more digits than the interpreter
+    prints.  Cell counts are nonnegative with leading coefficient 1, so
+    for degree D and |q| >= 2 poly(1), |poly(q)| > |q|^D / 2 >=
+    2^((b - 1) D - 1) with b = q.bit_length(): a value that certainly
+    has too many digits is refused before it is computed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return poly.evaluate(q)
+    pairs = poly.to_pairs()
+    log2_bound = (q.bit_length() - 1) * pairs[-1][0] - 1
+    if abs(q) < 2 * sum(c for _, c in pairs) or log2_bound < (10**limit).bit_length():
+        value = poly.evaluate(q)
+        if abs(value) < 10**limit:
+            return value
+    raise DomainError(f"the value at L = q has more than {limit} digits, "
+                      "this interpreter's limit for printing an integer")
 
 
 def _identity_pipeline(

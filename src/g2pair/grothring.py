@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CircularRuleError, PoincareMismatchError
 from .motive import Combination, LPolynomial, l_power
-from .rootsys import _checked_make
+from .rootsys import _checked_make, check_int
 
 PURE = "1"
 
@@ -40,16 +40,15 @@ class MotivicClass(Combination):
 
     __slots__ = ()
 
-    def _key(self, key, c) -> TermKey:
+    def _key(self, key) -> TermKey:
         if not isinstance(key, tuple) or len(key) != 2:
             raise ValueError(f"term key must be a (symbol, L-power) pair, got {key!r}")
         sym, power = key
         if not isinstance(sym, str) or not sym:
             raise ValueError("symbol must be a nonempty string")
-        if not isinstance(power, int) or isinstance(power, bool) or power < 0:
-            raise ValueError("L-power must be a nonnegative integer")
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError("coefficients must be integers")
+        power = power if type(power) is int else check_int(power, "L-power")
+        if power < 0:
+            raise ValueError("L-power must be nonnegative")
         return (sym, power)
 
     @classmethod
@@ -64,8 +63,8 @@ class MotivicClass(Combination):
         return {s for (s, _) in self._terms if s != PURE}
 
     def times_L(self, power: int) -> "MotivicClass":
-        if isinstance(power, bool) or not isinstance(power, int) or power < 0:
-            raise ValueError("L-power must be a nonnegative integer")
+        if check_int(power, "L-power") < 0:  # p + power is an exact int
+            raise ValueError("L-power must be nonnegative")
         return self._with({(s, p + power): c for (s, p), c in self._terms.items()})
 
     def _body(self, key: TermKey, mag: int) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from .rootsys import check_int
 from .weyl import WeylGroup, q_product
 
 PairList = list[list[int]]
@@ -39,16 +40,17 @@ class Combination:
     without zero coefficients.
 
     The linear structure lives here once: sums, negation, differences,
-    integer multiples (the * operator), equality, hashing, the
-    coefficient dict and the sign-joined text form.  A subclass
-    validates keys and coefficients (_key), says which other operands it
-    absorbs (_coerce) and renders one term (_body); only LPolynomial
-    defines a product of two values.
+    integer multiples (the * operator), equality, hashing, truth (false
+    when zero), the coefficient dict and the sign-joined text form.  A
+    subclass checks one key (_key), says which other operands it absorbs
+    (_coerce) and renders one term (_body); only LPolynomial defines a
+    product of two values.
 
-    The constructor validates: every key and coefficient passes _key.
-    Arithmetic builds its results through _with, which trusts them: keys
-    and integer coefficients made from valid operands are valid, so _with
-    only sorts the keys and drops zeros, and calls no _key.
+    The constructor validates: coefficients (and multipliers) pass
+    rootsys.check_int and keys pass _key, each returned an exact int or
+    normalized key.  Arithmetic builds its results through _with, which
+    trusts them: keys and integer coefficients made from valid operands
+    are valid, so _with only sorts the keys and drops zeros.
     """
 
     __slots__ = ("_terms",)
@@ -60,7 +62,8 @@ class Combination:
         acc: dict = {}
         valid = self._key
         for key, c in data or ():
-            key = valid(key, c)
+            key = valid(key)
+            c = c if type(c) is int else check_int(c, "coefficient")
             acc[key] = acc.get(key, 0) + c
         if len(acc) > 1:
             acc = dict(sorted(acc.items()))
@@ -80,6 +83,9 @@ class Combination:
     @property
     def is_zero(self) -> bool:
         return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def coefficients(self) -> dict:
         return dict(self._terms)
@@ -108,10 +114,10 @@ class Combination:
         return (-self).__add__(other)
 
     def __mul__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if isinstance(n, bool):
-            raise ValueError("coefficients must be integers")
+        if type(n) is not int:
+            if not isinstance(n, int):
+                return NotImplemented
+            n = check_int(n, "multiplier")
         return self._with({k: n * c for k, c in self._terms.items()})
 
     __rmul__ = __mul__
@@ -139,12 +145,10 @@ class LPolynomial(Combination):
 
     __slots__ = ()
 
-    def _key(self, deg, c):
-        if (isinstance(deg, bool) or isinstance(c, bool)
-                or not isinstance(deg, int) or not isinstance(c, int)):
-            raise ValueError("degrees and coefficients must be integers")
+    def _key(self, deg) -> int:
+        deg = deg if type(deg) is int else check_int(deg, "degree")
         if deg < 0:
-            raise ValueError("negative degree")
+            raise ValueError("degree must be nonnegative")
         return deg
 
     @classmethod
@@ -155,9 +159,13 @@ class LPolynomial(Combination):
         return [[d, c] for d, c in self._terms.items()]
 
     def evaluate(self, q: int) -> int:
-        if isinstance(q, bool) or not isinstance(q, int):
-            raise ValueError("evaluation point must be an integer")
-        return sum(c * q**d for d, c in self._terms.items())
+        """The value at L = q, by Horner's rule over the stored degrees."""
+        q = check_int(q, "evaluation point")
+        value, above = 0, next(reversed(self._terms), 0)
+        for d, c in reversed(self._terms.items()):
+            value = value * q ** (above - d) + c
+            above = d
+        return value * q**above
 
     def _coerce(self, other) -> "LPolynomial | None":
         # a bool is no constant polynomial: L + True is refused, and
@@ -180,9 +188,6 @@ class LPolynomial(Combination):
         return self._with(out)
 
     __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __hash__(self) -> int:
         # A constant polynomial equals its int, so it hashes as that int.
@@ -224,6 +229,6 @@ def poincare_polynomial(group: WeylGroup, parabolic: Iterable[int] = ()) -> LPol
 
 def projective_bundle_poly(base: LPolynomial, rank: int) -> LPolynomial:
     """Class of a projectivized rank-r bundle: base * (1 + L + ... + L^(r-1))."""
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise ValueError("bundle rank must be a positive integer")
+    if check_int(rank, "bundle rank") < 1:
+        raise ValueError("bundle rank must be positive")
     return base * LPolynomial((k, 1) for k in range(rank))

@@ -45,22 +45,28 @@ _MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
 _ENTRY_BYTES = 36
 
 _TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
+_INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
+
+
+def check_int(value, what: str) -> int:
+    """``value`` as an exact int; a bool or any non-int is refused by type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    return int(value)
 
 
 def check_node(i, rank: int, what: str = "node index") -> int:
-    """``i`` as a node index 1..rank; bools and non-integers are refused
-    for their type, before any range is named."""
-    if isinstance(i, bool) or not isinstance(i, int):
-        raise ValueError(f"{what} must be an int, got {type(i).__name__} {i!r}")
+    """``i`` as a node index 1..rank, checked by ``check_int`` before any
+    range is named."""
+    i = check_int(i, what)
     if not 1 <= i <= rank:
         raise ValueError(f"{what} {i} out of range 1..{rank}")
     return i
 
 
 def check_cap(cap) -> int:
-    """``cap`` as a positive int; bools are refused for their type."""
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ValueError(f"cap must be an int, got {type(cap).__name__} {cap!r}")
+    """``cap`` as a positive int, checked by ``check_int``."""
+    cap = check_int(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be positive")
     return cap
@@ -91,12 +97,9 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
         n = len(entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("Cartan matrix must be square")
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError("Cartan entries must be integers")
+        if any(len(row) != n for row in entries):
+            raise ValueError("Cartan matrix must be square")
+        entries = tuple(tuple([check_int(x, "Cartan entry") for x in row]) for row in entries)
         for i in range(n):
             if entries[i][i] != 2:
                 raise ValueError("Cartan diagonal entries must equal 2")

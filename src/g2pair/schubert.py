@@ -70,25 +70,21 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .rootsys import _checked_make, check_node
-from .weyl import _INT, WeylElement, WeylGroup, word_name
+from .rootsys import _INT, _checked_make, check_int, check_node
+from .weyl import WeylElement, WeylGroup, word_name
 
 
 class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
     """Integral divisor class sum_i weights[i-1] * omega_i in fundamental
-    weight coordinates."""
+    weight coordinates, kept as exact ints: weights not all of type int
+    go through ``check_int``, which names the first that is not an int."""
 
     _make = classmethod(_checked_make)
 
     def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
         weights = tuple(weights)
         if not {*map(type, weights)} <= _INT:
-            # name the first entry that is not an int; int subclasses pass
-            for c in weights:
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise ValueError(
-                        f"divisor weights must be ints, got {type(c).__name__} {c!r}"
-                    )
+            weights = tuple([check_int(c, "divisor weight") for c in weights])
         return tuple.__new__(cls, (weights,))
 
     def __str__(self) -> str:
@@ -99,7 +95,7 @@ class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
 class CohomologyElement(Combination):
     """Integer combination of Schubert classes of one ring (one quotient of
     one group), keyed by cell index.  The constructor takes only int cells
-    0 <= k < len(ring) and int coefficients (bools refused) and raises
+    0 <= k < len(ring) and int coefficients (``check_int``) and raises
     ValueError otherwise; sums and multiples of elements of the ring are
     built through the trusted _with, and the ring's one and Chevalley
     products through the trusted SchubertRing._element; both keep the
@@ -112,10 +108,8 @@ class CohomologyElement(Combination):
         self.ring = ring
         super().__init__(coeffs)
 
-    def _key(self, k, c) -> int:
-        if (isinstance(k, bool) or isinstance(c, bool)
-                or not isinstance(k, int) or not isinstance(c, int)):
-            raise ValueError("cells and coefficients must be integers")
+    def _key(self, k) -> int:
+        k = k if type(k) is int else check_int(k, "cell")
         if not 0 <= k <= self.ring._top:
             raise ValueError(f"cell {k} is not in a ring of {len(self.ring)} cells")
         return k
@@ -450,8 +444,8 @@ def degree_of_zero_locus(group: WeylGroup, side: int) -> int:
     ample generator.
     """
     check_rank2_pair(group)
-    # 1.0 and Fraction(1) compare equal to 1 but would make a float node
-    if type(side) is not int or side not in (1, 2):
+    side = check_int(side, "side")  # 1.0 would make a float node
+    if side not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {side!r}")
     fiber_node = 3 - side
     _, c2 = chern_of_pushforward_bundle(group, fiber_node)

@@ -60,10 +60,9 @@ from functools import cache, cached_property
 from typing import Iterable, Optional
 
 from .errors import CapExceededError
-from .rootsys import Root, RootSystem, check_cap, check_node, reflect_weight
+from .rootsys import _INT, Root, RootSystem, check_cap, check_node, reflect_weight
 
 DEFAULT_GROUP_CAP = 1_000_000
-_INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
 
 Word = tuple[int, ...]
 Point = tuple[int, ...]

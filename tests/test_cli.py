@@ -429,6 +429,47 @@ def test_a_value_past_the_digit_limit_is_one_error_line(capsys, fmt):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("sign", ("", "-"))
+def test_a_value_certainly_past_the_limit_is_refused_before_it_is_computed(fmt, sign):
+    # E8's cell counts have degree 120: at 4,300 nines the value has
+    # about 516,000 digits, which Horner's rule alone took seconds to make
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    q = sign + "9" * limit
+    code, out, err, seconds = run_module(
+        "poincare", "E8", "--cap", "1000000000", "--at", q, "--format", fmt
+    )
+    assert (code, out) == (1, "")
+    assert err == (f"error: the value at L = q has more than {limit} digits, "
+                   "this interpreter's limit for printing an integer\n")
+    assert seconds < 1, seconds
+
+
+def test_the_early_refusal_agrees_with_the_exact_value():
+    # the bound refuses only values that have too many digits; near the
+    # limit and for small |q| the value is computed exactly
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    from g2pair.cli import _value_at
+    from g2pair.errors import DomainError
+    from g2pair.motive import poincare_polynomial
+
+    for name, parabolic in (("A1", ()), ("A2", (1,)), ("G2", ()), ("B3", (2,))):
+        poly = poincare_polynomial(WeylGroup(root_system(name)), parabolic)
+        top = max(poly.coefficients())
+        for digits in (1, 2, limit // top - 1, limit // top, limit // top + 1, limit + 1):
+            for q in (10**digits - 1, 10**digits, -(10**digits - 1), -(10**digits)):
+                try:
+                    value = _value_at(poly, q)
+                except DomainError:
+                    assert abs(poly.evaluate(q)) >= 10**limit, (name, q)
+                else:
+                    assert value == poly.evaluate(q), (name, q)
+
+
 def test_roots_of_a_large_rank_answer_quickly():
     # A100 has 5,050 positive roots; each costs O(rank) to generate
     code, out, err, seconds = run_module("roots", "A100")
@@ -444,7 +485,8 @@ def test_cartan_literals_refuse_json_booleans(capsys):
         for verb in ("weyl-order", "roots", "poincare"):
             code, out, err = invoke(capsys, verb, literal)
             assert (code, out) == (1, ""), (verb, literal)
-            assert err == "error: Cartan entries must be integers\n", (verb, literal)
+            bad = "False" if "false" in literal else "True"
+            assert err == f"error: Cartan entry must be an int, got bool {bad}\n", (verb, literal)
 
 
 def test_root_cap_error_reports_progress(capsys):

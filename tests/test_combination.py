@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2pair.grothring import MotivicClass
-from g2pair.motive import L, LPolynomial, projective_bundle_poly
+from g2pair.motive import L, LPolynomial
 from g2pair.rootsys import root_system
 from g2pair.schubert import CohomologyElement, DivisorClass, SchubertRing, pushforward
 from g2pair.weyl import WeylGroup
@@ -79,24 +79,6 @@ def test_lpolynomial_compares_unequal_to_bools():
             op()
 
 
-@pytest.mark.parametrize(
-    "op, message",
-    (
-        (lambda n: atom("X") * n, "coefficients must be integers"),
-        (lambda n: SchubertRing(WeylGroup(root_system("G2")), ()).one() * n,
-         "coefficients must be integers"),
-        (lambda n: (1 + L).evaluate(n), "evaluation point must be an integer"),
-        (lambda n: projective_bundle_poly(L, n), "bundle rank must be a positive integer"),
-        (lambda n: atom("X").times_L(n), "L-power must be a nonnegative integer"),
-    ),
-)
-def test_bool_operands_rejected(op, message):
-    # True is an int to isinstance; read as 1 it would pass unnoticed
-    op(1)
-    with pytest.raises(ValueError, match=message):
-        op(True)
-
-
 def test_equal_values_hash_equal():
     assert hash(1 + L) == hash(LPolynomial({0: 1, 1: 1}))
     assert hash(atom("X") + atom("X")) == hash(atom("X", 0, 2))
@@ -106,13 +88,13 @@ def test_equal_values_hash_equal():
     assert len({ring.one(), 1 * ring.one(), zero, ring.one() - ring.one()}) == 2
 
 
-def test_boolean_value_only_on_lpolynomial():
-    assert not LPolynomial()
-    assert L
-    # MotivicClass and CohomologyElement keep default truthiness
-    assert MotivicClass()
+def test_every_combination_is_false_exactly_when_zero():
     ring = SchubertRing(WeylGroup(root_system("A2")), ())
-    assert CohomologyElement(ring, {})
+    for zero, one in ((LPolynomial(), L), (MotivicClass(), atom("X")),
+                      (CohomologyElement(ring, {}), ring.one())):
+        assert not zero and not (one - one) and not 0 * one, type(zero)
+        assert one and -one and 2 * one, type(zero)
+        assert bool(zero) is False and bool(one) is True, type(zero)
 
 
 @pytest.mark.parametrize(

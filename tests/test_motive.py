@@ -1,5 +1,7 @@
 """L-polynomial arithmetic and flag variety cell counts."""
 
+import re
+
 import pytest
 
 from g2pair.motive import (
@@ -77,14 +79,17 @@ def test_pairs_round_trip():
 @pytest.mark.parametrize("pairs", ([[1.5, 2]], [[1, 2.0]], [["1", 2]], [[True, 2]], [[1, False]]))
 def test_pairs_are_read_without_coercion(pairs):
     # int() would read [[1.5, 2]] as 2*L
-    with pytest.raises(ValueError, match="degrees and coefficients must be integers"):
+    (d, c), = pairs
+    bad, what = (d, "degree") if type(d) is not int else (c, "coefficient")
+    message = f"^{what} must be an int, got {type(bad).__name__} {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
         LPolynomial(pairs)
 
 
 def test_polynomial_keys_refuse_bools():
     assert LPolynomial({1: 2}) == 2 * L
-    for bad in ({True: 2}, {1: True}):
-        with pytest.raises(ValueError, match="degrees and coefficients must be integers"):
+    for bad, what in (({True: 2}, "degree"), ({1: True}, "coefficient")):
+        with pytest.raises(ValueError, match=f"^{what} must be an int, got bool True$"):
             LPolynomial(bad)
 
 

@@ -110,11 +110,13 @@ def test_cartan_validation_direct():
 
 def test_cartan_entries_refuse_bools():
     # bool is an int subclass: False would read as 0 and True as 1
-    for entries in (((2, False), (False, 2)), ((True, -1), (-1, 2)), ((2, -1), (-1, True))):
-        with pytest.raises(ValueError, match="^Cartan entries must be integers$"):
+    for entries, bad in ((((2, False), (False, 2)), False), (((True, -1), (-1, 2)), True),
+                         (((2, -1), (-1, True)), True)):
+        with pytest.raises(ValueError, match=f"^Cartan entry must be an int, got bool {bad}$"):
             CartanMatrix(entries)
-    for literal in ("[[2,false],[false,2]]", "[[true,-1],[-1,2]]"):
-        with pytest.raises(UnknownTypeError, match="^Cartan entries must be integers$"):
+    for literal, bad in (("[[2,false],[false,2]]", False), ("[[true,-1],[-1,2]]", True)):
+        message = f"^Cartan entry must be an int, got bool {bad}$"
+        with pytest.raises(UnknownTypeError, match=message):
             parse_cartan(literal)
 
 
