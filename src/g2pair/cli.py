@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import namedtuple
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Optional, Sequence
 
 from .errors import DomainError
 from .grothring import IdentityCertificate
 from .motive import LPolynomial, poincare_polynomial
 from .replay import check_certificate
-from .rootsys import _INT, DEFAULT_ROOT_CAP, RootSystem, root_system, series_exponents
+from .rootsys import _INT, DEFAULT_ROOT_CAP, Record, RootSystem, root_system, series_exponents
 from .schubert import check_rank2_pair, degree_of_zero_locus
 from .weyl import DEFAULT_GROUP_CAP, WeylGroup, check_order
 from . import grothring
@@ -36,13 +35,18 @@ def _json(doc: dict) -> str:
     return _write(doc, "\n")
 
 
-class _WalkRows(namedtuple("_WalkRows", "letters parents offsets")):
+class _WalkRows(Record):
     """The rows {"length", "name", "word"} of a walk of W/W_P from the
     columns a Quotient keeps: letters, parent indices and layer offsets,
     the last the cell count.  Written as a list of those dicts would be, in
     one pass: layer 0 is "e", and a later cell's name and word text are its
     letter plus its parent's.  A parent outside the layer below, or columns
     that disagree in length, raise ValueError."""
+
+    _fields = ("letters", "parents", "offsets")
+
+    def __new__(cls, letters, parents, offsets) -> _WalkRows:
+        return tuple.__new__(cls, (letters, parents, offsets))
 
     def __call__(self, nl: str) -> str:
         letters, parents, offsets = self
@@ -360,7 +364,7 @@ _VERBS = {
 }
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute one invocation; returns the exit code instead of
     raising SystemExit so tests can call it in-process.  ``argv`` is a
     list or tuple of arguments; a single string raises TypeError, since

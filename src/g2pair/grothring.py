@@ -24,11 +24,11 @@ deliberately cannot conclude [X] = [Y].
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
 
 from .errors import CircularRuleError, PoincareMismatchError
 from .motive import Combination, LPolynomial, l_power
-from .rootsys import _checked_make, check_int
+from .rootsys import Record, check_int
 
 PURE = "1"
 
@@ -82,15 +82,13 @@ class MotivicClass(Combination):
         return {"terms": [[s, p, c] for (s, p), c in self._terms.items()]}
 
 
-class RewriteRule(
-    NamedTuple("RewriteRule", [("lhs", str), ("rhs", MotivicClass), ("justification", str)])
-):
+class RewriteRule(Record):
     """Substitution [lhs] -> rhs.  The lhs symbol may not reappear on the
     right, so each application eliminates it."""
 
-    _make = classmethod(_checked_make)
+    _fields = ("lhs", "rhs", "justification")
 
-    def __new__(cls, lhs: str, rhs: MotivicClass, justification: str = "") -> "RewriteRule":
+    def __new__(cls, lhs: str, rhs: MotivicClass, justification: str = "") -> RewriteRule:
         if not isinstance(lhs, str) or not lhs:
             raise ValueError("rule symbol must be a nonempty string")
         if lhs == PURE:
@@ -101,7 +99,7 @@ class RewriteRule(
             raise ValueError(f"rule right side mentions its own symbol [{lhs}]")
         if not isinstance(justification, str):
             raise ValueError("rule justification must be a string")
-        return super().__new__(cls, lhs, rhs, justification)
+        return tuple.__new__(cls, (lhs, rhs, justification))
 
     @property
     def name(self) -> str:
@@ -137,10 +135,12 @@ def blowup_rule(total: str, ambient: str, center: str) -> RewriteRule:
     )
 
 
-class Step(NamedTuple):
-    before: MotivicClass
-    rule: RewriteRule
-    after: MotivicClass
+class Step(Record):
+    __slots__ = ()
+    _fields = ("before", "rule", "after")
+
+    def __new__(cls, before: MotivicClass, rule: RewriteRule, after: MotivicClass) -> Step:
+        return tuple.__new__(cls, (before, rule, after))
 
     def to_json(self) -> dict:
         return {
@@ -150,11 +150,14 @@ class Step(NamedTuple):
         }
 
 
-class Derivation(NamedTuple):
+class Derivation(Record):
     """Chain of single-substitution steps from ``start``."""
 
-    start: MotivicClass
-    steps: tuple[Step, ...]
+    __slots__ = ()
+    _fields = ("start", "steps")
+
+    def __new__(cls, start: MotivicClass, steps: tuple[Step, ...]) -> Derivation:
+        return tuple.__new__(cls, (start, steps))
 
     @property
     def final(self) -> MotivicClass:
@@ -231,7 +234,7 @@ def normal_form(
             return cur, Derivation(start=cls, steps=tuple(steps))
 
 
-class IdentityCertificate(NamedTuple):
+class IdentityCertificate(Record):
     """Two rewrite chains from the same symbol, plus their difference.
 
     Both chains start at [D]; every step preserves the class, so the two
@@ -241,9 +244,13 @@ class IdentityCertificate(NamedTuple):
     identity is L*([X] - [Y]) = 0, never [X] - [Y] = 0.
     """
 
-    left: Derivation
-    right: Derivation
-    difference: MotivicClass
+    __slots__ = ()
+    _fields = ("left", "right", "difference")
+
+    def __new__(
+        cls, left: Derivation, right: Derivation, difference: MotivicClass
+    ) -> IdentityCertificate:
+        return tuple.__new__(cls, (left, right, difference))
 
     @property
     def final_line(self) -> str:

@@ -80,10 +80,6 @@ class Combination:
     def _coerce(self, other):
         return other if isinstance(other, type(self)) else None
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

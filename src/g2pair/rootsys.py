@@ -25,10 +25,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
+from collections import _tuplegetter
+from collections.abc import Iterable
 from functools import cached_property
 from operator import mul
-from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, NotFiniteTypeError, UnknownTypeError
 
@@ -44,7 +44,6 @@ _MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
 # json` over its 7,260 * 120 entries is 36 (plain `roots` peaks at 13).
 _ENTRY_BYTES = 36
 
-_TYPE_RE = re.compile(r"^([A-G])([0-9]+)$")
 _INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
 
 
@@ -82,18 +81,47 @@ def reflect_weight(v: Weight, i: int, column: tuple[tuple[int, int], ...]) -> We
     return tuple(out)
 
 
-def _checked_make(cls, fields):
-    """A NamedTuple's ``_make``, and ``_replace`` with it, through ``cls.__new__``."""
-    return cls(*fields)
+class Record(tuple):
+    """A tuple with named fields, as ``collections.namedtuple`` makes, with
+    no code generated per class.  A subclass lists its ``_fields`` and
+    defines ``__new__`` with those parameters, in that order; the base
+    reads each field through the C-level getter namedtuple uses, and
+    ``_make``, ``_replace`` and unpickling all call the class, so a
+    checking ``__new__`` sees every instance made."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Record:
+        return cls(*fields)
+
+    def _replace(self, **changes) -> Record:
+        fields = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return self._make(fields)
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self)])
+        return f"{type(self).__name__}({body})"
 
 
-class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
+class CartanMatrix(Record):
     """Square integer matrix with diagonal 2, nonpositive off-diagonal
     entries, and zeros placed symmetrically."""
 
-    _make = classmethod(_checked_make)
+    _fields = ("entries",)
 
-    def __new__(cls, entries: Matrix) -> "CartanMatrix":
+    def __new__(cls, entries: Matrix) -> CartanMatrix:
         n = len(entries)
         if n == 0:
             raise ValueError("empty Cartan matrix")
@@ -108,7 +136,7 @@ class CartanMatrix(NamedTuple("CartanMatrix", [("entries", Matrix)])):
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (entries[i][j] == 0) != (entries[j][i] == 0):
                     raise ValueError("Cartan zeros must be symmetric")
-        return super().__new__(cls, entries)
+        return tuple.__new__(cls, (entries,))
 
     @property
     def rank(self) -> int:
@@ -220,13 +248,14 @@ def _build_named(letter: str, n: int) -> list[list[int]]:
     raise UnknownTypeError(f"unknown type letter {letter!r}")
 
 
-def _named(name: str) -> Optional[tuple[str, int]]:
-    """(letter, rank) of a type name like ``"G2"``, None for any other
-    string; a rank too long to convert to int is refused by name."""
-    match = _TYPE_RE.match(name.strip())
-    if not match:
+def _named(name: str) -> tuple[str, int] | None:
+    """(letter, rank) of a type name like ``"G2"``: one letter A-G and ASCII
+    decimal digits, around which whitespace is ignored; None for any other
+    string.  A rank too long to convert to int is refused by name."""
+    name = name.strip()
+    letter, digits = name[:1], name[1:]
+    if not ("A" <= letter <= "G" and digits.isascii() and digits.isdigit()):
         return None
-    letter, digits = match.groups()
     try:
         return letter, int(digits)
     except ValueError:
@@ -261,10 +290,13 @@ def parse_cartan(name: str) -> CartanMatrix:
     )
 
 
-class RootSystem(
-    NamedTuple("RootSystem", [("cartan", CartanMatrix), ("positive_roots", tuple[Root, ...])])
-):
+class RootSystem(Record):
     """Positive roots of a finite type, sorted by (height, coordinates)."""
+
+    _fields = ("cartan", "positive_roots")
+
+    def __new__(cls, cartan: CartanMatrix, positive_roots: tuple[Root, ...]) -> RootSystem:
+        return tuple.__new__(cls, (cartan, positive_roots))
 
     @property
     def rank(self) -> int:
@@ -371,7 +403,7 @@ def _root_cap_error(cap: int, total: int, height: int) -> CapExceededError:
     )
 
 
-def series_exponents(name: str, cap: int) -> Optional[tuple[int, ...]]:
+def series_exponents(name: str, cap: int) -> tuple[int, ...] | None:
     """The exponents m_i of a type A_n, B_n, C_n or D_n named by ``name``,
     None for any other string (a literal, an exceptional or unsupported
     name), read off the name alone.  The roots of height h number

@@ -64,24 +64,24 @@ is the same group and quotient.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ConventionError, PicardError
 from .motive import Combination
-from .rootsys import _INT, _checked_make, check_int, check_node
+from .rootsys import _INT, Record, check_int, check_node
 from .weyl import WeylElement, WeylGroup, word_name
 
 
-class DivisorClass(NamedTuple("DivisorClass", [("weights", tuple[int, ...])])):
+class DivisorClass(Record):
     """Integral divisor class sum_i weights[i-1] * omega_i in fundamental
     weight coordinates, kept as exact ints: weights not all of type int
     go through ``check_int``, which names the first that is not an int."""
 
-    _make = classmethod(_checked_make)
+    _fields = ("weights",)
 
-    def __new__(cls, weights: Iterable[int]) -> "DivisorClass":
+    def __new__(cls, weights: Iterable[int]) -> DivisorClass:
         weights = tuple(weights)
         if not {*map(type, weights)} <= _INT:
             weights = tuple([check_int(c, "divisor weight") for c in weights])
@@ -380,7 +380,7 @@ def pushforward(x: CohomologyElement, fiber_node: int) -> CohomologyElement:
 def chern_of_pushforward_bundle(
     group: WeylGroup,
     fiber_node: int,
-    zeta: Optional[DivisorClass] = None,
+    zeta: DivisorClass | None = None,
 ) -> tuple[CohomologyElement, CohomologyElement]:
     """Chern classes c1, c2 of the rank-2 bundle V on G/P with
     P(V) = G/B, fibered through the node j = ``fiber_node``.
@@ -410,7 +410,7 @@ def chern_of_pushforward_bundle(
     c1 = base.chevalley(DivisorClass(map(add, zeta.weights, s.weights)), base.one())
     c2 = pushforward(flag.chevalley(s, flag.chevalley(zeta, zeta_elem)), fiber_node)
     up = flag.chevalley(s, zeta_elem)
-    if not pushforward(up, fiber_node).is_zero:
+    if pushforward(up, fiber_node):
         raise ConventionError(f"s.zeta = {up} is not pulled back from G/P")
     if pushforward(flag.chevalley(zeta, up), fiber_node) != c2:
         raise ConventionError(f"s.zeta = {up} is not the pullback of c2 = {c2}")

@@ -56,8 +56,8 @@ import math
 import operator
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from functools import cache, cached_property
-from typing import Iterable, Optional
 
 from .errors import CapExceededError
 from .rootsys import _INT, Root, RootSystem, check_cap, check_node, reflect_weight
@@ -130,7 +130,7 @@ def _degrees(roots: Iterable[Root], rank: int) -> tuple[int, ...]:
     )
 
 
-def q_product(degrees: Iterable[int], terms: Optional[int] = None) -> list[int]:
+def q_product(degrees: Iterable[int], terms: int | None = None) -> list[int]:
     """Coefficients of prod [d]_t over ``degrees``, [d]_t = 1 + t + ... + t^(d-1),
     all of them or the first ``terms``: for the degrees of W, the number
     of elements of each length."""

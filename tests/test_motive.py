@@ -24,7 +24,7 @@ lef = LPolynomial.lefschetz
 
 
 def test_constructors():
-    assert LPolynomial().is_zero
+    assert not LPolynomial()
     assert LPolynomial({0: 1}) == 1
     assert L == LPolynomial({1: 1})
     assert LPolynomial({0: 1, 2: 0}) == LPolynomial({0: 1})  # zero dropped

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2pair.cli import _WalkRows
 from g2pair.errors import CapExceededError, UnknownTypeError
-from g2pair.grothring import MotivicClass, RewriteRule
+from g2pair.grothring import MotivicClass, RewriteRule, verify_g2_identity
+from g2pair.motive import LPolynomial
 from g2pair.rootsys import (
     CartanMatrix,
     RootSystem,
@@ -88,6 +90,23 @@ def test_parse_rejects_bad_literals():
         parse_cartan("[[2,-1],[0,2]]")  # asymmetric zero
     with pytest.raises(UnknownTypeError):
         parse_cartan("[not json]")
+
+
+@pytest.mark.parametrize("name", ("G2\u00b2", "A\u0661", "g2", "AA2", "A", "2G", "G 2", "G2a"))
+def test_a_type_name_is_one_letter_a_to_g_and_ascii_digits(name):
+    # superscript and Arabic-Indic digits are digits to str.isdigit, not here
+    with pytest.raises(UnknownTypeError, match="^unknown type name"):
+        parse_cartan(name)
+    assert series_exponents(name, 100) is None
+
+
+def test_a_type_name_reads_its_rank_as_decimal_digits():
+    assert parse_cartan("A03") == parse_cartan("A3") and series_exponents("A03", 100) == (1, 2, 3)
+    assert parse_cartan(" G2\n") == parse_cartan("G2")
+    with pytest.raises(UnknownTypeError, match="^rank must be positive in 'A0'$"):
+        parse_cartan("A0")
+    with pytest.raises(UnknownTypeError, match="^type D has a 5000-digit rank$"):
+        parse_cartan("D" + "1" * 5000)
 
 
 def test_oversized_integers_are_unknown_types():
@@ -458,7 +477,79 @@ def test_root_data_on_drawn_literals(literal):
     check_root_data(root_system(literal))
 
 
-# A valid value of each checked NamedTuple, and fields its __new__ refuses
+def _certificate():
+    return verify_g2_identity(LPolynomial({0: 1, 1: 1}), LPolynomial({0: 1, 1: 1}))
+
+
+# One value of each record class, and its field names in order
+RECORDS = {
+    "CartanMatrix": (lambda: CartanMatrix(((2, -1), (-1, 2))), ("entries",)),
+    "RootSystem": (lambda: root_system("B2"), ("cartan", "positive_roots")),
+    "DivisorClass": (lambda: DivisorClass((1, 2)), ("weights",)),
+    "RewriteRule": (
+        lambda: RewriteRule("X", MotivicClass.atom("Y"), "why"), ("lhs", "rhs", "justification")
+    ),
+    "Step": (lambda: _certificate().left.steps[0], ("before", "rule", "after")),
+    "Derivation": (lambda: _certificate().left, ("start", "steps")),
+    "IdentityCertificate": (lambda: _certificate(), ("left", "right", "difference")),
+    "_WalkRows": (lambda: _WalkRows((0, 1, 2), (-1, 0, 0), (0, 1, 3, 3)),
+                  ("letters", "parents", "offsets")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_tuples_with_named_fields(name):
+    make, fields = RECORDS[name]
+    x = make()
+    cls = type(x)
+    assert cls.__name__ == name and cls._fields == fields and isinstance(x, tuple)
+    assert len(x) == len(fields)
+    for i, field in enumerate(fields):
+        assert getattr(x, field) is x[i]
+        assert type(getattr(cls, field)).__name__ == "_tuplegetter"
+    # positional and keyword construction, tuple equality and hash
+    assert cls(*x) == x == cls(**dict(zip(fields, x))) == tuple(x)
+    assert hash(x) == hash(tuple(x))
+    assert repr(x) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, x))})"
+    # _make and _replace build through the class
+    assert cls._make(list(x)) == x and cls._make(iter(x)) == x and x._replace() == x
+    assert type(cls._make(x)) is cls and type(x._replace()) is cls
+    for field, value in zip(fields, x):
+        assert x._replace(**{field: value}) == x
+    with pytest.raises(TypeError):
+        cls._make(tuple(x) + (None,))
+    with pytest.raises(ValueError, match="unexpected field names: \\['nofield'\\]"):
+        x._replace(nofield=1)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is cls and twin == x
+    assert repr(pickle.loads(pickle.dumps(x))) == repr(x)
+
+
+def test_record_reprs():
+    assert repr(CartanMatrix(((2, -1), (-1, 2)))) == "CartanMatrix(entries=((2, -1), (-1, 2)))"
+    assert repr(root_system("A1")) == (
+        "RootSystem(cartan=CartanMatrix(entries=((2,),)), positive_roots=((1,),))"
+    )
+    assert repr(DivisorClass((1, 2))) == "DivisorClass(weights=(1, 2))"
+    assert repr(RewriteRule("X", MotivicClass.atom("Y"), "why")) == (
+        "RewriteRule(lhs='X', rhs=MotivicClass({('Y', 0): 1}), justification='why')"
+    )
+    assert repr(_WalkRows((), (), (0, 0))) == "_WalkRows(letters=(), parents=(), offsets=(0, 0))"
+
+
+def test_cartan_matrices_and_root_systems_cache_derived_data():
+    rs = root_system("G2")
+    c = rs.cartan
+    assert c.symmetrizer is c.symmetrizer and c.columns is c.columns
+    assert rs.weights is rs.weights and rs.coroots is rs.coroots
+    assert {"symmetrizer", "columns"} <= vars(c).keys()
+    assert {"weights", "coroots"} <= vars(rs).keys()
+    for twin in (pickle.loads(pickle.dumps(rs)), copy.copy(rs), copy.deepcopy(rs)):
+        assert twin == rs and twin.weights == rs.weights and twin.coroots == rs.coroots
+        assert twin.cartan.symmetrizer == c.symmetrizer
+
+
+# A valid value of each checked record, and fields its __new__ refuses
 CHECKED_TUPLES = {
     "CartanMatrix": (CartanMatrix(((2, -1), (-1, 2))), (((3, 1), (1, 3)),)),
     "DivisorClass": (DivisorClass((1, 2)), ((True, 1.5),)),
@@ -475,6 +566,8 @@ def test_namedtuple_helpers_check_their_fields(name, helper):
             type(good)._make(bad)
         else:
             good._replace(**dict(zip(good._fields, bad)))
+    with pytest.raises(ValueError):  # one field replaced alone is checked too
+        good._replace(**{good._fields[0]: bad[0]})
     # valid fields still pass, and pickle and copy round-trip
     assert type(good)._make(good) == good and good._replace() == good
     for twin in (pickle.loads(pickle.dumps(good)), copy.copy(good), copy.deepcopy(good)):

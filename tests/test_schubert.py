@@ -307,13 +307,13 @@ def test_pushforward_pullback_basics():
     for fiber in (1, 2):
         base = SchubertRing(g, (fiber,))
         zeta = flag.chevalley(DivisorClass((1, 1)), flag.one())
-        assert pushforward(flag.one(), fiber).is_zero
+        assert not pushforward(flag.one(), fiber)
         assert pushforward(zeta, fiber) == base.one()
         assert lift(base.one(), flag) == flag.one()
         # pushforward annihilates every pullback (fiber-degree 0)
         for w in base.basis:
             lifted = lift(sigma(base, w), flag)
-            assert pushforward(lifted, fiber).is_zero
+            assert not pushforward(lifted, fiber)
         # pullback of the ample generator is the Schubert divisor of the
         # node outside the Levi
         h = base.chevalley(base.ample_generator(), base.one())
@@ -415,7 +415,7 @@ def test_chern_product_flag():
     c1, c2 = chern_of_pushforward_bundle(g, 1)
     base = c1.ring
     assert c1 == 2 * sigma(base, generator(g, 2))
-    assert c2.is_zero
+    assert not c2
 
 
 def test_chern_rejects_bad_zeta():
@@ -522,7 +522,7 @@ def test_rank2_gate():
         check_rank2_pair(make_group(name))
     # A1xA1 still has Chern classes, but no pair: its degrees would read 0
     reducible = make_group("[[2,0],[0,2]]")
-    assert chern_of_pushforward_bundle(reducible, 1)[1].is_zero
+    assert not chern_of_pushforward_bundle(reducible, 1)[1]
     for g in (reducible, make_group("A1"), make_group("A3")):
         with pytest.raises(ConventionError):
             check_rank2_pair(g)
@@ -600,7 +600,7 @@ def test_cohomology_element_api():
     assert str(a - b) == "sigma[s1*s2] - sigma[s2*s1]"
     assert str(-a) == "-sigma[s1*s2]"
     assert str(CohomologyElement(flag, {})) == "0"
-    assert (a - a).is_zero
+    assert not (a - a)
     assert 2 * a == a + a
     assert coefficient(a, g.from_word([1, 2])) == 1
     assert coefficient(a, identity(g)) == 0
@@ -964,7 +964,7 @@ def test_products_of_zero_and_of_the_top_cell_vanish(name, parabolic):
     d = DivisorClass(free_weights((1, 2, 3, 1)[:ring.rank], parabolic))
     for x in (CohomologyElement(ring, {}), point_class(ring), point_class(ring) * -3):
         got = ring.chevalley(d, x)
-        assert got.is_zero and got.ring is ring and got == oracle_chevalley(ring, d, x)
+        assert not got and got.ring is ring and got == oracle_chevalley(ring, d, x)
 
 
 @pytest.mark.parametrize("name, parabolic", PRODUCT_CASES)
