@@ -7,10 +7,11 @@ of w is the point mu = w(omega_P), at layer length(w), and the group is
 never enumerated.  The first ``SchubertRing(group, P)`` builds the ring
 of G/P from the group's weyl.Quotient, which holds the walk as columns
 and keeps the ring; every later call returns it.  The ring holds the
-per-cell codes, pairings, covers and the coroot classes below.  Full
-products are not implemented; the degree computations need only
-Chevalley's divisor rule (Fulton-Woodward, "On the quantum product of
-Schubert classes"), read on the orbit:
+per-cell codes and the coroot classes below; one sweep over the cells
+makes their pairings and covers, on the first product.  Full products
+are not implemented; the degree computations need only Chevalley's
+divisor rule (Fulton-Woodward, "On the quantum product of Schubert
+classes"), read on the orbit:
 
     sigma_lambda . sigma_mu = sum of <w lambda, gamma_check> sigma[s_gamma mu]
 
@@ -150,10 +151,11 @@ class SchubertRing:
     every later call, with any spelling of P, returns it; a build that
     raises ConventionError (two codes collide, or no unique top class)
     keeps nothing.  The ring holds the point codes, the index code -> cell,
-    each cell's layer, per cell (made on first use) the coroot pairings
-    and the Chevalley covers, the coroot classes (nonzero free-node parts
-    of the positive coroots) mapped to their index, and the classes as
-    one column per free node."""
+    each cell's layer, the coroot classes (nonzero free-node parts of the
+    positive coroots) mapped to their index, and the classes as one
+    column per free node.  The per-cell coroot pairings and Chevalley
+    covers are made for every cell by one sweep (``_sweep``), on the
+    ring's first product or pushforward; until then both are None."""
 
     def __new__(cls, group: WeylGroup, parabolic: Iterable[int] = ()) -> "SchubertRing":
         q = group.quotient(parabolic)
@@ -181,18 +183,16 @@ class SchubertRing:
             )
         if q.offsets[-3] != len(codes) - 1:
             raise ConventionError("quotient has no unique top class")
-        # <w(omega_j), gamma_check> per free node j; at the identity, the
-        # coefficient of alpha_j_check in gamma_check
-        identity = tuple([c[j - 1] for c in group.root_system.coroots] for j in q.free_nodes)
+        # the free-node parts of the positive coroots, numbered once
         classes: dict[tuple[int, ...], int] = {}
-        for part in zip(*identity):
+        for c in group.root_system.coroots:
+            part = tuple([c[j - 1] for j in q.free_nodes])
             if any(part):
                 classes.setdefault(part, len(classes))
         self.group, self.rank = group, rank
         self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
         self.codes, self.at, self.layers = codes, at, q.lengths()
-        self.pairings: list = [identity] + [None] * (len(codes) - 1)
-        self.covers: list = [None] * len(codes)
+        self.pairings = self.covers = None  # made by _sweep on the first product
         self.classes, self.columns = classes, tuple(zip(*classes))
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
@@ -250,56 +250,47 @@ class SchubertRing:
         weights[self.free_nodes[0] - 1] = 1
         return DivisorClass(tuple(weights))
 
-    def _pairing(self, k: int) -> tuple[list[int], ...]:
-        """For each free node j, <w(omega_j), gamma_check> over the positive
-        roots gamma in root order, at the cell k = w: its canonical parent's
-        lists permuted by s_i, as <s_i v, gamma_check> = <v, s_i(gamma)_check>.
-        The pairings with the simple coroots are the coordinates of w(omega_j)."""
-        memo, parents, chain = self.pairings, self.quotient.parents, []
-        while memo[k] is None:
-            chain.append(k)
-            k = parents[k]
-        ps = memo[k]
-        letters, moves = self.quotient.letters, self.group.root_moves
-        for k in reversed(chain):
-            a, perm = moves[letters[k] - 1]
-            lifted = []
-            for p in ps:
-                out = [p[n] for n in perm]
-                out[a] = -out[a]
-                lifted.append(out)
-            ps = memo[k] = tuple(lifted)
-        return ps
-
-    def _covers(self, k: int) -> list[tuple[int, int]]:
-        """(j, index of the class of beta) for every cell j = s_gamma mu one
-        layer above the cell k = w, gamma = w beta > 0, whose class is
-        (<w(omega_f), gamma_check>)_f over the free nodes f; made once per
-        cell.  A pairing vector that is not a class raises ConventionError."""
-        covers = self.covers[k]
-        if covers is not None:
-            return covers
-        code, at, layers, classes = self.codes[k], self.at, self.layers, self.classes
-        roots = self.group.point_codes[1]
-        up = layers[k] + 1
-        ps = self._pairing(k)
-        qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
-        for p in ps[1:]:
-            qs = list(map(add, qs, p))
-        covers = []
-        for n, q in enumerate(qs):
-            if q > 0:
-                j = at[code - q * roots[n]]
-                if layers[j] == up:
+    def _sweep(self) -> list[list[tuple[int, int]]]:
+        """Every cell's pairings and covers, made in walk order, parents
+        first, and stored whole at the end: a sweep that raises stores
+        neither.  Per free node j, the cell w keeps <w(omega_j), gamma_check>
+        over the positive roots gamma in root order: at the identity the
+        coefficient of alpha_j_check in gamma_check, else its canonical
+        parent's lists permuted by s_i, as <s_i v, gamma_check> =
+        <v, s_i(gamma)_check>.  Its covers are (j, index of the class of
+        beta) for every cell j = s_gamma mu one layer up, gamma = w beta > 0,
+        whose class is (<w(omega_f), gamma_check>)_f over the free nodes f;
+        a pairing vector that is not a class raises ConventionError."""
+        q, codes, at, layers = self.quotient, self.codes, self.at, self.layers
+        classes, moves = self.classes, self.group.root_moves
+        roots, coroots = self.group.point_codes[1], self.group.root_system.coroots
+        ps = tuple([c[j - 1] for c in coroots] for j in self.free_nodes)
+        pairings, covers = [], []
+        for k, (i, parent) in enumerate(zip(q.letters, q.parents)):
+            if k:
+                a, perm = moves[i - 1]
+                lifted = []
+                for p in pairings[parent]:
+                    out = [p[n] for n in perm]
+                    out[a] = -out[a]
+                    lifted.append(out)
+                ps = tuple(lifted)
+            pairings.append(ps)
+            qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
+            for p in ps[1:]:
+                qs = list(map(add, qs, p))
+            code, up, cell = codes[k], layers[k] + 1, []
+            for n, c in enumerate(qs):
+                if c > 0 and layers[j := at[code - c * roots[n]]] == up:
                     part = tuple([p[n] for p in ps])
-                    i = classes.get(part)
-                    if i is None:
+                    if (m := classes.get(part)) is None:
                         raise ConventionError(
                             f"cover pairings {list(part)} of cell {k} are not the "
                             f"free part of a positive coroot"
                         )
-                    covers.append((j, i))
-        self.covers[k] = covers
+                    cell.append((j, m))
+            covers.append(cell)
+        self.pairings, self.covers = pairings, covers
         return covers
 
     def _lambda_values(self, d: DivisorClass) -> list[int]:
@@ -330,14 +321,11 @@ class SchubertRing:
         if not terms:
             return out
         # x's keys are sorted, so its first and last cells bound its layers
-        layers, cover_lists, offsets = self.layers, self.covers, self.quotient.offsets
+        layers, covers, offsets = self.layers, self.covers or self._sweep(), self.quotient.offsets
         lo = offsets[layers[next(iter(terms))] + 1]
         acc = [0] * (offsets[layers[next(reversed(terms))] + 2] - lo)
         for k, c in terms.items():
-            covers = cover_lists[k]
-            if covers is None:
-                covers = self._covers(k)
-            for j, i in covers:
+            for j, i in covers[k]:
                 acc[j - lo] += c * values[i]
         for c in acc:
             if c:
@@ -366,11 +354,13 @@ def pushforward(x: CohomologyElement, fiber_node: int) -> CohomologyElement:
     f = ring.free_nodes.index(fiber_node)
     simple = [a for a, _ in ring.group.root_moves]
     powers = ring.group.point_codes[0]
+    if ring.pairings is None:
+        ring._sweep()
     codes, layers, at, coarse = ring.codes, ring.layers, target.at, target.layers
-    out: dict[int, int] = {}
+    pairings, out = ring.pairings, {}
     for k, c in x._terms.items():
         # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
-        p = ring._pairing(k)[f]
+        p = pairings[k][f]
         j = at[codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
         if coarse[j] == layers[k] - drop:
             out[j] = out.get(j, 0) + c

@@ -30,7 +30,9 @@ omega_P, walked from the identity; each is kept as one representative's
 images of the fundamental weights.  Phi+ is the closure of the simple
 roots under the simple reflections, each root carried with its
 coordinates in the basis of simple roots, kept where those are
-nonnegative.  No rootsys weights, no walk and no ring are read.
+nonnegative.  No rootsys weights, no walk and no ring are read, except
+where a ring's own products are checked: there the walk's points name
+its cells, and the expected side is still built from the Cartan matrix.
 """
 
 import random
@@ -43,8 +45,9 @@ from operator import mul
 import pytest
 
 from g2pair.rootsys import parse_cartan, root_system
-from g2pair.schubert import DivisorClass, SchubertRing, degree_of_zero_locus
+from g2pair.schubert import CohomologyElement, DivisorClass, SchubertRing, degree_of_zero_locus
 from g2pair.weyl import WeylGroup
+from weyl_oracles import points
 
 
 def generic(n):
@@ -109,6 +112,24 @@ def positive_roots(a):
                 found[u] = c[:i] + (c[i] - v[i],) + c[i + 1:]
                 todo.append((u, found[u]))
     return tuple(sorted((v, c) for v, c in found.items() if min(c) >= 0))
+
+
+@cache
+def coroots(a):
+    """Phi+ as weight coordinates -> the coroot gamma_check in the basis of
+    simple coroots: the same closure, where s_i lowers the i-th coroot
+    coordinate by <alpha_i, gamma_check> = sum_k gamma_check_k a[k][i]."""
+    n, alphas = len(a), simple_roots(a)
+    found = {alpha: tuple(int(k == i) for k in range(n)) for i, alpha in enumerate(alphas)}
+    todo = list(found.items())
+    while todo:
+        v, c = todo.pop()
+        for i in range(n):
+            u = reflect(v, i, alphas)
+            if u not in found:
+                found[u] = c[:i] + (c[i] - sum(c[k] * a[k][i] for k in range(n)),) + c[i + 1:]
+                todo.append((u, found[u]))
+    return {v: found[v] for v, _ in positive_roots(a)}
 
 
 @cache
@@ -260,3 +281,54 @@ def test_the_sum_over_cosets_is_the_sum_over_w_over_w_p(name):
     assert [len(coset_reps(a, p)) for p in parabolics(n)] == [
         len(group.quotient(p)) for p in parabolics(n)
     ]
+
+
+def chevalley_rule(a, parabolic, f):
+    """Per point mu = w(omega_P), the product of omega_f with sigma[w] by
+    Chevalley's rule: sum of <w omega_f, gamma_check> sigma[s_gamma mu]
+    over gamma > 0 with <mu, gamma_check> > 0 and s_gamma mu one layer up,
+    a point's layer being the number of gamma > 0 it pairs negatively with."""
+    n, checks = len(a), coroots(a)
+    omega_p = tuple(int(k not in parabolic) for k in range(1, n + 1))
+    reps = {act(w, omega_p): w for w in coset_reps(a, parabolic)}
+    layer = {mu: sum(sum(map(mul, mu, c)) < 0 for c in checks.values()) for mu in reps}
+    out = {}
+    for mu, w in reps.items():
+        terms = {}
+        for gamma, check in checks.items():
+            q = sum(map(mul, mu, check))
+            nu = tuple(m - q * g for m, g in zip(mu, gamma))
+            if q > 0 and layer[nu] == layer[mu] + 1:
+                terms[nu] = terms.get(nu, 0) + sum(map(mul, w[f - 1], check))
+        out[mu] = {nu: c for nu, c in terms.items() if c}
+    return out
+
+
+def rule_cases():
+    """(type, parabolic): every proper parabolic of the rank-3 types, G2 and
+    both G2 literals, and the maximal parabolics of B4, D4 and F4."""
+    for name in ("A3", "B3", "C3", "G2", "[[2,-1],[-3,2]]", "[[2,-3],[-1,2]]"):
+        for parabolic in parabolics(len(cartan(name))):
+            yield name, parabolic
+    for name in ("B4", "D4", "F4"):
+        for free in range(1, 5):
+            yield name, tuple(k for k in range(1, 5) if k != free)
+
+
+def test_each_chevalley_coefficient_is_the_rule():
+    # the ring's product omega_f . sigma[w], keyed by point, against the
+    # rule evaluated on the Cartan matrix, for every cell and free node f
+    groups = {}
+    for name, parabolic in rule_cases():
+        group = groups.setdefault(name, WeylGroup(root_system(name)))
+        ring, a = SchubertRing(group, parabolic), cartan(name)
+        at = points(ring.quotient)
+        for f in ring.free_nodes:
+            omega_f = DivisorClass(int(k == f) for k in range(1, len(a) + 1))
+            want = chevalley_rule(a, parabolic, f)
+            assert len(want) == len(ring), (name, parabolic)
+            for k, mu in enumerate(at):
+                got = ring.chevalley(omega_f, CohomologyElement(ring, {k: 1}))
+                assert {at[j]: c for j, c in got.coefficients().items()} == want[mu], (
+                    name, parabolic, f, mu,
+                )

@@ -809,6 +809,12 @@ def tabled(g):
     return sorted(p for p, q in g._quotients.items() if q.ring is not None)
 
 
+def swept(ring):
+    """The ring after one product, which makes its pairings and covers."""
+    ring.chevalley(DivisorClass((0,) * ring.rank), ring.one())
+    return ring
+
+
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
 def test_rings_of_a_quotient_share_one_table(name):
     g = make_group(name)
@@ -819,8 +825,8 @@ def test_rings_of_a_quotient_share_one_table(name):
         x = first.one()
         for _ in range(first.dimension):
             x = first.chevalley(d, x)
-        made = first._covers(0)
-        assert second.covers[0] is made and second._covers(0) is made
+        made = swept(first).covers[0]  # G/G has no product of positive degree
+        assert second.covers[0] is made
         assert first.quotient is second.quotient and first is second
         for part in TABLE_PARTS:
             assert getattr(first, part) is getattr(second, part), (parabolic, part)
@@ -848,11 +854,49 @@ def test_a_reused_group_gives_what_fresh_groups_give(name):
         weights = free_weights(range(1, reused.rank + 1), parabolic)
         fresh = SchubertRing(make_group(name), parabolic)
         want = top_power(fresh, weights)
-        covers = [fresh._covers(k) for k in range(len(fresh))]
+        covers = fresh.covers
         for _ in range(3):
             ring = SchubertRing(reused, parabolic)
             assert top_power(ring, weights) == want, parabolic
-            assert [ring._covers(k) for k in range(len(ring))] == covers, parabolic
+            assert ring.covers == covers, parabolic
+
+
+def assert_made(ring):
+    """Both per-cell tables exist, one entry per cell; returns them."""
+    covers, pairings = ring.covers, ring.pairings
+    assert len(covers) == len(pairings) == len(ring), ring.parabolic
+    assert None not in covers and None not in pairings, ring.parabolic
+    return covers, pairings
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_the_first_product_makes_the_tables(name):
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank):
+        ring = SchubertRing(g, parabolic)
+        assert ring.covers is None and ring.pairings is None, parabolic
+        d = DivisorClass(free_weights((1,) * g.rank, parabolic))
+        ring.chevalley(d, ring.one())
+        covers, pairings = assert_made(ring)
+        ring.chevalley(d, ring.chevalley(d, ring.one()))
+        again = SchubertRing(g, parabolic[::-1])
+        assert again is ring and again.covers is covers and again.pairings is pairings
+
+
+@pytest.mark.parametrize("name", ("G2", "B3", "F4"))
+def test_a_pushforward_makes_the_tables_of_its_source_only(name):
+    # smaller parabolics first: a target has been pushed into, never
+    # pushed out of or multiplied, and still has neither table
+    g = make_group(name)
+    for parabolic in all_parabolics(g.rank)[:-1]:
+        ring = SchubertRing(g, parabolic)
+        assert ring.covers is None and ring.pairings is None, parabolic
+        made = None
+        for node in ring.free_nodes:
+            target = pushforward(ring.one(), node).ring
+            assert target.covers is None and target.pairings is None, (parabolic, node)
+            made = made or assert_made(ring)
+            assert ring.covers is made[0] and ring.pairings is made[1], (parabolic, node)
 
 
 def test_one_table_per_quotient(monkeypatch, capsys):
@@ -1084,10 +1128,10 @@ def code_cases():
 
 def tuple_cell_covers(ring, k, at):
     """The cover rule on point tuples at the cell k: (j, its pairings
-    <w(omega_f), gamma_check> per free node f, read off ``_pairing``) for
+    <w(omega_f), gamma_check> per free node f, read off ``pairings``) for
     s_gamma mu = mu - q gamma, q = <mu, gamma_check> > 0, looked up as a
     tuple in ``at`` (point -> cell) and one layer up."""
-    mu, ps, covers = ring.quotient.coords[k * ring.rank:(k + 1) * ring.rank], ring._pairing(k), []
+    mu, ps, covers = ring.quotient.coords[k * ring.rank:(k + 1) * ring.rank], ring.pairings[k], []
     up = len(ring.words[k]) + 1
     rs = ring.group.root_system
     for n, (coroot, weight) in enumerate(zip(rs.coroots, rs.weights)):
@@ -1122,7 +1166,7 @@ def class_parts(ring):
     parts = list(ring.classes)
     assert list(ring.classes.values()) == list(range(len(parts)))
     assert ring.columns == tuple(zip(*parts))
-    return [[(j, parts[i]) for j, i in ring._covers(k)] for k in range(len(ring))]
+    return [[(j, parts[i]) for j, i in covers] for covers in swept(ring).covers]
 
 
 def tuple_push_targets(ring, node, target):
@@ -1133,7 +1177,7 @@ def tuple_push_targets(ring, node, target):
     drop = ring.dimension - target.dimension
     out = []
     for k, mu in enumerate(points(ring.quotient)):
-        p = ring._pairing(k)[ring.free_nodes.index(node)]
+        p = ring.pairings[k][ring.free_nodes.index(node)]
         j = at[tuple(m - p[a] for m, a in zip(mu, simple))]
         out.append({j: 1} if len(target.words[j]) == len(ring.words[k]) - drop else {})
     return out
@@ -1191,9 +1235,11 @@ def test_a_cover_outside_the_classes_raises():
     g = make_group("B3")
     ring = SchubertRing(g, ())
     del ring.classes[(1, 0, 0)]
-    with pytest.raises(ConventionError, match="not the free part of a positive coroot"):
-        ring.chevalley(DivisorClass((1, 1, 1)), ring.one())
-    assert ring.covers[0] is None
+    # a sweep that raises stores neither table, so the next product raises again
+    for _ in range(2):
+        with pytest.raises(ConventionError, match="not the free part of a positive coroot"):
+            ring.chevalley(DivisorClass((1, 1, 1)), ring.one())
+        assert ring.covers is None and ring.pairings is None
 
 
 def test_codes_from_the_parent_are_the_radix_sums():

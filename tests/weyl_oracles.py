@@ -249,7 +249,7 @@ def chevalley(ring, d, x):
     values = [sum(map(mul, lam, part)) for part in ring.classes]
     out = {}
     for k, c in x.coefficients().items():
-        for j, i in ring._covers(k):
+        for j, i in ring.covers[k]:
             m = values[i]
             if m:
                 out[j] = out.get(j, 0) + c * m
