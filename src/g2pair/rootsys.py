@@ -16,8 +16,8 @@ root beta: its weight <beta, alpha_j_check> (its fundamental-weight
 coordinates) and its coroot beta_check (simple-coroot coordinates), each
 derived once, on first use.  ``reflect_weight`` is the one simple
 reflection in weight coordinates; root generation and the Weyl group's
-walk both step by it.  All derived data (symmetrizer, weights, coroots)
-stays in integers; nothing here floats.
+elements step by it, and its walk repeats the step inline.  All derived
+data (symmetrizer, weights, coroots) stays in integers; nothing floats.
 """
 
 from __future__ import annotations

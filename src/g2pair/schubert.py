@@ -42,20 +42,21 @@ coordinate of a point of an orbit of omega_P is at most ht(theta_check)
 in absolute value, so the code is injective on the orbit, and it is
 linear: s_gamma mu has code c(mu) - q c(gamma), one multiply-subtract
 and one int-keyed lookup per candidate root, and a cell's code is its
-parent's minus mu_i c(alpha_i).  A ring checks that its codes are
-distinct and raises ConventionError if two collide, keeping no ring, so
-a radix too small fails before any product of that quotient.
+parent's minus its step mu_i times c(alpha_i).  A ring checks that its
+codes are distinct and raises ConventionError if two collide, keeping
+no ring, so a radix too small fails before any product of that quotient.
 
 The projection p: G/P -> G/P' with P' = P + {j} sends the cell of w to
-the point w(omega_P') = mu - w(omega_j) when that point lies dim(fibre)
-layers lower, and to zero otherwise; P and j fix P', so pushforward
-finds the ring of G/P' itself.  With Chevalley products on G/B it
-gives the Chern classes of the rank-2 bundle V with P(V) = G/B over G/P
-from its Chern roots zeta and zeta - alpha_j, and from those the degree
-of the anticanonical zero locus of a section of V.  The conventions are
-self-checked by pushforward alone: zeta must push to 1, and the product
-of the two roots must push to 0 and, times zeta, to c2: together the
-rank-2 relation zeta^2 - p*(c1).zeta + p*(c2) = 0, exactly.
+the point w(omega_P') (w's word folded onto omega_P') when that point
+lies dim(fibre) layers lower, and to zero otherwise; P and j fix P', so
+pushforward finds the ring of G/P' itself, and it reads no table.  With
+Chevalley products on G/B it gives the Chern classes of the rank-2
+bundle V with P(V) = G/B over G/P from its Chern roots zeta and
+zeta - alpha_j, and from those the degree of the anticanonical zero
+locus of a section of V.  The conventions are self-checked by
+pushforward alone: zeta must push to 1, and the product of the two roots
+must push to 0 and, times zeta, to c2: together the rank-2 relation
+zeta^2 - p*(c1).zeta + p*(c2) = 0, exactly.
 
 A CohomologyElement is a Combination (motive.py) keyed by cell index:
 sums, multiples and rendering are the ones L-polynomials and motivic
@@ -155,7 +156,7 @@ class SchubertRing:
     positive coroots) mapped to their index, and the classes as one
     column per free node.  The per-cell coroot pairings and Chevalley
     covers are made for every cell by one sweep (``_sweep``), on the
-    ring's first product or pushforward; until then both are None."""
+    ring's first product; until then both are None."""
 
     def __new__(cls, group: WeylGroup, parabolic: Iterable[int] = ()) -> "SchubertRing":
         q = group.quotient(parabolic)
@@ -169,13 +170,12 @@ class SchubertRing:
         q = self.quotient  # found by __new__
         if q.ring is self:
             return
-        rank, coords = group.rank, q.coords
-        # c(s_i mu) = c(mu) - mu_i c(alpha_i), from the canonical parent
+        # c(omega_P), then c(s_i mu) = c(mu) - mu_i c(alpha_i), mu_i the cell's step
         powers, root_codes = group.point_codes
         simple = [0] + [root_codes[a] for a, _ in group.root_moves]
-        codes = [sum(map(mul, coords[:rank], powers))]
-        for i, p in zip(q.letters[1:], q.parents[1:]):
-            codes.append(codes[p] - coords[p * rank + i - 1] * simple[i])
+        codes = [sum([powers[j - 1] for j in q.free_nodes])]
+        for i, p, c in zip(q.letters[1:], q.parents[1:], q.steps[1:]):
+            codes.append(codes[p] - c * simple[i])
         at = dict(zip(codes, range(len(codes))))
         if len(at) != len(codes):
             raise ConventionError(
@@ -189,7 +189,7 @@ class SchubertRing:
             part = tuple([c[j - 1] for j in q.free_nodes])
             if any(part):
                 classes.setdefault(part, len(classes))
-        self.group, self.rank = group, rank
+        self.group, self.rank = group, group.rank
         self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
         self.codes, self.at, self.layers = codes, at, q.lengths()
         self.pairings = self.covers = None  # made by _sweep on the first product
@@ -342,27 +342,27 @@ class SchubertRing:
 def pushforward(x: CohomologyElement, fiber_node: int) -> CohomologyElement:
     """Along G/P -> G/P', P' = P + {fiber_node}, into the ring of G/P': the
     cell of w goes to the cell of its point w(omega_P') when that cell
-    lies dim(fibre) layers lower, and to zero otherwise.  Through the line
-    fibration G/B -> G/P_i, sigma[w] goes to sigma[w*s_i] when that
-    shortens w."""
+    lies dim(fibre) layers lower, and to zero otherwise; neither ring's
+    tables are read or made.  Through the line fibration G/B -> G/P_i,
+    sigma[w] goes to sigma[w*s_i] when that shortens w."""
     ring = x.ring
     check_node(fiber_node, ring.rank, "fiber node")
     if fiber_node in ring.parabolic:
         raise ValueError(f"node {fiber_node} is already collapsed")
     target = SchubertRing(ring.group, sorted(ring.parabolic + (fiber_node,)))
     drop = ring.dimension - target.dimension
-    f = ring.free_nodes.index(fiber_node)
-    simple = [a for a, _ in ring.group.root_moves]
-    powers = ring.group.point_codes[0]
-    if ring.pairings is None:
-        ring._sweep()
-    codes, layers, at, coarse = ring.codes, ring.layers, target.at, target.layers
-    pairings, out = ring.pairings, {}
+    omega = tuple([int(i in target.free_nodes) for i in range(1, ring.rank + 1)])
+    q, powers, out = ring.quotient, ring.group.point_codes[0], {}
+    points = {0: omega}  # w(omega_P') of e and of the terms so far, parents first
     for k, c in x._terms.items():
-        # w(omega_P') = w(omega_P) - w(omega_i), read off the simple pairings
-        p = pairings[k][f]
-        j = at[codes[k] - sum([p[a] * r for a, r in zip(simple, powers)])]
-        if coarse[j] == layers[k] - drop:
+        # w's word up the parent links to the nearest folded cell, folded onto its point
+        word, p = [], k
+        while p not in points:
+            word.append(q.letters[p])
+            p = q.parents[p]
+        y = points[k] = ring.group._fold(word, points[p])
+        j = target.at[sum(map(mul, y, powers))]
+        if target.layers[j] == ring.layers[k] - drop:
             out[j] = out.get(j, 0) + c
     return CohomologyElement(target, out)
 

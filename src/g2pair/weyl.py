@@ -24,12 +24,11 @@ in word order with no sort, and the walk yields exactly the minimal
 coset representatives W^P in (length, word) order.
 
 ``WeylGroup.quotient`` checks P once and keeps one Quotient per
-parabolic, holding the walk as columns: each cell's first letter, its
-canonical parent's index, the layer offsets and the flattened points.
-Words and names are derived from the parent links on demand, and a
-cell's point is its row of the flat ``coords``; the command line writes
-names and JSON rows from them, and the one Schubert ring of a quotient
-builds its per-cell data from the parent's.
+parabolic, holding the walk as columns: each cell's first letter i, its
+canonical parent's index, its step mu_i (the parent's coordinate) and
+the layer offsets; no point is kept.  Words and names are derived from
+the parent links on demand, and the command line writes from them; the
+one Schubert ring of a quotient codes each point from its parent's.
 
 An element is its point y = w(rho): the orbit of rho is free.  One
 constructor makes an element from y, keeps it per group and reads its
@@ -38,6 +37,7 @@ y is in the orbit.  No verb makes an element: WeylElement and its
 product, ``min_coset_reps`` and ``reflections`` stay only because the
 benchmark's tracer (perfbench/tracer.py) wraps them, and ``from_word``
 because they and SchubertRing.basis, which the tracer reads, use it.
+``_fold``, a word applied to a point, also serves schubert.pushforward.
 
 |W| is the product of the degrees d_i of W, one more than the parts of
 the partition dual to the numbers of positive roots of each height
@@ -170,14 +170,15 @@ def _typecode(bound: int) -> str:
 
 class Quotient:
     """W/W_P, one per group and parabolic (``WeylGroup.quotient``): the
-    walk of omega_P as columns.  Cell k has the first letter ``letters[k]``
-    of its word (0 for e), its parent's index ``parents[k]`` (-1) and the
-    point ``coords[k*rank:(k+1)*rank]``, kept only flat: no method lists
-    the points as tuples.  ``offsets[n]`` is the first cell of layer n,
-    and the cell count for the two layers past the top.  ``ring`` is its
-    one SchubertRing, made by the first call, else None."""
+    walk of omega_P as columns, no point kept.  A cell other than e is
+    s_i mu for its canonical parent's point mu: ``letters[k]`` is i, its
+    word's first letter, ``parents[k]`` the parent's index and the step
+    ``steps[k]`` is mu_i > 0, so the cell's point is mu - mu_i alpha_i;
+    e has 0, -1 and 0.  ``offsets[n]`` is the first cell of layer n,
+    and the cell count for the two layers past the top.  ``ring`` is
+    its one SchubertRing, made by the first call, else None."""
 
-    __slots__ = ("group", "parabolic", "free_nodes", "letters", "parents", "coords",
+    __slots__ = ("group", "parabolic", "free_nodes", "letters", "parents", "steps",
                  "offsets", "ring")
 
     def __init__(self, group: "WeylGroup", parabolic: tuple[int, ...]):
@@ -188,17 +189,17 @@ class Quotient:
         # array is loaded on the first walk, not with the library (about
         # half a millisecond).  Wide enough by construction: a letter is at
         # most the rank; a cell index is below |W| and sys.maxsize, the
-        # longest sequence; a coordinate is at most ht(theta_check) in
-        # absolute value (point_codes), the largest degree minus one.
+        # longest sequence; a step is a coordinate, at most ht(theta_check)
+        # in absolute value (point_codes), the largest degree minus one.
         from array import array
         self.letters = array(_typecode(rank))
         self.parents = array(_typecode(min(group.order, sys.maxsize)))
-        self.coords = array(_typecode(max(group.degrees) - 1))
+        self.steps = array(_typecode(max(group.degrees) - 1))
         # Two layers are kept as tuples, the one read and the one made; the
         # columns go to the arrays in batches of 4096 cells or more.
         # firsts[k] is the first letter of layer[k], rank + 1 for omega_P.
         self.offsets = offsets = [0]
-        letters, parents, flat = [0], [-1], list(omega)
+        letters, parents, steps = [0], [-1], [0]
         layer, firsts = [omega], [rank + 1]
         while layer:
             start = offsets[-1]
@@ -210,24 +211,23 @@ class Quotient:
                 for k, mu in enumerate(layer):
                     c = mu[i]
                     if c > 0:
-                        if firsts[k] <= i:
-                            f = firsts[k] - 1
-                            if mu[f] < c * a[f][i]:
-                                continue  # t_f < 0: t's first descent is f
-                            t = reflect_weight(mu, i, col)
-                            if min(t[:i]) < 0:
-                                continue  # t's first descent is j < i: another parent
-                        else:
-                            t = reflect_weight(mu, i, col)
-                        made.append(t)
+                        f = firsts[k] - 1
+                        if f < i and mu[f] < c * a[f][i]:
+                            continue  # t_f < 0: t's first descent is f
+                        t = list(mu)  # s_i mu as reflect_weight makes it, minus a call per cell
+                        for j, x in col:
+                            t[j] -= c * x
+                        if f < i and min(t[:i]) < 0:
+                            continue  # t's first descent is j < i: another parent
+                        made.append(tuple(t))
                         parents.append(start + k)
-                        flat += t
+                        steps.append(c)
                 made_firsts += [i + 1] * (len(made) - before)
             letters += made_firsts
             layer, firsts = made, made_firsts
             if len(letters) >= 4096 or not layer:
                 for column, batch in (self.letters, letters), (self.parents, parents), \
-                        (self.coords, flat):
+                        (self.steps, steps):
                     column.fromlist(batch)
                     batch.clear()
         offsets.append(offsets[-1])
@@ -291,7 +291,7 @@ class WeylGroup:
         return found
 
     def _fold(self, letters: Word, y: Point) -> Point:
-        """s_{l1} ... s_{lk}(y) for letters l1..lk, rightmost first."""
+        """s_{l1} ... s_{lk}(y), rightmost first; schubert.pushforward's fold."""
         cols = self.root_system.cartan.columns
         for i in reversed(letters):
             y = reflect_weight(y, i - 1, cols[i - 1])

@@ -775,7 +775,7 @@ def test_rings_read_the_group_walk(name):
         ring = SchubertRing(g, parabolic)
         q = g.quotient(parabolic)
         assert ring.quotient is q and ring.words == q.words(), parabolic
-        assert ring.quotient.coords is q.coords and ring is q.ring, parabolic
+        assert ring.quotient.steps is q.steps and ring is q.ring, parabolic
         assert SchubertRing(g, parabolic[::-1]).quotient is ring.quotient, parabolic
 
 
@@ -884,19 +884,34 @@ def test_the_first_product_makes_the_tables(name):
 
 
 @pytest.mark.parametrize("name", ("G2", "B3", "F4"))
-def test_a_pushforward_makes_the_tables_of_its_source_only(name):
-    # smaller parabolics first: a target has been pushed into, never
-    # pushed out of or multiplied, and still has neither table
+def test_a_pushforward_makes_no_tables(name):
+    # smaller parabolics first, so every source and target has never been
+    # multiplied: a pushforward makes neither table on either, and gives
+    # what it gives once a product has made the source's tables
     g = make_group(name)
+    pushed = {}
     for parabolic in all_parabolics(g.rank)[:-1]:
         ring = SchubertRing(g, parabolic)
-        assert ring.covers is None and ring.pairings is None, parabolic
-        made = None
+        x = CohomologyElement(ring, {k: k + 1 for k in range(len(ring))})
         for node in ring.free_nodes:
-            target = pushforward(ring.one(), node).ring
-            assert target.covers is None and target.pairings is None, (parabolic, node)
-            made = made or assert_made(ring)
-            assert ring.covers is made[0] and ring.pairings is made[1], (parabolic, node)
+            got = pushforward(x, node)
+            for r in ring, got.ring:
+                assert r.covers is None and r.pairings is None, (parabolic, node)
+            assert got, (parabolic, node)
+            pushed[parabolic, node] = x, got
+    for (parabolic, node), (x, got) in pushed.items():
+        assert swept(x.ring).covers is not None
+        assert pushforward(x, node) == got, (parabolic, node)
+
+
+def test_a_cold_e6_flag_pushes_forward_without_a_sweep():
+    # the pushforward reads the source's walk, not its tables: on a ring
+    # of 51,840 cells never multiplied it stays well under a sweep's cost
+    ring = SchubertRing(make_group("E6"), ())
+    start = time.perf_counter()
+    got = pushforward(ring.one() + point_class(ring), 1)
+    assert time.perf_counter() - start < 0.5
+    assert got == point_class(got.ring) and ring.covers is None and ring.pairings is None
 
 
 def test_one_table_per_quotient(monkeypatch, capsys):
@@ -1126,12 +1141,12 @@ def code_cases():
         yield "E6", tuple(i for i in range(1, 7) if i != free)
 
 
-def tuple_cell_covers(ring, k, at):
-    """The cover rule on point tuples at the cell k: (j, its pairings
-    <w(omega_f), gamma_check> per free node f, read off ``pairings``) for
-    s_gamma mu = mu - q gamma, q = <mu, gamma_check> > 0, looked up as a
-    tuple in ``at`` (point -> cell) and one layer up."""
-    mu, ps, covers = ring.quotient.coords[k * ring.rank:(k + 1) * ring.rank], ring.pairings[k], []
+def tuple_cell_covers(ring, k, mu, at):
+    """The cover rule on point tuples at the cell k, of point mu: (j, its
+    pairings <w(omega_f), gamma_check> per free node f, read off
+    ``pairings``) for s_gamma mu = mu - q gamma, q = <mu, gamma_check> > 0,
+    looked up as a tuple in ``at`` (point -> cell) and one layer up."""
+    ps, covers = ring.pairings[k], []
     up = len(ring.words[k]) + 1
     rs = ring.group.root_system
     for n, (coroot, weight) in enumerate(zip(rs.coroots, rs.weights)):
@@ -1145,18 +1160,20 @@ def tuple_cell_covers(ring, k, at):
 
 def tuple_covers(ring):
     """Per cell, its covers by the tuple rule."""
-    at = {mu: j for j, mu in enumerate(points(ring.quotient))}
-    return [tuple_cell_covers(ring, k, at) for k in range(len(ring))]
+    ys = points(ring.quotient)
+    at = {mu: j for j, mu in enumerate(ys)}
+    return [tuple_cell_covers(ring, k, mu, at) for k, mu in enumerate(ys)]
 
 
 def pairing_product(ring, d, x):
     """d . x by the tuple covers, <w lambda, gamma_check> summed as
     sum(map(mul, lam, pairs)) per cover: the coefficients, zeros dropped."""
-    at = {mu: j for j, mu in enumerate(points(ring.quotient))}
+    ys = points(ring.quotient)
+    at = {mu: j for j, mu in enumerate(ys)}
     lam = [d.weights[f - 1] for f in ring.free_nodes]
     out = {}
     for k, c in x.coefficients().items():
-        for j, pairs in tuple_cell_covers(ring, k, at):
+        for j, pairs in tuple_cell_covers(ring, k, ys[k], at):
             out[j] = out.get(j, 0) + c * sum(map(mul, lam, pairs))
     return {j: c for j, c in out.items() if c}
 
@@ -1202,10 +1219,16 @@ def test_code_covers_and_pushforward_match_tuple_lookup():
             assert got[k] == covers, (name, parabolic, k)
         for i in ring.free_nodes:
             target = SchubertRing(g, parabolic + (i,))
+            want = {}
             for k, pushed in enumerate(tuple_push_targets(ring, i, target)):
                 got = pushforward(CohomologyElement(ring, {k: 1}), i)
                 assert got.coefficients() == pushed, (name, parabolic, k, i)
                 assert got.ring is target, (name, parabolic, k, i)
+                for j, c in pushed.items():
+                    want[j] = want.get(j, 0) + (k + 1) * c
+            # every cell at once: each term folds from its nearest folded ancestor
+            every = CohomologyElement(ring, {k: k + 1 for k in range(len(ring))})
+            assert pushforward(every, i).coefficients() == want, (name, parabolic, i)
 
 
 def class_cases():

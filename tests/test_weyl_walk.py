@@ -176,9 +176,22 @@ def test_walk_links_name_the_canonical_parent():
         assert q.offsets == [lengths.index(n) for n in range(lengths[-1] + 1)] + [len(words)] * 2
 
 
+def test_walk_steps_are_the_parents_coordinates():
+    # the step of a cell is the coordinate of its parent's point along its
+    # first letter, positive, and the quotient keeps no point
+    for name, nodes in walk_cases():
+        q = group(name).quotient(nodes)
+        ys, steps, letters, parents = points(q), q.steps, q.letters, q.parents
+        assert steps[0] == 0 and len(steps) == len(q), (name, nodes)
+        for k in range(1, len(q)):
+            c = steps[k]
+            assert c > 0 and c == ys[parents[k]][letters[k] - 1], (name, nodes, k)
+        assert not hasattr(q, "coords"), (name, nodes)
+
+
 def test_the_kept_walk_of_e6_is_columns():
     # E6 G/B has 51,840 cells; kept as tuples of words and points its walk
-    # took 18 MB, as letters, parent links and flattened points under 2 MB
+    # took 18 MB, as letters, parent links and steps about 0.5 MB
     g = WeylGroup(root_system("E6"))
     tracemalloc.start()
     try:
@@ -187,8 +200,8 @@ def test_the_kept_walk_of_e6_is_columns():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(q) == len(q.parents) == len(q.coords) // 6 == 51840
-    assert kept < 2 * 2**20, kept
+    assert len(q) == len(q.parents) == len(q.steps) == 51840
+    assert kept < 0.6 * 2**20, kept
 
 
 def test_coset_walks_keep_the_links():

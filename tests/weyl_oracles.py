@@ -1,13 +1,14 @@
 """Test oracles: the element API the library no longer carries, the
 whole enumerated group, and root-lattice matrices.
 
-Reads the library keeps only in one form are made here: ``points`` cuts
-a quotient's flat ``coords`` into one tuple per cell, ``layers`` gives
-the layers of a class's cells (one layer for a homogeneous class, none
-for zero), ``point_class`` is the top cell of a ring through the
-checking constructor, ``is_palindromic`` reads the symmetry of cell
-counts off an L-polynomial's (degree, coefficient) pairs, and ``degree``
-is its top power of L (None for zero).
+Reads the library does not keep, or keeps in one form only, are made
+here: ``points`` folds each cell's canonical word onto omega_P (a
+quotient keeps each cell's step from its parent, not its point),
+``layers`` gives the layers of a class's cells (one layer for a
+homogeneous class, none for zero), ``point_class`` is the top cell of a
+ring through the checking constructor, ``is_palindromic`` reads the
+symmetry of cell counts off an L-polynomial's (degree, coefficient)
+pairs, and ``degree`` is its top power of L (None for zero).
 
 The library makes an element only where the benchmark's tracer needs
 one; no verb lists W, inverts, orders or tests a right descent.  Those
@@ -93,9 +94,17 @@ def coroot_coordinates(rs, beta):
 
 
 def points(q):
-    """Every cell's point w(omega_P) of a quotient: its row of ``coords``."""
-    rank, coords = q.group.rank, q.coords
-    return tuple(tuple(coords[k:k + rank]) for k in range(0, len(coords), rank))
+    """Every cell's point w(omega_P) of a quotient: its canonical word
+    folded onto omega_P, rightmost letter first, by s_i(v)_j =
+    v_j - v_i a_ji off the Cartan matrix.  The rest of a word is its
+    parent's word, folded before it."""
+    a = q.group.root_system.cartan.entries
+    rank = len(a)
+    at = {(): tuple(0 if i in q.parabolic else 1 for i in range(1, rank + 1))}
+    for word in q.words()[1:]:
+        v, i = at[word[1:]], word[0] - 1
+        at[word] = tuple(v[j] - v[i] * a[j][i] for j in range(rank))
+    return tuple(at.values())
 
 
 def layers(x):
