@@ -8,6 +8,9 @@ convention), and 1 with nothing on stderr when a reader closes stdout
 early (``| head``).  argparse is imported on the first parse, not with
 this module.  ``cosets`` and ``certificate`` write names and JSON rows
 straight from a group's Quotient: its letters, parent links and offsets.
+A JSON document is built in one list of string pieces and joined once,
+with no nested copies of its rows; json's string quoter is imported with
+the first document, so ``import g2pair`` loads no json.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Sequence
-from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import DomainError
 from .grothring import IdentityCertificate
@@ -26,13 +28,22 @@ from .schubert import check_rank2_pair, degree_of_zero_locus
 from .weyl import DEFAULT_GROUP_CAP, WeylGroup, check_order
 from . import grothring
 
+_quote = None  # json.encoder.encode_basestring_ascii, set by the first _json
+
 
 def _json(doc: dict) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)``, written
-    without json's pure-Python indenting encoder.  Takes exactly dict (str
-    keys), list, tuple, str, int, bool, None and _WalkRows, with one join
-    per container; anything else, floats included, raises TypeError."""
-    return _write(doc, "\n")
+    without json's pure-Python indenting encoder: the whole document goes
+    into one list of string pieces, joined once.  Takes exactly dict (str
+    keys), list, tuple, str, int, bool, None and _WalkRows; anything
+    else, floats included, raises TypeError.  json's string quoter is
+    imported with the first document, not with this module."""
+    global _quote
+    if _quote is None:
+        from json.encoder import encode_basestring_ascii as _quote
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
 
 
 class _WalkRows(Record):
@@ -40,25 +51,31 @@ class _WalkRows(Record):
     columns a Quotient keeps: letters, parent indices and layer offsets,
     the last the cell count.  Written as a list of those dicts would be, in
     one pass: layer 0 is "e", and a later cell's name and word text are its
-    letter plus its parent's.  A parent outside the layer below, or columns
-    that disagree in length, raise ValueError."""
+    letter plus its parent's.  A row goes out as five pieces, with no
+    text made for it: its layer's head, which ends in '"name": "', the
+    name, a fixed middle, the word text and a fixed tail.  A parent
+    outside the layer below, or columns that disagree in length, raise
+    ValueError."""
 
     _fields = ("letters", "parents", "offsets")
 
     def __new__(cls, letters, parents, offsets) -> _WalkRows:
         return tuple.__new__(cls, (letters, parents, offsets))
 
-    def __call__(self, nl: str) -> str:
+    def write(self, nl: str, out: list[str]) -> None:
         letters, parents, offsets = self
         if offsets[0] != 0 or not len(letters) == len(parents) == offsets[-1]:
             raise ValueError("the columns of a walk disagree in length")
         if not letters:
-            return "[]"
+            out.append("[]")
+            return
         inner, key, sep = nl + "  ", nl + "    ", "," + nl + "      "
         # a name is "e" or letters joined as "s1*s2": _quote only adds quotes
-        row = f'{{{key}"length": %s,{key}"name": "%s",{key}"word": %s{inner}}}'
-        full = row % ("%s", "%s", f"[{sep[1:]}%s{key}]")
-        rows = [row % (0, "e", "[]")] * offsets[1]
+        head = f'{{{key}"length": %d,{key}"name": "'
+        middle, tail = f'",{key}"word": [{sep[1:]}', f"{key}]{inner}}}"
+        identity = f'{head % 0}e",{key}"word": []{inner}}}'
+        out.append("[" + inner + identity)
+        out += ["," + inner + identity] * (offsets[1] - 1)
         names, texts = ["e"] * offsets[1], [""] * offsets[1]
         heads = {i: (f"s{i}*", f"{i}{sep}") for i in set(letters[offsets[1]:])}
         for n in range(1, len(offsets) - 1):
@@ -66,7 +83,7 @@ class _WalkRows(Record):
             ps = parents[a:b]
             if ps and (min(ps) < offsets[n - 1] or max(ps) >= a):
                 raise ValueError(f"a cell of layer {n} has a parent outside layer {n - 1}")
-            template = full % (n, "%s", "%s")
+            layer = "," + inner + head % n
             for i, p in zip(letters[a:b], ps):
                 name, text = heads[i]
                 if n > 1:
@@ -75,40 +92,51 @@ class _WalkRows(Record):
                     name, text = name[:-1], text[:-len(sep)]
                 names.append(name)
                 texts.append(text)
-                rows.append(template % (name, text))
-        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+                out += layer, name, middle, text, tail
+        out.append(nl + "]")
 
 
-def _write(v, nl: str) -> str:
-    # nl is a newline plus the indent of the line that holds v.
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append the text of v to out.  nl is a newline plus the indent of
+    the line that holds v; a list of ints goes out as one piece."""
     t = type(v)
     if t is str:
-        return _quote(v)
-    if t is int:
-        return int.__repr__(v)
-    inner = nl + "  "
-    sep = "," + inner
-    if t is dict:
+        out.append(_quote(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is dict or t is list or t is tuple:
         if not v:
-            return "{}"
-        # _quote raises TypeError for a key that is not a str.
-        items = [_quote(k) + ": " + _write(x, inner) for k, x in sorted(v.items())]
-        return "{" + inner + sep.join(items) + nl + "}"
-    if t is list or t is tuple:
-        if not v:
-            return "[]"
-        if {*map(type, v)} == _INT:
-            return "[" + inner + sep.join(map(int.__repr__, v)) + nl + "]"
-        return "[" + inner + sep.join([_write(x, inner) for x in v]) + nl + "]"
-    if t is _WalkRows:
-        return v(nl)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if t is dict:
+            first = "{" + inner
+            # _quote raises TypeError for a key that is not a str.
+            for k, x in sorted(v.items()):
+                out += first, _quote(k), ": "
+                _write(x, inner, out)
+                first = sep
+            out.append(nl + "}")
+        elif {*map(type, v)} == _INT:
+            out.append("[" + inner + sep.join(map(int.__repr__, v)) + nl + "]")
+        else:
+            first = "[" + inner
+            for x in v:
+                out.append(first)
+                _write(x, inner, out)
+                first = sep
+            out.append(nl + "]")
+    elif t is _WalkRows:
+        v.write(nl, out)
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _parse_nodes(text: str) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ data (symmetrizer, weights, coroots) stays in integers; nothing floats.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import _tuplegetter
@@ -41,8 +40,8 @@ _MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if os.name == "posix" else math.inf
 )
 # Bytes charged per root entry: the tracemalloc peak of `roots A120 --format
-# json` over its 7,260 * 120 entries is 36 (plain `roots` peaks at 13).
-_ENTRY_BYTES = 36
+# json` over its 7,260 * 120 entries is 28.0 (plain `roots` peaks at 13).
+_ENTRY_BYTES = 28
 
 _INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
 
@@ -273,6 +272,7 @@ def parse_cartan(name: str) -> CartanMatrix:
         rows = _build_named(letter, digits)
         return CartanMatrix(tuple(tuple(r) for r in rows))
     if name.startswith("["):
+        import json  # only a literal needs it: the package imports without json
         try:
             data = json.loads(name)
         except (json.JSONDecodeError, RecursionError) as exc:

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +400,37 @@ def test_roots_are_charged_what_the_verbs_peak_at(capsys, monkeypatch):
     with pytest.raises(MemoryError, match="the roots of A10 cannot fit in memory"):
         root_system("A10")
     assert invoke(capsys, "roots", "A10") == (1, "", "error: out of memory running roots\n")
+
+
+class _CountingSink:
+    """A stdout that keeps nothing of what it is sent, only its length."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_cosets_document_peaks_at_a_small_multiple_of_its_bytes():
+    # B5/B is 3,840 rows and 951,440 bytes of JSON.  Written as pieces and
+    # joined once, the traced peak of the whole verb (roots, walk, names,
+    # pieces, text) stays under 3.5x what it prints; nested joins of the
+    # rows string would take it past 4x
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = run(["cosets", "B5", "--parabolic", "", "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.chars) == (0, 951_440)
+    assert peak < 3.5 * sink.chars, peak / sink.chars
 
 
 @pytest.mark.parametrize("verb", ("weyl-order", "roots", "poincare"))
