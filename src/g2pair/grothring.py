@@ -174,27 +174,22 @@ class Derivation(Record):
 
 
 def _check_acyclic(rules: tuple[RewriteRule, ...]) -> None:
+    """Edges run from each rule's symbol to each rule symbol on its right;
+    a cycle raises CircularRuleError, named from its smallest symbol."""
+    from graphlib import CycleError, TopologicalSorter
+
     heads = {r.lhs for r in rules}
-    edges: dict[str, set[str]] = {}
+    order = TopologicalSorter()
     for r in rules:
-        edges.setdefault(r.lhs, set()).update(r.rhs.symbols() & heads)
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(sym: str, trail: list[str]) -> None:
-        state[sym] = 1
-        trail.append(sym)
-        for nxt in sorted(edges.get(sym, ())):
-            if state.get(nxt) == 1:
-                cycle = " -> ".join(trail[trail.index(nxt):] + [nxt])
-                raise CircularRuleError(f"rewrite rules form a cycle: {cycle}")
-            if state.get(nxt) != 2:
-                visit(nxt, trail)
-        trail.pop()
-        state[sym] = 2
-
-    for head in sorted(heads):
-        if state.get(head) != 2:
-            visit(head, [])
+        for s in sorted(r.rhs.symbols() & heads):
+            order.add(s, r.lhs)  # r.lhs comes before s
+    try:
+        order.prepare()
+    except CycleError as exc:
+        cycle = exc.args[1][:-1]  # graphlib repeats the first symbol at the end
+        i = cycle.index(min(cycle))
+        cycle = cycle[i:] + cycle[:i + 1]
+        raise CircularRuleError(f"rewrite rules form a cycle: {' -> '.join(cycle)}") from None
 
 
 def normal_form(

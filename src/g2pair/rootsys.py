@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from collections import _tuplegetter
-from collections.abc import Iterable
 from functools import cached_property
 from operator import mul
 
@@ -39,9 +38,10 @@ DEFAULT_ROOT_CAP = 100_000
 _MEMORY = (  # bytes of physical memory, which no named type's roots may outgrow
     os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if os.name == "posix" else math.inf
 )
-# Bytes charged per root entry: the tracemalloc peak of `roots A120 --format
-# json` over its 7,260 * 120 entries is 28.0 (plain `roots` peaks at 13).
-_ENTRY_BYTES = 28
+# Bytes charged per root entry: under tracemalloc, each entry from A40 to
+# A60 adds 28.1 to the peak of `roots --format json` (13.8 to plain `roots`),
+# and A120's whole peak is 27.4 an entry.
+_ENTRY_BYTES = 29
 
 _INT = frozenset({int})  # {*map(type, xs)} <= _INT: every x is an exact int
 
@@ -85,8 +85,9 @@ class Record(tuple):
     no code generated per class.  A subclass lists its ``_fields`` and
     defines ``__new__`` with those parameters, in that order; the base
     reads each field through the C-level getter namedtuple uses, and
-    ``_make``, ``_replace`` and unpickling all call the class, so a
-    checking ``__new__`` sees every instance made."""
+    unpickling and copying call the class, so a checking ``__new__``
+    sees every instance made.  namedtuple's ``_make`` and ``_replace``
+    are not provided: the class itself is the one constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -95,16 +96,6 @@ class Record(tuple):
         super().__init_subclass__()
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> Record:
-        return cls(*fields)
-
-    def _replace(self, **changes) -> Record:
-        fields = [changes.pop(name, value) for name, value in zip(self._fields, self)]
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        return self._make(fields)
 
     def __getnewargs__(self) -> tuple:
         return tuple(self)

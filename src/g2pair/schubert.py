@@ -7,8 +7,8 @@ of w is the point mu = w(omega_P), at layer length(w), and the group is
 never enumerated.  The first ``SchubertRing(group, P)`` builds the ring
 of G/P from the group's weyl.Quotient, which holds the walk as columns
 and keeps the ring; every later call returns it.  The ring holds the
-per-cell codes and the coroot classes below; one sweep over the cells
-makes their pairings and covers, on the first product.  Full products
+cells by their codes and the coroot classes below; one sweep over the
+cells makes their pairings and covers, on the first product.  Full products
 are not implemented; the degree computations need only Chevalley's
 divisor rule (Fulton-Woodward, "On the quantum product of Schubert
 classes"), read on the orbit:
@@ -28,8 +28,8 @@ over the free nodes f are the free-node part of the positive coroot
 beta_check, so they take few values: the quotient's coroot classes, read
 off the identity cell's pairings and numbered once.  A cover keeps the
 index of its class, and a product by lambda reads <lambda, class> from
-one list that the ring makes, a free node's column of classes at a
-time, checking lambda, only when lambda differs from its last divisor.
+one list, one value per class, that the ring makes (and checks lambda
+for) only when lambda differs from its last divisor.
 The covers of x's terms lie in the layers just above them, so a product
 adds each cover's term into one flat list over those layers, bounded by
 the walk's layer offsets, and reads the nonzero entries off it in cell
@@ -151,12 +151,12 @@ class SchubertRing:
     call builds it in ``__init__`` and keeps it as ``Quotient.ring``, and
     every later call, with any spelling of P, returns it; a build that
     raises ConventionError (two codes collide, or no unique top class)
-    keeps nothing.  The ring holds the point codes, the index code -> cell,
-    each cell's layer, the coroot classes (nonzero free-node parts of the
-    positive coroots) mapped to their index, and the classes as one
-    column per free node.  The per-cell coroot pairings and Chevalley
-    covers are made for every cell by one sweep (``_sweep``), on the
-    ring's first product; until then both are None."""
+    keeps nothing.  The ring holds the index code -> cell, whose keys are
+    the point codes in cell order, each cell's layer, and the coroot
+    classes (nonzero free-node parts of the positive coroots) mapped to
+    their index.  The per-cell coroot pairings and Chevalley covers are
+    made for every cell by one sweep (``_sweep``), on the ring's first
+    product; until then both are None."""
 
     def __new__(cls, group: WeylGroup, parabolic: Iterable[int] = ()) -> "SchubertRing":
         q = group.quotient(parabolic)
@@ -191,9 +191,8 @@ class SchubertRing:
                 classes.setdefault(part, len(classes))
         self.group, self.rank = group, group.rank
         self.parabolic, self.free_nodes = q.parabolic, q.free_nodes
-        self.codes, self.at, self.layers = codes, at, q.lengths()
+        self.at, self.layers, self.classes = at, q.lengths(), classes
         self.pairings = self.covers = None  # made by _sweep on the first product
-        self.classes, self.columns = classes, tuple(zip(*classes))
         # the last divisor's weights and its value on each coroot class
         self._lam: tuple = (None, None)
         self.dimension, self._top = len(q.offsets) - 3, len(codes) - 1
@@ -206,7 +205,7 @@ class SchubertRing:
         return object.__new__, (SchubertRing,), self.__dict__
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.at)
 
     @cached_property
     def words(self) -> tuple[tuple[int, ...], ...]:
@@ -261,12 +260,12 @@ class SchubertRing:
         beta) for every cell j = s_gamma mu one layer up, gamma = w beta > 0,
         whose class is (<w(omega_f), gamma_check>)_f over the free nodes f;
         a pairing vector that is not a class raises ConventionError."""
-        q, codes, at, layers = self.quotient, self.codes, self.at, self.layers
+        q, at, layers = self.quotient, self.at, self.layers
         classes, moves = self.classes, self.group.root_moves
         roots, coroots = self.group.point_codes[1], self.group.root_system.coroots
         ps = tuple([c[j - 1] for c in coroots] for j in self.free_nodes)
         pairings, covers = [], []
-        for k, (i, parent) in enumerate(zip(q.letters, q.parents)):
+        for k, (code, i, parent) in enumerate(zip(at, q.letters, q.parents)):
             if k:
                 a, perm = moves[i - 1]
                 lifted = []
@@ -279,7 +278,7 @@ class SchubertRing:
             qs = ps[0] if ps else ()  # <mu, gamma_check>: mu is the sum of the w(omega_f)
             for p in ps[1:]:
                 qs = list(map(add, qs, p))
-            code, up, cell = codes[k], layers[k] + 1, []
+            up, cell = layers[k] + 1, []
             for n, c in enumerate(qs):
                 if c > 0 and layers[j := at[code - c * roots[n]]] == up:
                     part = tuple([p[n] for p in ps])
@@ -294,16 +293,11 @@ class SchubertRing:
         return covers
 
     def _lambda_values(self, d: DivisorClass) -> list[int]:
-        """<lambda, class> for each coroot class, summed one free node's
-        column at a time, kept as the ring's last divisor once d is checked."""
+        """<lambda, class> for each coroot class, kept as the ring's last
+        divisor once d is checked."""
         self.check_divisor(d)
-        weights = d.weights
-        values = None
-        for j, column in zip(self.free_nodes, self.columns):
-            if c := weights[j - 1]:
-                values = ([c * x for x in column] if values is None
-                          else [v + c * x for v, x in zip(values, column)])
-        self._lam = (weights, values or [0] * len(self.classes))
+        lam = [d.weights[j - 1] for j in self.free_nodes]
+        self._lam = (d.weights, [sum(map(mul, lam, part)) for part in self.classes])
         return self._lam[1]
 
     def chevalley(self, d: DivisorClass, x: CohomologyElement) -> CohomologyElement:

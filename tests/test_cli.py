@@ -393,8 +393,8 @@ def test_roots_that_cannot_fit_are_refused_before_any_matrix(capsys, monkeypatch
 
 def test_roots_are_charged_what_the_verbs_peak_at(capsys, monkeypatch):
     # A10 has 55 * 10 = 550 root entries: 4,400 bytes at 8 bytes an entry,
-    # but `roots --format json` peaks at about 36 an entry, so 10,000 bytes
-    # of memory cannot hold it
+    # but `roots --format json` peaks at about 28 an entry, so 10,000 bytes
+    # of memory cannot hold it; that holds while the charge is above 18.2
     monkeypatch.setattr(g2pair.rootsys, "_MEMORY", 10_000)
     monkeypatch.setattr(g2pair.rootsys, "parse_cartan", None)
     with pytest.raises(MemoryError, match="the roots of A10 cannot fit in memory"):
@@ -416,21 +416,44 @@ class _CountingSink:
         pass
 
 
+def traced_run(*argv):
+    """``run(argv)`` under tracemalloc, printing to a _CountingSink:
+    (exit code, characters printed, traced peak in bytes)."""
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = run(list(argv))
+        return code, sink.chars, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_cosets_document_peaks_at_a_small_multiple_of_its_bytes():
     # B5/B is 3,840 rows and 951,440 bytes of JSON.  Written as pieces and
     # joined once, the traced peak of the whole verb (roots, walk, names,
     # pieces, text) stays under 3.5x what it prints; nested joins of the
     # rows string would take it past 4x
-    sink = _CountingSink()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(sink):
-            code = run(["cosets", "B5", "--parabolic", "", "--format", "json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, sink.chars) == (0, 951_440)
-    assert peak < 3.5 * sink.chars, peak / sink.chars
+    code, chars, peak = traced_run("cosets", "B5", "--parabolic", "", "--format", "json")
+    assert (code, chars) == (0, 951_440)
+    assert peak < 3.5 * chars, peak / chars
+
+
+@pytest.mark.parametrize("form", (("--format", "json"), ()))
+def test_the_entry_charge_covers_what_an_entry_adds_to_the_peak(form):
+    # What one more root entry adds to the traced peak of `roots`, from A40
+    # (820 * 40 entries) to A60 (1,830 * 60): 28.1 bytes for JSON and 13.8
+    # for text.  A first untraced call makes the imports done on first use,
+    # so neither size is charged for them.
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert run(["roots", "A3", *form]) == 0
+    peaks = {}
+    for n in (40, 60):
+        code, _, peaks[n * n * (n + 1) // 2] = traced_run("roots", f"A{n}", *form)
+        assert code == 0
+    (small, low), (large, high) = peaks.items()
+    slope = (high - low) / (large - small)
+    assert slope <= g2pair.rootsys._ENTRY_BYTES, slope
 
 
 @pytest.mark.parametrize("verb", ("weyl-order", "roots", "poincare"))

@@ -9,7 +9,8 @@ a namedtuple class, compiling a regex or loading ``typing``.  The CLI then
 runs in the same process and must print the golden bytes.
 
 A second child imports nothing first: ``import g2pair`` alone must load
-neither ``json`` nor ``re``, and a text verb, then a JSON verb, must print
+neither ``json``, ``re`` nor ``graphlib`` (the rewriter imports it for
+its cycle check, on first use), and a text verb, then a JSON verb, must print
 their golden bytes after it (the first JSON document imports json's
 string quoter).
 """
@@ -65,6 +66,7 @@ sys.path.insert(0, sys.argv[1])
 import g2pair
 assert "json" not in sys.modules, "importing g2pair loaded json"
 assert "re" not in sys.modules, "importing g2pair loaded re"
+assert "graphlib" not in sys.modules, "importing g2pair loaded graphlib"
 
 import contextlib, hashlib, io
 for argv in (sys.argv[2:6], sys.argv[6:]):

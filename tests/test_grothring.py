@@ -190,12 +190,74 @@ def test_normal_form_respects_declaration_order():
 def test_circular_rules_rejected():
     ra = RewriteRule("A", atom("B"))
     rb = RewriteRule("B", atom("A"))
-    with pytest.raises(CircularRuleError):
+    with pytest.raises(CircularRuleError, match="^rewrite rules form a cycle: A -> B -> A$"):
         normal_form(atom("A"), [ra, rb])
     rc = RewriteRule("B", atom("C"))
     rd = RewriteRule("C", atom("A"))
-    with pytest.raises(CircularRuleError):
+    with pytest.raises(CircularRuleError, match="^rewrite rules form a cycle: A -> B -> C -> A$"):
         normal_form(atom("A"), [ra, rc, rd])
+
+
+SYMBOLS = "ABCDEF"
+
+
+@st.composite
+def rule_sets(draw):
+    """Up to eight rules on at most six symbols, a symbol may head several;
+    each right side is a few other symbols at small powers, maybe plus 1."""
+    rules = []
+    for lhs in draw(st.lists(st.sampled_from(SYMBOLS), max_size=8)):
+        others = st.sampled_from([s for s in SYMBOLS if s != lhs])
+        rhs = MotivicClass.from_lpoly(LPolynomial({0: draw(st.integers(0, 1))}))
+        for s in draw(st.sets(others, max_size=3)):
+            rhs = rhs + atom(s, draw(st.integers(0, 2)), draw(st.sampled_from((-2, -1, 1, 2))))
+        rules.append(RewriteRule(lhs, rhs))
+    return rules
+
+
+def rule_edges(rules):
+    """Each rule's symbol to each rule symbol on its right side."""
+    heads = {r.lhs for r in rules}
+    edges = {}
+    for r in rules:
+        edges.setdefault(r.lhs, set()).update(r.rhs.symbols() & heads)
+    return edges
+
+
+def has_cycle(edges):
+    """A plain depth-first search: a cycle is an edge back onto the path."""
+    done, path = set(), set()
+
+    def back_edge(s):
+        path.add(s)
+        for t in edges.get(s, ()):
+            if t in path or (t not in done and back_edge(t)):
+                return True
+        path.discard(s)
+        done.add(s)
+        return False
+
+    return any(s not in done and back_edge(s) for s in edges)
+
+
+@given(rule_sets())
+@settings(max_examples=200)
+def test_the_cycle_check_matches_a_depth_first_search(rules):
+    edges = rule_edges(rules)
+    start = sum((atom(s) for s in SYMBOLS), MotivicClass())
+    if not has_cycle(edges):
+        nf, deriv = normal_form(start, rules)
+        assert not nf.symbols() & edges.keys() and deriv.final == nf
+        return
+    with pytest.raises(CircularRuleError) as caught:
+        normal_form(start, rules)
+    text = str(caught.value)
+    assert text.startswith("rewrite rules form a cycle: ")
+    cycle = text.removeprefix("rewrite rules form a cycle: ").split(" -> ")
+    # a closed simple cycle of rule edges, named from its smallest symbol
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1] == min(cycle)
+    assert len(set(cycle[:-1])) == len(cycle) - 1
+    assert all(b in edges[a] for a, b in zip(cycle, cycle[1:]))
 
 
 def test_verify_identity():
