@@ -176,6 +176,12 @@ class CartanMatrix(Record):
             tuple((j, row[i]) for j, row in enumerate(a) if row[i]) for i in range(self.rank)
         )
 
+    @cached_property
+    def earlier_neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node i (0-based), the entries (f, a[f][i]) of column i above
+        the diagonal: the neighbours f < i of i in the Dynkin diagram."""
+        return tuple(tuple([(f, x) for f, x in col if f < i]) for i, col in enumerate(self.columns))
+
 
 def _blank(n: int) -> list[list[int]]:
     m = [[0] * n for _ in range(n)]

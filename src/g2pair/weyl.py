@@ -15,13 +15,19 @@ smallest one, read by peeling the smallest left descent.  So a point t
 of the next layer has one canonical parent, s_i t for its first negative
 coordinate i, and its word is (i,) + the parent's word: the walk emits
 t = s_i mu only when no t_j with j < i is negative.  For j != i,
-t_j = mu_j - mu_i a_ji >= mu_j, so only mu's own first descent f, its
-first letter minus one, can block: with no f or f > i, t is accepted;
-with f < i, t is rejected when t_f = mu_f - mu_i a_fi < 0, and only the
-rest are reflected and their coordinates before i read.  With the letter
-in the outer loop and the layer in the inner one, each layer comes out
-in word order with no sort, and the walk yields exactly the minimal
-coset representatives W^P in (length, word) order.
+t_j = mu_j - mu_i a_ji >= mu_j, with equality off the neighbours of i.
+A layer comes out in word order, so in runs by first letter f + 1, f
+the first descent; omega_P, with none, is a run of its own.  For the
+letter i the walk reads the runs f > i, omega_P's included, and accepts
+every mu with mu_i > 0 as it is: t_j >= mu_j >= 0 for j < i.  It skips
+the run f = i (mu_i < 0) and the runs f < i with a_fi = 0 (t_f = mu_f
+< 0) without reading a cell.  Only in the run of a neighbour f < i of i
+is t tested: rejected when t_f = mu_f - mu_i a_fi < 0, else reflected
+and rejected when a t_j with f < j < i is negative.  Visiting those runs
+in order of f, then the runs f > i, keeps the parents ascending, and
+with the letter in the outer loop each layer comes out in word order
+with no sort: the walk yields exactly the minimal coset representatives
+W^P in (length, word) order.
 
 ``WeylGroup.quotient`` checks P once and keeps one Quotient per
 parabolic, holding the walk as columns: each cell's first letter i, its
@@ -162,10 +168,18 @@ def check_order(degrees: tuple[int, ...], cap: int) -> int:
 
 
 @cache
+def _array() -> type:
+    """array.array, imported on the first walk, not with the library (about
+    half a millisecond), and kept: an import statement costs about 1.4 us
+    on every call, a tenth of a G2 walk."""
+    from array import array
+    return array
+
+
+@cache
 def _typecode(bound: int) -> str:
     """The narrowest signed array typecode that holds -bound..bound."""
-    from array import array
-    return next(c for c in "bhilq" if bound < 1 << 8 * array(c).itemsize - 1)
+    return next(c for c in "bhilq" if bound < 1 << 8 * _array()(c).itemsize - 1)
 
 
 class Quotient:
@@ -184,47 +198,67 @@ class Quotient:
     def __init__(self, group: "WeylGroup", parabolic: tuple[int, ...]):
         self.group, self.parabolic, self.ring, rank = group, parabolic, None, group.rank
         self.free_nodes = tuple([i for i in range(1, rank + 1) if i not in parabolic])
-        a, cols = group.root_system.cartan.entries, group.root_system.cartan.columns
+        cartan = group.root_system.cartan
+        cols, earlier = cartan.columns, cartan.earlier_neighbours
         omega = tuple([0 if i in parabolic else 1 for i in range(1, rank + 1)])
-        # array is loaded on the first walk, not with the library (about
-        # half a millisecond).  Wide enough by construction: a letter is at
-        # most the rank; a cell index is below |W| and sys.maxsize, the
-        # longest sequence; a step is a coordinate, at most ht(theta_check)
-        # in absolute value (point_codes), the largest degree minus one.
-        from array import array
+        # Wide enough by construction: a letter is at most the rank; a cell
+        # index is below |W| and sys.maxsize, the longest sequence; a step
+        # is a coordinate, at most ht(theta_check) in absolute value
+        # (point_codes), the largest degree minus one.
+        array = _array()
         self.letters = array(_typecode(rank))
         self.parents = array(_typecode(min(group.order, sys.maxsize)))
         self.steps = array(_typecode(max(group.degrees) - 1))
         # Two layers are kept as tuples, the one read and the one made; the
-        # columns go to the arrays in batches of 4096 cells or more.
-        # firsts[k] is the first letter of layer[k], rank + 1 for omega_P.
+        # columns go to the arrays in batches of 4096 cells or more.  A
+        # layer comes out in word order, so in runs by first letter:
+        # runs[f] is where the run of letter f + 1 starts, runs[rank] that
+        # of omega_P and runs[rank + 1] the layer's end.
         self.offsets = offsets = [0]
         letters, parents, steps = [0], [-1], [0]
-        layer, firsts = [omega], [rank + 1]
+        layer, runs = [omega], [0] * (rank + 1) + [1]
         while layer:
-            start = offsets[-1]
-            offsets.append(start + len(layer))
+            start, n = offsets[-1], len(layer)
+            offsets.append(start + n)
             made: list[Point] = []
-            made_firsts: list[int] = []  # the letters of the cells made
+            made_runs = [0]  # the run starts of the layer made
             for i in range(rank):
-                col, before = cols[i], len(made)
-                for k, mu in enumerate(layer):
+                col, letter = cols[i], i + 1
+                # The runs f < i next to i, in order: t_f = mu_f - mu_i a_fi
+                # must be >= 0, and so must t_j for f < j < i (t_j >= mu_j
+                # >= 0 below f).  The other runs f < i and the run f = i
+                # keep t_f = mu_f < 0 and are not read.
+                for f, af in earlier[i]:
+                    for k in range(runs[f], runs[f + 1]):
+                        mu = layer[k]
+                        c = mu[i]
+                        if c > 0 and mu[f] >= c * af:
+                            t = list(mu)  # s_i mu as reflect_weight makes it, minus a call
+                            for j, x in col:
+                                t[j] -= c * x
+                            if f + 1 == i or min(t[f + 1:i]) >= 0:
+                                made.append(tuple(t))
+                                letters.append(letter)
+                                parents.append(start + k)
+                                steps.append(c)
+                # The runs f > i, omega_P's included, to the layer's end,
+                # with no range made when there are none: t_j >= mu_j >= 0
+                # for every j < i, so mu_i > 0 suffices.
+                lo = runs[letter]
+                for k in (range(lo, n) if lo < n else ()):
+                    mu = layer[k]
                     c = mu[i]
                     if c > 0:
-                        f = firsts[k] - 1
-                        if f < i and mu[f] < c * a[f][i]:
-                            continue  # t_f < 0: t's first descent is f
-                        t = list(mu)  # s_i mu as reflect_weight makes it, minus a call per cell
+                        t = list(mu)
                         for j, x in col:
                             t[j] -= c * x
-                        if f < i and min(t[:i]) < 0:
-                            continue  # t's first descent is j < i: another parent
                         made.append(tuple(t))
+                        letters.append(letter)
                         parents.append(start + k)
                         steps.append(c)
-                made_firsts += [i + 1] * (len(made) - before)
-            letters += made_firsts
-            layer, firsts = made, made_firsts
+                made_runs.append(len(made))
+            made_runs.append(made_runs[-1])
+            layer, runs = made, made_runs
             if len(letters) >= 4096 or not layer:
                 for column, batch in (self.letters, letters), (self.parents, parents), \
                         (self.steps, steps):
